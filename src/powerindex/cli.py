@@ -13,20 +13,15 @@ solve, 4 pathology detected by diagnose. Console numbers are rendered to
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .calibration import CalibrationTarget, solve_exponent
+from .calibration import DEFAULT_TOL, CalibrationTarget, solve_exponent
 from .diagnostics import DiagnosticsReport, compare_methods, diagnostics_report
 from .errors import InfeasibleError, RebalanceError
 from .io import parse_universe, read_weight_file, report_payload, write_report
-from .transforms import (
-    CapRule,
-    LinearizedPowerRule,
-    PowerRule,
-    RebalanceRule,
-    apply_rule,
-)
+from .transforms import RULES, RebalanceRule, apply_rule
 from .weights import weights_from_market_caps
 
 EXIT_OK = 0
@@ -36,6 +31,13 @@ EXIT_INFEASIBLE = 3
 EXIT_PATHOLOGY = 4
 
 MAX_VIOLATIONS_LISTED = 20
+
+# Every rule parameter, in the order the rules declare them.
+_RULE_PARAMS = list(
+    dict.fromkeys(f.name for rule in RULES.values() for f in dataclasses.fields(rule))
+)
+# Shorter spellings accepted in a --methods entry.
+_SPEC_ALIASES = {"target": "target_aggregate"}
 
 
 class _UsageError(Exception):
@@ -66,14 +68,13 @@ def build_parser() -> _Parser:
     rb = sub.add_parser("rebalance", help="apply one reweighting rule")
     rb.add_argument("--input", required=True, help="constituent CSV")
     rb.add_argument(
-        "--method", required=True, choices=["power", "linpower", "cap"]
+        "--method",
+        required=True,
+        choices=list(RULES),
+        help="rule to apply; parameters left out take the rule's defaults",
     )
-    rb.add_argument("--p", type=float, help="exponent in [0, 1]")
-    rb.add_argument("--knot", type=float, default=0.01)
-    rb.add_argument("--threshold", type=float, default=0.045)
-    rb.add_argument(
-        "--target-aggregate", dest="target_aggregate", type=float, default=0.40
-    )
+    for name in _RULE_PARAMS:
+        rb.add_argument(_flag(name), dest=name, type=float)
     rb.add_argument("--output", required=True, help="report file to write")
     rb.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -82,7 +83,7 @@ def build_parser() -> _Parser:
     so.add_argument("--target", required=True, choices=["max", "top-k"])
     so.add_argument("--k", type=int, help="k for the top-k target")
     so.add_argument("--bound", type=float, required=True)
-    so.add_argument("--tol", type=float, default=1e-10)
+    so.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     dg = sub.add_parser("diagnose", help="compare two weight files")
     dg.add_argument("--before", required=True)
@@ -101,27 +102,39 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _rule_from_flags(args: argparse.Namespace) -> RebalanceRule:
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _make_rule(
+    method: str,
+    given: dict[str, float],
+    label: str,
+    spell: Callable[[str], str],
+) -> RebalanceRule:
+    """Build ``RULES[method]`` from the given parameters; the others take
+    the dataclass defaults. ``label`` names the rule in messages, and
+    ``spell`` writes a parameter the way the user does: ``--p`` as a flag,
+    ``p=`` in a --methods entry.
+    """
+    rule = RULES.get(method)
+    if rule is None:
+        raise _UsageError(f"error: unknown method {method!r}")
+    fields = dataclasses.fields(rule)
+    names = [field.name for field in fields]
+    unknown = [key for key in given if key not in names]
+    if unknown:
+        raise _UsageError(
+            f"error: {label} takes no {spell(unknown[0])}; "
+            f"it takes {', '.join(map(spell, names))}"
+        )
+    for field in fields:
+        if field.default is dataclasses.MISSING and field.name not in given:
+            raise _UsageError(f"error: {label} requires {spell(field.name)}")
     try:
-        if args.method == "power":
-            if args.p is None:
-                raise _UsageError("error: --method power requires --p")
-            return PowerRule(args.p)
-        if args.method == "linpower":
-            if args.p is None:
-                raise _UsageError("error: --method linpower requires --p")
-            return LinearizedPowerRule(args.p, args.knot)
-        return CapRule(args.threshold, args.target_aggregate)
+        return rule(**given)
     except ValueError as exc:
-        raise _UsageError(f"error: {exc}") from exc
-
-
-def _rule_params(rule: RebalanceRule) -> dict[str, float]:
-    if isinstance(rule, PowerRule):
-        return {"p": rule.p}
-    if isinstance(rule, LinearizedPowerRule):
-        return {"p": rule.p, "knot": rule.knot}
-    return {"threshold": rule.threshold, "target_aggregate": rule.target_aggregate}
+        raise _UsageError(f"error: {label}: {exc}") from exc
 
 
 def parse_methods_spec(spec: str) -> list[tuple[str, RebalanceRule]]:
@@ -133,55 +146,34 @@ def parse_methods_spec(spec: str) -> list[tuple[str, RebalanceRule]]:
             continue
         parts = entry.split(":")
         method = parts[0].strip()
-        kv: dict[str, float] = {}
+        given: dict[str, float] = {}
         for part in parts[1:]:
             if "=" not in part:
                 raise _UsageError(
                     f"error: malformed method parameter {part!r} in {entry!r}"
                 )
             key, _, raw = part.partition("=")
+            key = key.strip()
             try:
-                kv[key.strip()] = float(raw)
+                given[_SPEC_ALIASES.get(key, key)] = float(raw)
             except ValueError:
                 raise _UsageError(
                     f"error: {raw!r} is not a number in {entry!r}"
                 ) from None
-        try:
-            if method == "power":
-                if "p" not in kv:
-                    raise _UsageError(f"error: {entry!r} needs p=")
-                rules.append((entry, PowerRule(kv["p"])))
-            elif method == "linpower":
-                if "p" not in kv:
-                    raise _UsageError(f"error: {entry!r} needs p=")
-                rules.append(
-                    (entry, LinearizedPowerRule(kv["p"], kv.get("knot", 0.01)))
-                )
-            elif method == "cap":
-                rules.append(
-                    (
-                        entry,
-                        CapRule(
-                            kv.get("threshold", 0.045),
-                            kv.get("target", kv.get("target_aggregate", 0.40)),
-                        ),
-                    )
-                )
-            else:
-                raise _UsageError(f"error: unknown method {method!r}")
-        except ValueError as exc:
-            raise _UsageError(f"error: {entry!r}: {exc}") from exc
+        rule = _make_rule(method, given, repr(entry), lambda name: name + "=")
+        rules.append((entry, rule))
     if not rules:
         raise _UsageError("error: --methods names no rules")
     return rules
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    rule = _rule_from_flags(args)
+    given = {n: v for n in _RULE_PARAMS if (v := getattr(args, n)) is not None}
+    rule = _make_rule(args.method, given, f"--method {args.method}", _flag)
     mu = weights_from_market_caps(parse_universe(args.input))
     eta = apply_rule(mu, rule)
     report = diagnostics_report(mu, eta)
-    payload = report_payload(args.method, _rule_params(rule), mu, eta, report)
+    payload = report_payload(args.method, dataclasses.asdict(rule), mu, eta, report)
     write_report(args.output, payload, args.format)
     return EXIT_OK
 

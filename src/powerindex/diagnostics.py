@@ -193,7 +193,8 @@ def diagnostics_report(
     vectors; turnover uses the union; the per-vector metrics (max, HHI,
     top-k, diversity) always describe each full vector.
     """
-    common = [i for i in mu.identifiers if i in set(eta.identifiers)]
+    after_ids = set(eta.identifiers)
+    common = [i for i in mu.identifiers if i in after_ids]
     if len(common) == mu.n and len(common) == eta.n:
         violations = find_order_violations(mu, eta)
     else:

@@ -16,7 +16,7 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 from .diagnostics import DiagnosticsReport
 from .errors import (
@@ -52,28 +52,54 @@ def _header_cells(row: list[str]) -> tuple[str, ...]:
     return tuple(c.strip().lstrip("﻿").lower() for c in row)
 
 
-def _parse_number(field: str, row_num: int, column: str) -> float:
+def _parse_number(field: Any, where: str, column: str, positive: bool = False) -> float:
+    """A finite number that is nonnegative, or positive if asked."""
     try:
         value = float(field)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         raise MalformedRowError(
-            f"row {row_num}: {column} value {field!r} is not a number"
+            f"{where}: {column} value {field!r} is not a number"
         ) from None
     if not math.isfinite(value):
         raise NonFiniteNumberError(
-            f"row {row_num}: {column} value {field!r} is not finite"
+            f"{where}: {column} value {field!r} is not finite"
         )
+    if value < 0.0 or (positive and value == 0.0):
+        need = "positive" if positive else "nonnegative"
+        raise MalformedRowError(f"{where}: {column} must be {need}, got {value!r}")
     return value
 
 
-def _data_rows(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
-    """Non-blank, non-comment rows with their 1-based file row numbers."""
+def _data_rows(reader: Iterator[list[str]]) -> Iterator[tuple[str, list[str]]]:
+    """Non-blank, non-comment rows, each named by its 1-based file row."""
     for row_num, row in enumerate(reader, start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         if row[0].lstrip().startswith("#"):
             continue
-        yield row_num, row
+        yield f"row {row_num}", row
+
+
+def _id_rows(
+    rows: Iterable[tuple[str, Sequence[Any]]], width: int
+) -> Iterator[tuple[str, str, Sequence[Any]]]:
+    """Check that each row has ``width`` fields and leads with a nonempty
+    identifier not seen before; yield its name, identifier and fields."""
+    seen: set[str] = set()
+    for where, row in rows:
+        if len(row) != width:
+            raise MalformedRowError(
+                f"{where}: expected {width} fields, got {len(row)}"
+            )
+        ident = row[0].strip()
+        if not ident:
+            raise MalformedRowError(f"{where}: empty identifier")
+        if ident in seen:
+            raise DuplicateIdentifierError(
+                f"{where}: duplicate identifier {ident!r}"
+            )
+        seen.add(ident)
+        yield where, ident, row
 
 
 def parse_universe(source: str | Path | IO[str]) -> list[Constituent]:
@@ -95,38 +121,13 @@ def parse_universe(source: str | Path | IO[str]) -> list[Constituent]:
         )
 
     constituents: list[Constituent] = []
-    seen: set[str] = set()
-    for row_num, row in rows:
-        if len(row) != len(header):
-            raise MalformedRowError(
-                f"row {row_num}: expected {len(header)} fields, got {len(row)}"
-            )
-        ident = row[0].strip()
-        if not ident:
-            raise MalformedRowError(f"row {row_num}: empty identifier")
-        if ident in seen:
-            raise DuplicateIdentifierError(
-                f"row {row_num}: duplicate identifier {ident!r}"
-            )
-        seen.add(ident)
+    for where, ident, row in _id_rows(rows, len(header)):
         if schema == "market_cap":
-            cap = _parse_number(row[1], row_num, "market_cap")
-            if cap < 0:
-                raise MalformedRowError(
-                    f"row {row_num}: market_cap must be nonnegative, got {cap!r}"
-                )
+            cap = _parse_number(row[1], where, "market_cap")
             constituents.append(Constituent(ident, market_cap=cap))
         else:
-            price = _parse_number(row[1], row_num, "price")
-            shares = _parse_number(row[2], row_num, "shares")
-            if price <= 0:
-                raise MalformedRowError(
-                    f"row {row_num}: price must be positive, got {price!r}"
-                )
-            if shares <= 0:
-                raise MalformedRowError(
-                    f"row {row_num}: shares must be positive, got {shares!r}"
-                )
+            price = _parse_number(row[1], where, "price", positive=True)
+            shares = _parse_number(row[2], where, "shares", positive=True)
             constituents.append(
                 Constituent(ident, price=price, shares_outstanding=shares)
             )
@@ -225,7 +226,16 @@ def write_report(path: str | Path, payload: dict[str, Any], fmt: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _weights_to_vector(ids: list[str], values: list[float]) -> WeightVector:
+def _weights_from_rows(
+    rows: Iterable[tuple[str, Sequence[Any]]], width: int, weight_col: int
+) -> WeightVector:
+    ids: list[str] = []
+    values: list[float] = []
+    for where, ident, row in _id_rows(rows, width):
+        ids.append(ident)
+        values.append(_parse_number(row[weight_col], where, "weight"))
+    if not ids:
+        raise MalformedHeaderError("weight file carries no rows")
     total = sum(values)
     if abs(total - 1.0) >= RENORMALIZE_WINDOW:
         raise WeightSumError(
@@ -235,7 +245,8 @@ def _weights_to_vector(ids: list[str], values: list[float]) -> WeightVector:
     return WeightVector(tuple(ids), normalize(values))
 
 
-def _weights_from_report_json(text: str) -> WeightVector:
+def _report_json_rows(text: str) -> Iterator[tuple[str, list[Any]]]:
+    """The (id, weight_after) pair of each row of a JSON report."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -243,16 +254,14 @@ def _weights_from_report_json(text: str) -> WeightVector:
     rows = payload.get("rows") if isinstance(payload, dict) else None
     if not isinstance(rows, list) or not rows:
         raise MalformedHeaderError("report JSON carries no rows")
-    ids: list[str] = []
-    values: list[float] = []
     for pos, row in enumerate(rows, start=1):
-        if not isinstance(row, dict) or "id" not in row or "weight_after" not in row:
+        if not (isinstance(row, dict) and isinstance(row.get("id"), str)):
+            raise MalformedRowError(f"report row {pos}: expected a string 'id' field")
+        if "weight_after" not in row:
             raise MalformedRowError(
-                f"report row {pos}: expected 'id' and 'weight_after' fields"
+                f"report row {pos}: expected a 'weight_after' field"
             )
-        ids.append(str(row["id"]))
-        values.append(float(row["weight_after"]))
-    return _weights_to_vector(ids, values)
+        yield f"report row {pos}", [row["id"], row["weight_after"]]
 
 
 def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
@@ -267,7 +276,7 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
     name = str(source) if not hasattr(source, "read") else ""
     stripped = text.lstrip()
     if name.endswith(".json") or stripped.startswith("{"):
-        return _weights_from_report_json(text)
+        return _weights_from_rows(_report_json_rows(text), 2, 1)
 
     reader = csv.reader(io.StringIO(text))
     rows = _data_rows(reader)
@@ -285,29 +294,4 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
             f"unrecognized weight-file header {','.join(header)!r}; expected "
             "'id,weight' or 'id,weight_before,weight_after,delta'"
         )
-    ids: list[str] = []
-    values: list[float] = []
-    seen: set[str] = set()
-    for row_num, row in rows:
-        if len(row) != len(header):
-            raise MalformedRowError(
-                f"row {row_num}: expected {len(header)} fields, got {len(row)}"
-            )
-        ident = row[0].strip()
-        if not ident:
-            raise MalformedRowError(f"row {row_num}: empty identifier")
-        if ident in seen:
-            raise DuplicateIdentifierError(
-                f"row {row_num}: duplicate identifier {ident!r}"
-            )
-        seen.add(ident)
-        value = _parse_number(row[weight_col], row_num, "weight")
-        if value < 0:
-            raise MalformedRowError(
-                f"row {row_num}: weight must be nonnegative, got {value!r}"
-            )
-        ids.append(ident)
-        values.append(value)
-    if not ids:
-        raise MalformedHeaderError("weight file carries no rows")
-    return _weights_to_vector(ids, values)
+    return _weights_from_rows(rows, len(header), weight_col)

@@ -26,9 +26,10 @@ import numpy as np
 from .errors import AllWeightsZeroError, DegenerateComplementError
 from .weights import WeightVector, normalize
 
-DEFAULT_KNOT = 0.01
-DEFAULT_CAP_THRESHOLD = 0.045
-DEFAULT_CAP_TARGET = 0.40
+
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,7 @@ class PowerRule:
     p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p!r}")
+        _check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,10 @@ class LinearizedPowerRule:
     """
 
     p: float
-    knot: float = DEFAULT_KNOT
+    knot: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p!r}")
+        _check_p(self.p)
         if not 0.0 < self.knot < 1.0:
             raise ValueError(f"knot must be in (0, 1), got {self.knot!r}")
 
@@ -65,8 +64,8 @@ class CapRule:
     """Scale weights above ``threshold`` to ``target_aggregate`` in total,
     redistributing the remainder proportionally over the others."""
 
-    threshold: float = DEFAULT_CAP_THRESHOLD
-    target_aggregate: float = DEFAULT_CAP_TARGET
+    threshold: float = 0.045
+    target_aggregate: float = 0.40
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < self.target_aggregate < 1.0:
@@ -79,17 +78,34 @@ class CapRule:
 
 RebalanceRule = Union[PowerRule, LinearizedPowerRule, CapRule]
 
+# The rules by the name the CLI and reports use. Each dataclass's fields
+# are the rule's parameters, and the field defaults are its defaults.
+RULES: dict[str, type] = {
+    "power": PowerRule,
+    "linpower": LinearizedPowerRule,
+    "cap": CapRule,
+}
 
-def _powers(w: np.ndarray, p: float) -> np.ndarray:
-    """Elementwise w**p with the convention 0**p := 0 for every p.
 
-    Computed as exp(p * log(w)) on the positive entries; zeros
-    short-circuit so no platform pow edge case at 0 is involved.
+def _power_curve(mu: WeightVector, p: float, knot: float) -> WeightVector:
+    """Reweight to f(mu_i) / sum_j f(mu_j), where f(x) = x**p at and above
+    ``knot`` and the chord knot**(p-1) * x below it.
+
+    x**p is computed as exp(p * log(x)) on the positive entries, and zeros
+    stay zero for every p, so no platform pow edge case at 0 is involved.
+    With knot = 0 no weight is below the knot and f is the plain power.
     """
+    w = mu.weights
     out = np.zeros_like(w)
     pos = w > 0.0
     out[pos] = np.exp(p * np.log(w[pos]))
-    return out
+    below = w < knot
+    if np.any(below):
+        slope = float(np.exp((p - 1.0) * np.log(knot)))
+        out[below] = slope * w[below]
+    if not np.any(out > 0.0):
+        raise AllWeightsZeroError("no positive weight to renormalize over")
+    return WeightVector(mu.identifiers, normalize(out))
 
 
 def power_rebalance(mu: WeightVector, rule: PowerRule | float) -> WeightVector:
@@ -101,10 +117,7 @@ def power_rebalance(mu: WeightVector, rule: PowerRule | float) -> WeightVector:
     """
     if not isinstance(rule, PowerRule):
         rule = PowerRule(float(rule))
-    raised = _powers(mu.weights, rule.p)
-    if not np.any(raised > 0.0):
-        raise AllWeightsZeroError("no positive weight to renormalize over")
-    return WeightVector(mu.identifiers, normalize(raised))
+    return _power_curve(mu, rule.p, 0.0)
 
 
 def linearized_power_rebalance(
@@ -116,15 +129,7 @@ def linearized_power_rebalance(
     weights are scaled by the constant chord slope, so any two weights
     under the knot keep their ratio.
     """
-    w = mu.weights
-    out = _powers(w, rule.p)
-    below = w < rule.knot
-    if np.any(below):
-        slope = float(np.exp((rule.p - 1.0) * np.log(rule.knot)))
-        out[below] = slope * w[below]
-    if not np.any(out > 0.0):
-        raise AllWeightsZeroError("no positive weight to renormalize over")
-    return WeightVector(mu.identifiers, normalize(out))
+    return _power_curve(mu, rule.p, rule.knot)
 
 
 def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector:

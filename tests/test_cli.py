@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from powerindex import CapRule
 from powerindex.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PATHOLOGY,
     EXIT_USAGE,
+    parse_methods_spec,
     run_cli,
 )
 
@@ -130,6 +132,15 @@ class TestRebalanceCommand:
         )
         assert code == EXIT_USAGE
         assert "requires --p" in capsys.readouterr().err
+        code = run_cli(
+            [
+                "rebalance", "--input", str(two_stock_csv),
+                "--method", "power", "--p", "0.5", "--knot", "0.05",
+                "--output", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "takes no --knot" in capsys.readouterr().err
 
     def test_out_of_range_p_is_usage_error(self, two_stock_csv, tmp_path, capsys):
         code = run_cli(
@@ -268,6 +279,36 @@ class TestDiagnoseCommand:
         code = run_cli(["diagnose", "--before", str(before), "--after", str(after)])
         assert code == EXIT_INPUT
 
+    def test_malformed_json_row_is_input_error(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        before = write_weights(tmp_path / "b.csv", [0.5, 0.5])
+        after = tmp_path / "a.json"
+        for row in (
+            '{"id": "S001", "weight_after": NaN}',
+            '{"id": "S001", "weight_after": "abc"}',
+            '{"id": "S001", "weight_after": [1]}',
+            '{"id": "S001", "weight_after": null}',
+            '{"id": "", "weight_after": 0.5}',
+        ):
+            after.write_text(
+                f'{{"rows": [{{"id": "S000", "weight_after": 0.5}}, {row}]}}'
+            )
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "powerindex", "diagnose",
+                    "--before", str(before), "--after", str(after),
+                ],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == EXIT_INPUT, row
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("report row 2: ")
+            assert proc.stderr.count("\n") == 1
+
     def test_accepts_report_file_as_input(self, two_stock_csv, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert run_cli(
@@ -322,10 +363,16 @@ class TestCompareCommand:
         assert code == EXIT_USAGE
 
     def test_malformed_spec_is_usage_error(self, two_stock_csv, capsys):
-        code = run_cli(
-            ["compare", "--input", str(two_stock_csv), "--methods", "power:p"]
-        )
-        assert code == EXIT_USAGE
+        for spec in ("power:p", "linpower:p=0.5:knto=0.05"):
+            code = run_cli(
+                ["compare", "--input", str(two_stock_csv), "--methods", spec]
+            )
+            assert code == EXIT_USAGE
+
+    def test_target_alias_in_spec(self):
+        (_, short), = parse_methods_spec("cap:target=0.3")
+        (_, full), = parse_methods_spec("cap:target_aggregate=0.3")
+        assert short == full == CapRule(target_aggregate=0.3)
 
 
 class TestUsageAndHelp:

@@ -23,6 +23,14 @@ from powerindex.io import render_report_csv, render_report_json
 
 
 
+def json_report(first: str, second: str, second_id: str | None = "BBB") -> str:
+    """A two-row JSON report whose weight_after values are raw JSON text."""
+    return (
+        f'{{"rows": [{{"id": "AAA", "weight_after": {first}}}, '
+        f'{{"id": {json.dumps(second_id)}, "weight_after": {second}}}]}}'
+    )
+
+
 def two_stock_payload():
     mu = weights_from_market_caps(
         parse_universe(io.StringIO("id,market_cap\nAAA,70\nBBB,30\n"))
@@ -207,6 +215,8 @@ class TestReadWeightFile:
     def test_negative_weight_rejected(self):
         with pytest.raises(MalformedRowError, match="row 3"):
             read_weight_file(io.StringIO("id,weight\nAAA,1.2\nBBB,-0.2\n"))
+        with pytest.raises(MalformedRowError, match="report row 2"):
+            read_weight_file(io.StringIO(json_report("1.2", "-0.2")))
 
     def test_unknown_header_rejected(self):
         with pytest.raises(MalformedHeaderError):
@@ -215,6 +225,21 @@ class TestReadWeightFile:
     def test_duplicate_identifier_rejected(self):
         with pytest.raises(DuplicateIdentifierError):
             read_weight_file(io.StringIO("id,weight\nAAA,0.5\nAAA,0.5\n"))
+        with pytest.raises(DuplicateIdentifierError, match="report row 2"):
+            read_weight_file(io.StringIO(json_report("0.5", "0.5", second_id="AAA")))
+
+    def test_malformed_json_row_names_row(self):
+        cases = [
+            (json_report("1.0", "NaN"), NonFiniteNumberError),
+            (json_report("1.0", '"abc"'), MalformedRowError),
+            (json_report("1.0", "[1]"), MalformedRowError),
+            (json_report("1.0", "null"), MalformedRowError),
+            (json_report("1.0", "0.0", second_id=""), MalformedRowError),
+            (json_report("1.0", "0.0", second_id=None), MalformedRowError),
+        ]
+        for text, error in cases:
+            with pytest.raises(error, match="report row 2"):
+                read_weight_file(io.StringIO(text))
 
     def test_comment_lines_skipped(self):
         out = read_weight_file(
