@@ -18,7 +18,6 @@ from .weights import WeightVector
 
 MAX_ITERATIONS = 200
 DEFAULT_TOL = 1e-10
-ACHIEVED_SLACK = 1e-8
 _RESIDUAL_TOL = 1e-10
 
 TARGET_KINDS = ("max_weight", "top_k_sum")
@@ -92,9 +91,9 @@ def solve_exponent(
     ``InfeasibleError`` below it. Returns p=1 immediately when the input
     already satisfies the bound. Otherwise bisects the monotone residual
     statistic(p) - bound over [0, 1] until the bracket is narrower than
-    ``tol`` or the residual is numerically zero, then reports the largest
-    endpoint still within ``ACHIEVED_SLACK`` of the bound. Deterministic
-    for fixed inputs.
+    ``tol`` or a feasible midpoint has a residual within ``_RESIDUAL_TOL``
+    of zero, then returns the feasible endpoint, so ``achieved <= bound``
+    holds exactly. Deterministic for fixed inputs.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -114,6 +113,7 @@ def solve_exponent(
 
     # Invariant: residual(lo) <= 0 < residual(hi).
     lo, hi = 0.0, 1.0
+    achieved = floor
     iterations = 0
     while hi - lo >= tol:
         iterations += 1
@@ -123,19 +123,11 @@ def solve_exponent(
                 f"(bracket [{lo!r}, {hi!r}])"
             )
         mid = 0.5 * (lo + hi)
-        residual = statistic(mid) - target.bound
-        if residual <= 0.0:
-            lo = mid
-        else:
+        value = statistic(mid)
+        if value > target.bound:
             hi = mid
-        if abs(residual) < _RESIDUAL_TOL:
+            continue
+        lo, achieved = mid, value
+        if value - target.bound > -_RESIDUAL_TOL:
             break
-
-    for p in (hi, lo):
-        achieved = statistic(p)
-        if achieved <= target.bound + ACHIEVED_SLACK:
-            return CalibrationResult(p, achieved, iterations, True)
-    raise NonConvergenceError(
-        "final bracket contains no feasible exponent; the statistic is "
-        "not monotone on this input"
-    )
+    return CalibrationResult(lo, achieved, iterations, True)

@@ -154,8 +154,11 @@ def parse_methods_spec(spec: str) -> list[tuple[str, RebalanceRule]]:
                 )
             key, _, raw = part.partition("=")
             key = key.strip()
+            name = _SPEC_ALIASES.get(key, key)
+            if name in given:
+                raise _UsageError(f"error: {name}= given twice in {entry!r}")
             try:
-                given[_SPEC_ALIASES.get(key, key)] = float(raw)
+                given[name] = float(raw)
             except ValueError:
                 raise _UsageError(
                     f"error: {raw!r} is not a number in {entry!r}"

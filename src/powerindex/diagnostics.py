@@ -1,15 +1,19 @@
 """Pathology detection and rebalance metrics.
 
 A rebalance is pathological when a lighter constituent overtakes a
-heavier one (an order violation) or when the largest weight grows. Both
-are reported pairwise and exactly, alongside turnover and concentration
-metrics for the before/after pair.
+heavier one (an order violation) or when the largest weight grows. Order
+violations are counted exactly in O(n log n) and listed lazily, pair by
+pair, only as far as a caller reads them; they are reported alongside
+turnover and concentration metrics for the before/after pair.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import compress, islice, starmap
+from typing import NamedTuple, overload
 
 import numpy as np
 
@@ -53,7 +57,7 @@ class DiagnosticsReport:
     """Pathology findings plus turnover and concentration metrics for a
     (before, after) weight pair."""
 
-    order_violations: list[OrderViolation]
+    order_violations: Sequence[OrderViolation]
     max_before: float
     max_after: float
     max_increased: bool
@@ -69,78 +73,183 @@ class DiagnosticsReport:
         return bool(self.order_violations) or self.max_increased
 
 
-def _aligned_after(mu: WeightVector, eta: WeightVector) -> np.ndarray:
-    """eta's weights in mu's identifier order; requires equal sets."""
-    if mu.identifiers == eta.identifiers:
-        return eta.weights
-    if set(mu.identifiers) != set(eta.identifiers):
-        missing = sorted(set(mu.identifiers) ^ set(eta.identifiers))
-        raise IdentifierMismatchError(
-            f"weight vectors cover different identifiers: {missing}"
+def _count_inversions(values: np.ndarray) -> int:
+    """Pairs i < j with values[i] > values[j]; equal values never count.
+
+    A bottom-up merge sort, vectorised level by level. At each level one
+    stable sort merges every pair of adjacent sorted runs at once: the
+    values are dense integer ranks, offset by the index of their pair of
+    runs. An element of a right run moves left by exactly the number of
+    greater elements in its left run, and past no equal one, so the
+    level's inversions are the sum of the leftward moves. Timsort merges
+    keys that already sit in sorted runs in linear time, so the count
+    takes O(n log n) over its log2(n) levels.
+    """
+    n = values.size
+    ranks = np.unique(values, return_inverse=True)[1].astype(np.int64)
+    pos = np.arange(n)
+    total, width = 0, 1
+    while width < n:
+        merged = np.argsort(pos // (2 * width) * n + ranks, kind="stable")
+        total += int(np.maximum(merged - pos, 0).sum())
+        ranks = ranks[merged]
+        width *= 2
+    return total
+
+
+def _rows_with_partner(
+    mu_s: np.ndarray, eta_s: np.ndarray, order: np.ndarray
+) -> np.ndarray:
+    """Input positions, ascending, of the entries in at least one flipped
+    pair; ``mu_s`` and ``eta_s`` are the weights in ``order``, which sorts
+    by mu and then eta.
+
+    An entry is the heavier side of a flip exactly when some strictly
+    lighter tie group of mu holds a larger after weight, and the lighter
+    side when some strictly heavier group holds a smaller one.
+    """
+    new_group = np.empty(mu_s.size, dtype=bool)
+    new_group[:1] = True
+    np.not_equal(mu_s[1:], mu_s[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    group = np.cumsum(new_group) - 1
+    below_max = np.maximum.accumulate(np.maximum.reduceat(eta_s, starts))
+    above_min = np.minimum.accumulate(np.minimum.reduceat(eta_s, starts)[::-1])
+    below_max = np.concatenate(([-np.inf], below_max[:-1]))
+    above_min = np.concatenate((above_min[::-1][1:], [np.inf]))
+    partnered = (eta_s < below_max[group]) | (eta_s > above_min[group])
+    return np.sort(order[partnered])
+
+
+class OrderViolations(Sequence[OrderViolation]):
+    """The flipped pairs of a rebalance as a read-only sequence.
+
+    ``len()`` is the exact count, taken in O(n log n) without listing a
+    pair. ``OrderViolation`` objects are built only as they are read, in
+    the order of a double loop over the entries: pairs (a, b) with a < b
+    in input order, by a and then by b. Reading the first k pairs scans
+    about 2k entries at most, with one O(n) comparison each, so a short
+    prefix stays cheap when the count is in the hundreds of millions.
+    Compares equal to any sequence holding the same violations.
+    """
+
+    def __init__(
+        self, ids: Sequence[str], mu_w: np.ndarray, eta_w: np.ndarray
+    ) -> None:
+        self._ids = ids
+        self._mu = mu_w
+        self._eta = eta_w
+        # Sorted by (mu, eta), a flipped pair is exactly a strict
+        # inversion of eta: ties in mu are sorted ascending in eta.
+        order = np.lexsort((eta_w, mu_w))
+        eta_s = eta_w[order]
+        if np.all(eta_s[1:] >= eta_s[:-1]):
+            self._count, self._rows = 0, order[:0]
+        else:
+            self._count = _count_inversions(eta_s)
+            self._rows = _rows_with_partner(mu_w[order], eta_s, order)
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """(lo, hi) positions of each flipped pair, in sequence order."""
+        mu, eta = self._mu, self._eta
+        for a in self._rows.tolist():
+            later_mu, later_eta = mu[a + 1 :], eta[a + 1 :]
+            flipped = ((later_mu > mu[a]) & (later_eta < eta[a])) | (
+                (later_mu < mu[a]) & (later_eta > eta[a])
+            )
+            for b in (np.flatnonzero(flipped) + (a + 1)).tolist():
+                yield (a, b) if mu[a] < mu[b] else (b, a)
+
+    def _violation(self, lo: int, hi: int) -> OrderViolation:
+        return OrderViolation(
+            identifier_low=self._ids[lo],
+            identifier_high=self._ids[hi],
+            mu_low=float(self._mu[lo]),
+            mu_high=float(self._mu[hi]),
+            eta_low=float(self._eta[lo]),
+            eta_high=float(self._eta[hi]),
         )
-    lookup = dict(zip(eta.identifiers, eta.weights.tolist()))
-    return np.array([lookup[i] for i in mu.identifiers], dtype=float)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[OrderViolation]:
+        return starmap(self._violation, self._pairs())
+
+    @overload
+    def __getitem__(self, key: int) -> OrderViolation: ...
+
+    @overload
+    def __getitem__(self, key: slice) -> list[OrderViolation]: ...
+
+    def __getitem__(self, key: int | slice) -> OrderViolation | list[OrderViolation]:
+        if isinstance(key, slice):
+            wanted = range(*key.indices(self._count))
+            stop = max(wanted, default=-1) + 1
+            chosen = [
+                self._violation(*pair)
+                for i, pair in enumerate(islice(self._pairs(), stop))
+                if i in wanted
+            ]
+            return chosen if wanted.step > 0 else chosen[::-1]
+        i = operator.index(key)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("order violation index out of range")
+        return self._violation(*next(islice(self._pairs(), i, None)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"OrderViolations(count={self._count}, first={self[:3]!r})"
 
 
-def _has_inversion(mu_w: np.ndarray, eta_w: np.ndarray) -> bool:
-    """True when some strictly-lighter entry ends up strictly heavier.
+def _align(mu: WeightVector, eta: WeightVector) -> tuple[np.ndarray, np.ndarray]:
+    """The position in ``eta`` of each of mu's identifiers (-1 where it is
+    absent), and the positions of eta's identifiers absent from ``mu``."""
+    if mu.identifiers == eta.identifiers:
+        return np.arange(mu.n), np.empty(0, dtype=np.intp)
+    where_in_eta = {ident: pos for pos, ident in enumerate(eta.identifiers)}
+    where = np.array(
+        [where_in_eta.get(i, -1) for i in mu.identifiers], dtype=np.intp
+    )
+    only_eta = np.ones(eta.n, dtype=bool)
+    only_eta[where[where >= 0]] = False
+    return where, np.flatnonzero(only_eta)
 
-    In mu-sorted order an inversion exists exactly when some tied-mu
-    group contains an after weight below the running maximum over the
-    strictly smaller groups before it.
+
+def _turnover(
+    mu: WeightVector, eta: WeightVector, where: np.ndarray, only_eta: np.ndarray
+) -> float:
+    after = np.where(where >= 0, eta.weights[where], 0.0)
+    moves = np.abs(np.concatenate((after - mu.weights, eta.weights[only_eta])))
+    # Builtin sum, in mu's order and then eta's: the same bits as a loop
+    # over the identifiers, which np.sum's pairwise order would not give.
+    return 0.5 * sum(moves.tolist())
+
+
+def find_order_violations(mu: WeightVector, eta: WeightVector) -> OrderViolations:
+    """The pairs with mu_low < mu_high but eta_low > eta_high.
+
+    Both comparisons are strict, so ties in mu or in eta are never
+    violations. The two vectors must cover the same identifiers; ``eta``
+    is matched to ``mu`` by identifier. The result counts the pairs
+    exactly in O(n log n) and builds each one only when it is read (see
+    ``OrderViolations``).
     """
-    order = np.argsort(mu_w, kind="stable")
-    mu_s = mu_w[order]
-    eta_s = eta_w[order]
-    starts = np.empty(mu_s.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(mu_s[1:], mu_s[:-1], out=starts[1:])
-    idx = np.flatnonzero(starts)
-    if idx.size == 1:
-        return False
-    group_max = np.maximum.reduceat(eta_s, idx)
-    group_min = np.minimum.reduceat(eta_s, idx)
-    prev_max = np.maximum.accumulate(group_max)[:-1]
-    return bool(np.any(group_min[1:] < prev_max))
-
-
-def _enumerate_violations(
-    ids: Sequence[str], mu_w: np.ndarray, eta_w: np.ndarray
-) -> list[OrderViolation]:
-    out: list[OrderViolation] = []
-    n = len(ids)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if mu_w[a] == mu_w[b]:
-                continue
-            lo, hi = (a, b) if mu_w[a] < mu_w[b] else (b, a)
-            if eta_w[lo] > eta_w[hi]:
-                out.append(
-                    OrderViolation(
-                        identifier_low=ids[lo],
-                        identifier_high=ids[hi],
-                        mu_low=float(mu_w[lo]),
-                        mu_high=float(mu_w[hi]),
-                        eta_low=float(eta_w[lo]),
-                        eta_high=float(eta_w[hi]),
-                    )
-                )
-    return out
-
-
-def find_order_violations(
-    mu: WeightVector, eta: WeightVector
-) -> list[OrderViolation]:
-    """Every unordered pair with mu_low < mu_high but eta_low > eta_high.
-
-    Both comparisons are strict, so ties in mu are never violations.
-    Detection is an O(n log n) sorted scan; the full pairwise enumeration
-    runs only when at least one inversion exists.
-    """
-    eta_w = _aligned_after(mu, eta)
-    if not _has_inversion(mu.weights, eta_w):
-        return []
-    return _enumerate_violations(mu.identifiers, mu.weights, eta_w)
+    where, only_eta = _align(mu, eta)
+    only_mu = np.flatnonzero(where < 0)
+    if only_mu.size or only_eta.size:
+        missing = [mu.identifiers[i] for i in only_mu.tolist()]
+        missing += [eta.identifiers[i] for i in only_eta.tolist()]
+        raise IdentifierMismatchError(
+            f"weight vectors cover different identifiers: {sorted(missing)}"
+        )
+    return OrderViolations(mu.identifiers, mu.weights, eta.weights[where])
 
 
 def turnover(mu: WeightVector, eta: WeightVector) -> float:
@@ -150,12 +259,7 @@ def turnover(mu: WeightVector, eta: WeightVector) -> float:
     one vector contributes its full weight. Symmetric, in [0, 1], zero
     exactly when the vectors agree.
     """
-    before = mu.as_dict()
-    after = eta.as_dict()
-    names = list(before)
-    names += [i for i in after if i not in before]
-    total = sum(abs(after.get(i, 0.0) - before.get(i, 0.0)) for i in names)
-    return 0.5 * total
+    return _turnover(mu, eta, *_align(mu, eta))
 
 
 def concentration_metrics(
@@ -193,20 +297,13 @@ def diagnostics_report(
     vectors; turnover uses the union; the per-vector metrics (max, HHI,
     top-k, diversity) always describe each full vector.
     """
-    after_ids = set(eta.identifiers)
-    common = [i for i in mu.identifiers if i in after_ids]
-    if len(common) == mu.n and len(common) == eta.n:
-        violations = find_order_violations(mu, eta)
-    else:
-        before_map = mu.as_dict()
-        after_map = eta.as_dict()
-        mu_w = np.array([before_map[i] for i in common], dtype=float)
-        eta_w = np.array([after_map[i] for i in common], dtype=float)
-        if common and _has_inversion(mu_w, eta_w):
-            violations = _enumerate_violations(common, mu_w, eta_w)
-        else:
-            violations = []
-
+    where, only_eta = _align(mu, eta)
+    common = where >= 0
+    violations = OrderViolations(
+        tuple(compress(mu.identifiers, common.tolist())),
+        mu.weights[common],
+        eta.weights[where[common]],
+    )
     before = concentration_metrics(mu, reporting_p, top_ks)
     after = concentration_metrics(eta, reporting_p, top_ks)
     max_before = float(mu.weights.max())
@@ -216,7 +313,7 @@ def diagnostics_report(
         max_before=max_before,
         max_after=max_after,
         max_increased=max_after > max_before + MAX_INCREASE_TOL,
-        turnover=turnover(mu, eta),
+        turnover=_turnover(mu, eta, where, only_eta),
         hhi_before=before.hhi,
         hhi_after=after.hhi,
         top_k_sums={

@@ -128,6 +128,10 @@ def parse_universe(source: str | Path | IO[str]) -> list[Constituent]:
         else:
             price = _parse_number(row[1], where, "price", positive=True)
             shares = _parse_number(row[2], where, "shares", positive=True)
+            if not math.isfinite(price * shares):
+                raise NonFiniteNumberError(
+                    f"{where}: market cap {price!r} * {shares!r} is not finite"
+                )
             constituents.append(
                 Constituent(ident, price=price, shares_outstanding=shares)
             )

@@ -130,8 +130,9 @@ def normalize(raw: Iterable[float] | np.ndarray) -> np.ndarray:
     """Scale nonnegative values so they sum to one.
 
     Raises ``NegativeEntryError`` on any negative input and
-    ``ZeroAggregateError`` when the total is zero. Idempotent up to
-    floating-point roundoff.
+    ``ZeroAggregateError`` when the total is zero. Values whose sum
+    overflows, such as two of 1e308, are scaled by their maximum first.
+    Idempotent up to floating-point roundoff.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1:
@@ -141,7 +142,13 @@ def normalize(raw: Iterable[float] | np.ndarray) -> np.ndarray:
     if np.any(arr < 0.0):
         idx = int(np.argmin(arr))
         raise NegativeEntryError(f"entry {idx} is negative: {arr[idx]!r}")
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not np.isfinite(total):
+        # The sum overflowed: scale by the largest entry first. Only then,
+        # so that finite sums keep their exact quotients.
+        arr = arr / arr.max()
+        total = float(arr.sum())
     if total <= 0.0:
         raise ZeroAggregateError("entries sum to zero; nothing to normalize")
     return arr / total

@@ -148,6 +148,27 @@ class TestSolveExponent:
                 )
                 assert bumped > bound - 1e-8
 
+    def test_achieved_never_exceeds_bound(self):
+        rng = np.random.default_rng(62)
+        for case in range(100):
+            n = int(rng.integers(2, 200))
+            mu = wv(random_simplex(rng, n, zeros=(case % 4 == 0)))
+            k = None if case % 2 == 0 else int(rng.integers(1, n + 1))
+            kind = "max_weight" if k is None else "top_k_sum"
+            probe = CalibrationTarget(kind, 0.5, k=k)
+            floor = concentration_statistic(power_rebalance(mu, 0.0), probe)
+            ceil = concentration_statistic(power_rebalance(mu, 1.0), probe)
+            if not floor < ceil < 1.0:
+                continue
+            bound = floor + rng.uniform(0.0, 1.0) * (ceil - floor)
+            target = CalibrationTarget(kind, bound, k=k)
+            result = solve_exponent(mu, target)
+            assert result.achieved <= bound
+            recomputed = concentration_statistic(
+                power_rebalance(mu, result.p_star), target
+            )
+            assert recomputed == result.achieved
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(67)
         w = random_simplex(rng, 40)

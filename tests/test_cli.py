@@ -38,6 +38,19 @@ def write_weights(path: Path, weights, prefix: str = "S") -> Path:
     return path
 
 
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m powerindex`` in a fresh interpreter, on this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "powerindex", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestRebalanceCommand:
     def test_power_report_json(self, two_stock_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -177,6 +190,31 @@ class TestRebalanceCommand:
         assert "row 2" in err
         assert "market_cap" in err
 
+    def test_caps_whose_sum_overflows(self, tmp_path):
+        universe = tmp_path / "u.csv"
+        universe.write_text("id,market_cap\nAAA,1e308\nBBB,1e308\n")
+        out = tmp_path / "r.json"
+        proc = run_module(
+            "rebalance", "--input", str(universe), "--method", "power",
+            "--p", "0.5", "--output", str(out), "--format", "json",
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["weight_after"] for row in rows] == [0.5, 0.5]
+
+    def test_overflowing_price_times_shares_is_input_error(self, tmp_path):
+        universe = tmp_path / "u.csv"
+        universe.write_text("id,price,shares\nAAA,1e200,1e200\nBBB,10,5\n")
+        proc = run_module(
+            "rebalance", "--input", str(universe), "--method", "power",
+            "--p", "0.5", "--output", str(tmp_path / "r.csv"),
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("row 2: ")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestSolveCommand:
     def test_two_stock_bound(self, two_stock_csv, capsys):
@@ -280,9 +318,6 @@ class TestDiagnoseCommand:
         assert code == EXIT_INPUT
 
     def test_malformed_json_row_is_input_error(self, tmp_path):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         before = write_weights(tmp_path / "b.csv", [0.5, 0.5])
         after = tmp_path / "a.json"
         for row in (
@@ -295,14 +330,8 @@ class TestDiagnoseCommand:
             after.write_text(
                 f'{{"rows": [{{"id": "S000", "weight_after": 0.5}}, {row}]}}'
             )
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "powerindex", "diagnose",
-                    "--before", str(before), "--after", str(after),
-                ],
-                capture_output=True,
-                text=True,
-                env=env,
+            proc = run_module(
+                "diagnose", "--before", str(before), "--after", str(after)
             )
             assert proc.returncode == EXIT_INPUT, row
             assert "Traceback" not in proc.stderr
@@ -363,7 +392,12 @@ class TestCompareCommand:
         assert code == EXIT_USAGE
 
     def test_malformed_spec_is_usage_error(self, two_stock_csv, capsys):
-        for spec in ("power:p", "linpower:p=0.5:knto=0.05"):
+        for spec in (
+            "power:p",
+            "linpower:p=0.5:knto=0.05",
+            "power:p=0.2:p=0.9",
+            "cap:target=0.3:target_aggregate=0.4",
+        ):
             code = run_cli(
                 ["compare", "--input", str(two_stock_csv), "--methods", spec]
             )
@@ -388,18 +422,9 @@ class TestUsageAndHelp:
         assert "rebalance" in capsys.readouterr().out
 
     def test_module_entry_point(self, two_stock_csv):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "powerindex",
-                "solve", "--input", str(two_stock_csv),
-                "--target", "max", "--bound", "0.60",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
+        proc = run_module(
+            "solve", "--input", str(two_stock_csv),
+            "--target", "max", "--bound", "0.60",
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("p_star=0.478539")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,10 @@ CAP2_MU = [0.046] + [0.018] * 53
 
 
 def brute_force_violations(mu, eta):
-    """Independent oracle: plain double loop over unordered pairs."""
+    """Independent oracle: plain double loop over unordered pairs, giving
+    (id_low, id_high) in loop order."""
     after = eta.as_dict()
-    pairs = set()
+    pairs = []
     items = mu.entries
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
@@ -40,8 +43,12 @@ def brute_force_violations(mu, eta):
                 else ((id_b, mu_b), (id_a, mu_a))
             )
             if after[id_lo] > after[id_hi]:
-                pairs.add((id_lo, id_hi))
+                pairs.append((id_lo, id_hi))
     return pairs
+
+
+def pair_ids(violations):
+    return [(v.identifier_low, v.identifier_high) for v in violations]
 
 
 class TestFindOrderViolations:
@@ -68,16 +75,57 @@ class TestFindOrderViolations:
 
     def test_matches_brute_force_on_noisy_pairs(self):
         rng = np.random.default_rng(71)
-        for _ in range(25):
-            n = int(rng.integers(3, 40))
-            mu_w = random_simplex(rng, n, ties=True)
-            eta_w = normalize(np.abs(mu_w + rng.normal(0.0, 0.02, size=n)))
+        for case in range(25):
+            n = int(rng.integers(3, 401))
+            if case % 2:
+                mu_w = random_simplex(rng, n, ties=True)
+                eta_w = normalize(np.abs(mu_w + rng.normal(0.0, 0.02, size=n)))
+            else:
+                # Small integer levels: many ties and zeros, before and after.
+                levels = rng.integers(0, 12, size=n).astype(float)
+                levels[0] += 1.0
+                moved = np.floor(levels * rng.uniform(0.5, 1.5, size=n))
+                moved[0] += 1.0
+                mu_w, eta_w = normalize(levels), normalize(moved)
             mu, eta = wv(mu_w), wv(eta_w)
-            got = {
-                (v.identifier_low, v.identifier_high)
-                for v in find_order_violations(mu, eta)
-            }
-            assert got == brute_force_violations(mu, eta)
+            expected = brute_force_violations(mu, eta)
+            violations = find_order_violations(mu, eta)
+            assert len(violations) == len(expected)
+            assert pair_ids(violations) == expected
+            assert pair_ids(violations[:20]) == expected[:20]
+
+    def test_exact_count_at_scale(self):
+        n = 20_000
+        rng = np.random.default_rng(107)
+        mu = wv(normalize(1.0 + 1e-3 * rng.random(n)))
+        eta = cap_rebalance(mu, CapRule(threshold=1.0 / n, target_aggregate=0.3))
+        started = time.perf_counter()
+        report = diagnostics_report(mu, eta)
+        head = report.order_violations[:20]
+        elapsed = time.perf_counter() - started
+
+        m, e = mu.weights, eta.weights
+        count = 0
+        for lo in range(0, n, 1000):
+            rows = slice(lo, lo + 1000)
+            count += int(
+                np.count_nonzero((m[rows, None] < m) & (e[rows, None] > e))
+            )
+        first = []
+        for a in range(n):
+            later_m, later_e = m[a + 1 :], e[a + 1 :]
+            flipped = ((later_m > m[a]) & (later_e < e[a])) | (
+                (later_m < m[a]) & (later_e > e[a])
+            )
+            for b in (np.flatnonzero(flipped) + a + 1).tolist():
+                first.append((a, b) if m[a] < m[b] else (b, a))
+            if len(first) >= 20:
+                break
+        ids = mu.identifiers
+        assert count > 9e7
+        assert len(report.order_violations) == count
+        assert pair_ids(head) == [(ids[lo], ids[hi]) for lo, hi in first[:20]]
+        assert elapsed < 5.0, f"report took {elapsed:.1f}s"
 
     def test_alignment_is_by_identifier_not_position(self):
         mu = wv([0.7, 0.3], ids=("A", "B"))

@@ -142,6 +142,10 @@ class TestNormalize:
         with pytest.raises(ValueError, match="finite"):
             normalize([1.0, float("nan")])
 
+    def test_sum_that_overflows(self):
+        out = normalize([1e308, 1e308, 5e307])
+        np.testing.assert_allclose(out, [0.4, 0.4, 0.2], rtol=0, atol=1e-16)
+
 
 class TestWeightVector:
     def test_valid_roundtrip(self):
