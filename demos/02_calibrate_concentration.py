@@ -45,7 +45,7 @@ for p in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.25, 0.0):
     )
 print()
 print("Both statistics shrink monotonically as p falls, which is what lets")
-print("a bisection solver pin down the boundary exponent.")
+print("a bracketed Newton solver pin down the boundary exponent.")
 print()
 
 target = CalibrationTarget("top_k_sum", bound=0.40, k=6)

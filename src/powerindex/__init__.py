@@ -57,7 +57,13 @@ from .transforms import (
     linearized_power_rebalance,
     power_rebalance,
 )
-from .weights import Constituent, WeightVector, normalize, weights_from_market_caps
+from .weights import (
+    Constituent,
+    Universe,
+    WeightVector,
+    normalize,
+    weights_from_market_caps,
+)
 
 __version__ = "0.1.0"
 
@@ -86,6 +92,7 @@ __all__ = [
     "PowerRule",
     "RebalanceError",
     "RebalanceRule",
+    "Universe",
     "WeightSumError",
     "WeightVector",
     "ZeroAggregateError",

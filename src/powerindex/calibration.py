@@ -2,23 +2,26 @@
 
 Concentration statistics (max weight, top-k aggregate) are nondecreasing
 in the power exponent p, so a bound on either statistic pins down the
-largest admissible p by bisection. The solver returns that largest p,
-i.e. the smallest deviation from cap weighting that still meets the cap.
+largest admissible p. The solver finds it by safeguarded Newton steps
+on the log of the statistic, kept inside a shrinking bisection bracket
+(Brent 1973; ``rtsafe`` in *Numerical Recipes*), and returns that
+largest p: the smallest deviation from cap weighting that still meets
+the cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, KExceedsNError, NonConvergenceError
-from .transforms import power_rebalance
-from .weights import WeightVector
+from .transforms import power_curve
+from .weights import WeightVector, scale_to_one
 
 MAX_ITERATIONS = 200
 DEFAULT_TOL = 1e-10
-_RESIDUAL_TOL = 1e-10
 
 TARGET_KINDS = ("max_weight", "top_k_sum")
 
@@ -53,10 +56,18 @@ class CalibrationTarget:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """The solved exponent and how the solver got there.
+
+    ``achieved`` is the statistic of ``power_rebalance(mu, p_star)``, bit
+    for bit. ``bracket`` is the final (lo, hi) with p_star = lo feasible
+    and hi infeasible; it is (1.0, 1.0) when p=1 already meets the bound.
+    """
+
     p_star: float
     achieved: float
     iterations: int
     converged: bool
+    bracket: tuple[float, float]
 
 
 def top_k_sum(weights: np.ndarray, k: int) -> float:
@@ -69,15 +80,23 @@ def top_k_sum(weights: np.ndarray, k: int) -> float:
     return float(np.partition(weights, -k)[-k:].sum())
 
 
+def _check_k(target: CalibrationTarget, n: int) -> None:
+    if target.kind == "top_k_sum" and target.k > n:
+        raise KExceedsNError(
+            f"k={target.k} exceeds the {n} available constituents"
+        )
+
+
+def _statistic(weights: np.ndarray, target: CalibrationTarget) -> float:
+    if target.kind == "max_weight":
+        return float(weights.max())
+    return top_k_sum(weights, target.k)
+
+
 def concentration_statistic(mu: WeightVector, target: CalibrationTarget) -> float:
     """Evaluate the target's statistic on a weight vector."""
-    if target.kind == "max_weight":
-        return float(mu.weights.max())
-    if target.k > mu.n:
-        raise KExceedsNError(
-            f"k={target.k} exceeds the {mu.n} available constituents"
-        )
-    return top_k_sum(mu.weights, target.k)
+    _check_k(target, mu.n)
+    return _statistic(mu.weights, target)
 
 
 def solve_exponent(
@@ -89,45 +108,83 @@ def solve_exponent(
 
     Checks feasibility at p=0 first (the equal-weight floor) and raises
     ``InfeasibleError`` below it. Returns p=1 immediately when the input
-    already satisfies the bound. Otherwise bisects the monotone residual
-    statistic(p) - bound over [0, 1] until the bracket is narrower than
-    ``tol`` or a feasible midpoint has a residual within ``_RESIDUAL_TOL``
-    of zero, then returns the feasible endpoint, so ``achieved <= bound``
-    holds exactly. Deterministic for fixed inputs.
+    already satisfies the bound. Otherwise keeps a bracket [lo, hi] of
+    [0, 1] with statistic(lo) <= bound < statistic(hi), and steps by
+    Newton on log statistic(p) - log bound from the last point tried; a
+    step that leaves the bracket, or a slope that is not positive, gives
+    way to the bracket's midpoint. It stops when the bracket is narrower
+    than ``tol`` and returns the feasible endpoint, so ``achieved <=
+    bound`` holds exactly and p_star + tol breaches the bound.
+    Deterministic for fixed inputs.
+
+    Each step works on arrays: the logs of the positive weights and the
+    top-k index set are taken once, and the statistic is evaluated with
+    the same arithmetic as ``power_rebalance`` and
+    ``concentration_statistic``, without building a ``WeightVector``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_k(target, mu.n)
+    w = mu.weights
+    positive = w > 0.0
+    log_positive = np.log(w[positive])
+    # The transform preserves order, so the entries that hold the
+    # statistic are the same for every p. Ties at the k-th place do not
+    # matter: tied weights stay equal for every p.
+    if target.kind == "max_weight":
+        top = np.array([w.argmax()])
+    else:
+        top = np.argpartition(w, -target.k)[-target.k :]
+    # Zero weights in the top set, when k exceeds the number of positive
+    # ones, stay zero and add nothing to the statistic or its slope.
+    top = top[w[top] > 0.0]
+    log_top = np.log(w[top])
+    log_bound = math.log(target.bound)
 
-    def statistic(p: float) -> float:
-        return concentration_statistic(power_rebalance(mu, p), target)
+    def evaluate(p: float) -> tuple[float, float]:
+        """The statistic at p, and the slope of its log: the w**p-tilted
+        mean of log w over the top entries minus that over all positive
+        ones."""
+        v = scale_to_one(power_curve(w, positive, log_positive, p))
+        on_top, on_all = v[top], v[positive]
+        slope = float(
+            log_top @ on_top / on_top.sum() - log_positive @ on_all / on_all.sum()
+        )
+        return _statistic(v, target), slope
 
-    floor = statistic(0.0)
+    floor, _ = evaluate(0.0)
     if floor > target.bound:
         raise InfeasibleError(
             f"bound {target.bound!r} lies below the fully diversified "
             f"floor {floor!r}"
         )
-    at_one = statistic(1.0)
-    if at_one <= target.bound:
-        return CalibrationResult(1.0, at_one, 0, True)
+    value, slope = evaluate(1.0)
+    if value <= target.bound:
+        return CalibrationResult(1.0, value, 0, True, (1.0, 1.0))
 
     # Invariant: residual(lo) <= 0 < residual(hi).
     lo, hi = 0.0, 1.0
-    achieved = floor
+    p, achieved = 1.0, floor
     iterations = 0
     while hi - lo >= tol:
         iterations += 1
         if iterations > MAX_ITERATIONS:
             raise NonConvergenceError(
-                f"bisection exceeded {MAX_ITERATIONS} iterations "
+                f"solver exceeded {MAX_ITERATIONS} iterations "
                 f"(bracket [{lo!r}, {hi!r}])"
             )
-        mid = 0.5 * (lo + hi)
-        value = statistic(mid)
+        # A slope that is not positive gives NaN, which takes the midpoint.
+        step = p - (math.log(value) - log_bound) / slope if slope > 0.0 else math.nan
+        if lo <= step <= hi:
+            # Keep half a tolerance from either end, so that a step that
+            # would land within tol of the root from one side lands on
+            # the other and closes the bracket.
+            p = min(max(step, lo + 0.5 * tol), hi - 0.5 * tol)
+        else:
+            p = 0.5 * (lo + hi)
+        value, slope = evaluate(p)
         if value > target.bound:
-            hi = mid
-            continue
-        lo, achieved = mid, value
-        if value - target.bound > -_RESIDUAL_TOL:
-            break
-    return CalibrationResult(lo, achieved, iterations, True)
+            hi = p
+        else:
+            lo, achieved = p, value
+    return CalibrationResult(float(lo), achieved, iterations, True, (lo, hi))

@@ -7,7 +7,9 @@ bound), ``diagnose`` (compare two weight files for pathologies), and
 
 Exit codes: 0 success/clean, 1 usage error, 2 input error, 3 infeasible
 solve, 4 pathology detected by diagnose. Console numbers are rendered to
-6 significant digits; report files carry full precision.
+6 significant digits, except the ``p_star`` that ``solve`` prints, which
+is exact so that it can be passed back to ``rebalance --p``; report
+files carry full precision.
 """
 
 from __future__ import annotations
@@ -195,10 +197,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise _UsageError(f"error: {exc}") from exc
     mu = weights_from_market_caps(parse_universe(args.input))
     result = solve_exponent(mu, target, args.tol)
+    lo, hi = result.bracket
     print(
-        f"p_star={_g(result.p_star)} achieved={_g(result.achieved)} "
+        f"p_star={result.p_star!r} achieved={_g(result.achieved)} "
         f"converged={'true' if result.converged else 'false'} "
-        f"iterations={result.iterations}"
+        f"iterations={result.iterations} bracket_width={_g(hi - lo)}"
     )
     return EXIT_OK if result.converged else EXIT_INPUT
 

@@ -143,7 +143,7 @@ class OrderViolations(Sequence[OrderViolation]):
         # inversion of eta: ties in mu are sorted ascending in eta.
         order = np.lexsort((eta_w, mu_w))
         eta_s = eta_w[order]
-        if np.all(eta_s[1:] >= eta_s[:-1]):
+        if (eta_s[1:] >= eta_s[:-1]).all():
             self._count, self._rows = 0, order[:0]
         else:
             self._count = _count_inversions(eta_s)

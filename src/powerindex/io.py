@@ -18,6 +18,8 @@ import math
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .diagnostics import DiagnosticsReport
 from .errors import (
     DuplicateIdentifierError,
@@ -26,7 +28,7 @@ from .errors import (
     NonFiniteNumberError,
     WeightSumError,
 )
-from .weights import Constituent, WeightVector, normalize
+from .weights import Universe, WeightVector, normalize
 
 SCHEMA_VERSION = 1
 
@@ -73,7 +75,7 @@ def _parse_number(field: Any, where: str, column: str, positive: bool = False) -
 def _data_rows(reader: Iterator[list[str]]) -> Iterator[tuple[str, list[str]]]:
     """Non-blank, non-comment rows, each named by its 1-based file row."""
     for row_num, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         if row[0].lstrip().startswith("#"):
             continue
@@ -102,10 +104,11 @@ def _id_rows(
         yield where, ident, row
 
 
-def parse_universe(source: str | Path | IO[str]) -> list[Constituent]:
+def parse_universe(source: str | Path | IO[str]) -> Universe:
     """Read a constituent CSV, auto-detecting which schema the header
     declares. Market caps are computed from price and shares when the
-    file carries those instead."""
+    file carries those instead. The rows fill columns, returned as a
+    ``Universe`` that builds each ``Constituent`` only when it is read."""
     reader = csv.reader(io.StringIO(_read_text(source)))
     rows = _data_rows(reader)
     try:
@@ -120,22 +123,32 @@ def parse_universe(source: str | Path | IO[str]) -> list[Constituent]:
             "'id,market_cap' or 'id,price,shares'"
         )
 
-    constituents: list[Constituent] = []
+    ids: list[str] = []
+    caps: list[float] = []
+    prices: list[float] = []
+    shares: list[float] = []
     for where, ident, row in _id_rows(rows, len(header)):
+        ids.append(ident)
         if schema == "market_cap":
-            cap = _parse_number(row[1], where, "market_cap")
-            constituents.append(Constituent(ident, market_cap=cap))
-        else:
-            price = _parse_number(row[1], where, "price", positive=True)
-            shares = _parse_number(row[2], where, "shares", positive=True)
-            if not math.isfinite(price * shares):
-                raise NonFiniteNumberError(
-                    f"{where}: market cap {price!r} * {shares!r} is not finite"
-                )
-            constituents.append(
-                Constituent(ident, price=price, shares_outstanding=shares)
+            caps.append(_parse_number(row[1], where, "market_cap"))
+            continue
+        price = _parse_number(row[1], where, "price", positive=True)
+        count = _parse_number(row[2], where, "shares", positive=True)
+        if not math.isfinite(price * count):
+            raise NonFiniteNumberError(
+                f"{where}: market cap {price!r} * {count!r} is not finite"
             )
-    return constituents
+        prices.append(price)
+        shares.append(count)
+        caps.append(price * count)
+    if schema == "market_cap":
+        return Universe(tuple(ids), np.array(caps, dtype=float))
+    return Universe(
+        tuple(ids),
+        np.array(caps, dtype=float),
+        np.array(prices, dtype=float),
+        np.array(shares, dtype=float),
+    )
 
 
 def _fmt(value: Any) -> str:

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .errors import AllWeightsZeroError, DegenerateComplementError
-from .weights import WeightVector, normalize
+from .weights import WeightVector
 
 
 def _check_p(p: float) -> None:
@@ -87,25 +87,35 @@ RULES: dict[str, type] = {
 }
 
 
+def power_curve(
+    w: np.ndarray, positive: np.ndarray, log_positive: np.ndarray, p: float
+) -> np.ndarray:
+    """w**p before renormalizing: exp(p * log(w)) on the ``positive``
+    entries, whose logs are ``log_positive``; zeros stay zero for every p,
+    so no platform pow edge case at 0 is involved. The solver passes the
+    logs it took once; the transforms take them per call.
+    """
+    out = np.zeros_like(w)
+    out[positive] = np.exp(p * log_positive)
+    return out
+
+
 def _power_curve(mu: WeightVector, p: float, knot: float) -> WeightVector:
     """Reweight to f(mu_i) / sum_j f(mu_j), where f(x) = x**p at and above
     ``knot`` and the chord knot**(p-1) * x below it.
 
-    x**p is computed as exp(p * log(x)) on the positive entries, and zeros
-    stay zero for every p, so no platform pow edge case at 0 is involved.
     With knot = 0 no weight is below the knot and f is the plain power.
     """
     w = mu.weights
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    out[pos] = np.exp(p * np.log(w[pos]))
+    positive = w > 0.0
+    out = power_curve(w, positive, np.log(w[positive]), p)
     below = w < knot
-    if np.any(below):
+    if below.any():
         slope = float(np.exp((p - 1.0) * np.log(knot)))
         out[below] = slope * w[below]
-    if not np.any(out > 0.0):
+    if not (out > 0.0).any():
         raise AllWeightsZeroError("no positive weight to renormalize over")
-    return WeightVector(mu.identifiers, normalize(out))
+    return mu.reweighted(out)
 
 
 def power_rebalance(mu: WeightVector, rule: PowerRule | float) -> WeightVector:
@@ -145,10 +155,10 @@ def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector
         rule = CapRule()
     w = mu.weights
     capped = w > rule.threshold
-    if not np.any(capped):
-        return WeightVector(mu.identifiers, normalize(w))
+    if not capped.any():
+        return mu.reweighted(w)
     s = float(w[capped].sum())
-    if not np.any(w[~capped] > 0.0) or (1.0 - s) <= 0.0:
+    if not (w[~capped] > 0.0).any() or (1.0 - s) <= 0.0:
         raise DegenerateComplementError(
             f"weights above threshold sum to {s!r}; no positive complement "
             "is left to absorb the redistributed mass"
@@ -156,7 +166,7 @@ def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector
     out = np.empty_like(w)
     out[capped] = w[capped] * (rule.target_aggregate / s)
     out[~capped] = w[~capped] * ((1.0 - rule.target_aggregate) / (1.0 - s))
-    return WeightVector(mu.identifiers, normalize(out))
+    return mu.reweighted(out)
 
 
 def apply_rule(mu: WeightVector, rule: RebalanceRule) -> WeightVector:

@@ -8,8 +8,10 @@ before/after comparisons.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import overload
 
 import numpy as np
 
@@ -79,6 +81,16 @@ def _check_unique(identifiers: Sequence[str]) -> None:
     raise DuplicateIdentifierError(f"duplicate identifiers: {sorted(dupes)}")
 
 
+def _check_weights(w: np.ndarray) -> None:
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if (w < 0.0).any() or (w > 1.0).any():
+        raise ValueError("weights must lie in [0, 1]")
+    total = float(w.sum())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1")
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Nonnegative weights summing to one, keyed by identifier.
@@ -98,16 +110,29 @@ class WeightVector:
         if w.size == 0:
             raise EmptyUniverseError("weight vector has no entries")
         _check_unique(ids)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        total = float(w.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
+        _check_weights(w)
         w.setflags(write=False)
         object.__setattr__(self, "identifiers", ids)
         object.__setattr__(self, "weights", w)
+
+    def reweighted(self, raw: np.ndarray) -> WeightVector:
+        """A vector over the same identifiers whose weights are ``raw``
+        scaled to sum to one.
+
+        For the output of a transform: the identifiers were checked when
+        this vector was built and are shared as they are, and the scaled
+        weights are checked once, as the constructor checks them.
+        """
+        raw = np.asarray(raw, dtype=float)
+        if raw.shape != self.weights.shape:
+            raise ValueError("identifiers and weights must match in length")
+        w = scale_to_one(raw)
+        _check_weights(w)
+        w.setflags(write=False)
+        out = object.__new__(type(self))
+        object.__setattr__(out, "identifiers", self.identifiers)
+        object.__setattr__(out, "weights", w)
+        return out
 
     @property
     def n(self) -> int:
@@ -142,6 +167,12 @@ def normalize(raw: Iterable[float] | np.ndarray) -> np.ndarray:
     if np.any(arr < 0.0):
         idx = int(np.argmin(arr))
         raise NegativeEntryError(f"entry {idx} is negative: {arr[idx]!r}")
+    return scale_to_one(arr)
+
+
+def scale_to_one(arr: np.ndarray) -> np.ndarray:
+    """``arr`` divided by its sum, for values already known to be finite
+    and nonnegative; ``normalize`` is the checked entry point."""
     with np.errstate(over="ignore"):
         total = float(arr.sum())
     if not np.isfinite(total):
@@ -154,17 +185,78 @@ def normalize(raw: Iterable[float] | np.ndarray) -> np.ndarray:
     return arr / total
 
 
+class Universe(Sequence[Constituent]):
+    """Constituents held as columns, as ``parse_universe`` reads them.
+
+    A read-only sequence over the identifiers and market caps, plus the
+    prices and shares when the source gave those instead of caps. A
+    ``Constituent`` is built only when an item is read, so a large
+    universe costs a few arrays rather than one object per row, and
+    ``weights_from_market_caps`` reads the cap column directly. Compares
+    equal to any sequence holding the same constituents.
+    """
+
+    def __init__(
+        self,
+        identifiers: tuple[str, ...],
+        market_caps: np.ndarray,
+        prices: np.ndarray | None = None,
+        shares: np.ndarray | None = None,
+    ) -> None:
+        self.identifiers = identifiers
+        self.market_caps = market_caps
+        self._prices = prices
+        self._shares = shares
+
+    def _constituent(self, i: int) -> Constituent:
+        if self._prices is None or self._shares is None:
+            return Constituent(
+                self.identifiers[i], market_cap=float(self.market_caps[i])
+            )
+        return Constituent(
+            self.identifiers[i],
+            price=float(self._prices[i]),
+            shares_outstanding=float(self._shares[i]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.identifiers)
+
+    @overload
+    def __getitem__(self, key: int) -> Constituent: ...
+
+    @overload
+    def __getitem__(self, key: slice) -> list[Constituent]: ...
+
+    def __getitem__(self, key: int | slice) -> Constituent | list[Constituent]:
+        picked = range(len(self))[key]
+        if isinstance(picked, range):
+            return [self._constituent(i) for i in picked]
+        return self._constituent(picked)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Universe(n={len(self)}, first={self[:3]!r})"
+
+
 def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
     """Market-cap weights: each constituent's share of the aggregate cap.
 
     Zero-cap constituents are kept with weight zero so positions stay
-    index-aligned. Order matches the input order.
+    index-aligned. Order matches the input order. A ``Universe`` is read
+    by its columns; any other sequence of constituents, item by item.
     """
     if not universe:
         raise EmptyUniverseError("universe is empty")
-    ids = tuple(c.identifier for c in universe)
-    _check_unique(ids)
-    caps = np.array([c.market_cap for c in universe], dtype=float)
+    if isinstance(universe, Universe):
+        ids, caps = universe.identifiers, universe.market_caps
+    else:
+        ids = tuple(c.identifier for c in universe)
+        caps = np.array([c.market_cap for c in universe], dtype=float)
     if np.any(caps < 0.0):
         idx = int(np.argmin(caps))
         raise NegativeMarketCapError(

@@ -83,6 +83,7 @@ class TestSolveExponent:
         assert result.p_star == 1.0
         assert result.converged
         assert result.iterations == 0
+        assert result.bracket == (1.0, 1.0)
         assert result.achieved <= 0.70 + 1e-8
 
     def test_two_stock_closed_form(self):
@@ -168,6 +169,61 @@ class TestSolveExponent:
                 power_rebalance(mu, result.p_star), target
             )
             assert recomputed == result.achieved
+
+    def test_largest_feasible_within_tol_on_hard_cases(self):
+        # Zeros, ties at the k-th place, and flat statistics near 1 with k
+        # just below the number of positive weights. At or above that
+        # number the statistic is 1 up to rounding, which has no root.
+        rng = np.random.default_rng(63)
+        tol = 1e-10
+        solved = 0
+        for case in range(300):
+            n = int(rng.integers(3, 300))
+            w = random_simplex(rng, n, zeros=(case % 2 == 0))
+            m = int(np.count_nonzero(w))
+            if case % 3 == 0:
+                kind, k = "max_weight", None
+            elif case % 3 == 1:
+                kind, k = "top_k_sum", int(rng.integers(max(1, m - 3), m))
+            else:
+                kind, k = "top_k_sum", int(rng.integers(1, m))
+                # Tie the (k+1)-th largest weight to the k-th.
+                order = np.argsort(w)[::-1]
+                w[order[k]] = w[order[k - 1]]
+                w = w / w.sum()
+            mu = wv(w)
+            probe = CalibrationTarget(kind, 0.5, k=k)
+            floor = concentration_statistic(power_rebalance(mu, 0.0), probe)
+            ceil = concentration_statistic(power_rebalance(mu, 1.0), probe)
+            if not floor < ceil < 1.0:
+                continue
+            bound = floor + rng.uniform(0.0, 1.0) * (ceil - floor)
+            target = CalibrationTarget(kind, bound, k=k)
+            result = solve_exponent(mu, target, tol)
+            assert type(result.p_star) is float
+            assert result.achieved <= bound
+            assert result.achieved == concentration_statistic(
+                power_rebalance(mu, result.p_star), target
+            )
+            lo, hi = result.bracket
+            assert lo == result.p_star and hi - lo < tol
+            bumped = concentration_statistic(
+                power_rebalance(mu, min(result.p_star + tol, 1.0)), target
+            )
+            assert bumped > bound
+            solved += 1
+        assert solved > 200
+
+    def test_few_iterations_at_scale(self):
+        rng = np.random.default_rng(64)
+        caps = rng.pareto(1.2, 50_000) + 1.0
+        mu = wv(caps / caps.sum())
+        for kind, k in (("top_k_sum", 6), ("max_weight", None)):
+            stat = concentration_statistic(mu, CalibrationTarget(kind, 0.5, k=k))
+            target = CalibrationTarget(kind, 0.5 * stat, k=k)
+            result = solve_exponent(mu, target)
+            assert result.achieved <= target.bound
+            assert 0 < result.iterations <= 10
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(67)

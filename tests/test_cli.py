@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerindex import CapRule
+from powerindex import (
+    CalibrationTarget,
+    CapRule,
+    parse_universe,
+    solve_exponent,
+    weights_from_market_caps,
+)
 from powerindex.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -36,6 +42,12 @@ def write_weights(path: Path, weights, prefix: str = "S") -> Path:
     ]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def two_stock_p_star(path: Path) -> float:
+    """The library's answer to ``solve --target max --bound 0.60``."""
+    mu = weights_from_market_caps(parse_universe(path))
+    return solve_exponent(mu, CalibrationTarget("max_weight", 0.60)).p_star
 
 
 def run_module(*args: str) -> subprocess.CompletedProcess:
@@ -226,9 +238,39 @@ class TestSolveCommand:
         )
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert out.startswith("p_star=0.478539 ")
+        assert out.startswith(f"p_star={two_stock_p_star(two_stock_csv)!r} ")
         assert "converged=true" in out
         assert "achieved=0.6" in out
+
+    def test_printed_p_star_meets_bound_in_rebalance(self, tmp_path, capsys):
+        # Rounded to 6 digits, p_star could round up and breach the bound.
+        rng = np.random.default_rng(404)
+        universe, report = tmp_path / "u.csv", tmp_path / "r.json"
+        for _ in range(12):
+            caps = (rng.pareto(1.2, 100) + 1.0) * 1e9
+            universe.write_text(
+                "id,market_cap\n"
+                + "".join(f"N{i:03d},{c!r}\n" for i, c in enumerate(caps.tolist()))
+            )
+            w = np.sort(caps / caps.sum())
+            bound = repr(float(0.5 * (w[-6:].sum() + 6 / w.size)))
+            assert run_cli(
+                [
+                    "solve", "--input", str(universe),
+                    "--target", "top-k", "--k", "6", "--bound", bound,
+                ]
+            ) == EXIT_OK
+            fields = dict(t.split("=") for t in capsys.readouterr().out.split())
+            assert float(fields["bracket_width"]) < 1e-10
+            assert run_cli(
+                [
+                    "rebalance", "--input", str(universe),
+                    "--method", "power", "--p", fields["p_star"],
+                    "--output", str(report), "--format", "json",
+                ]
+            ) == EXIT_OK
+            top6_after = json.loads(report.read_text())["summary"]["top_k_sums"]["6"][1]
+            assert top6_after <= float(bound)
 
     def test_infeasible_exit_code(self, two_stock_csv, capsys):
         code = run_cli(
@@ -427,7 +469,7 @@ class TestUsageAndHelp:
             "--target", "max", "--bound", "0.60",
         )
         assert proc.returncode == 0
-        assert proc.stdout.startswith("p_star=0.478539")
+        assert proc.stdout.startswith(f"p_star={two_stock_p_star(two_stock_csv)!r} ")
 
 
 class TestDeterminism:

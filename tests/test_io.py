@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from powerindex import (
+    Constituent,
     DuplicateIdentifierError,
     MalformedHeaderError,
     MalformedRowError,
@@ -74,6 +75,8 @@ class TestParseUniverse:
     def test_non_numeric_field_names_row(self):
         with pytest.raises(MalformedRowError, match="row 3"):
             parse_universe(io.StringIO("id,market_cap\nAAA,70\nBBB,abc\n"))
+        with pytest.raises(MalformedRowError, match="row 3: shares"):
+            parse_universe(io.StringIO("id,price,shares\nAAA,10,7\nBBB,10,abc\n"))
 
     def test_nonfinite_number(self):
         with pytest.raises(NonFiniteNumberError, match="row 2"):
@@ -92,6 +95,8 @@ class TestParseUniverse:
     def test_wrong_field_count(self):
         with pytest.raises(MalformedRowError, match="row 2"):
             parse_universe(io.StringIO("id,market_cap\nAAA,70,extra\n"))
+        with pytest.raises(MalformedRowError, match="row 3"):
+            parse_universe(io.StringIO("id,price,shares\nAAA,10,7\nBBB,10\n"))
 
     def test_duplicate_identifier(self):
         with pytest.raises(DuplicateIdentifierError, match="AAA"):
@@ -104,6 +109,41 @@ class TestParseUniverse:
     def test_zero_price_rejected(self):
         with pytest.raises(MalformedRowError, match="price"):
             parse_universe(io.StringIO("id,price,shares\nAAA,0,7\n"))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "id,market_cap\nAAA,70\nBBB,0\nCCC,30\n",
+                [
+                    Constituent("AAA", market_cap=70.0),
+                    Constituent("BBB", market_cap=0.0),
+                    Constituent("CCC", market_cap=30.0),
+                ],
+            ),
+            (
+                "id,price,shares\nAAA,10,7\nBBB,2.5,4\nCCC,3,10\n",
+                [
+                    Constituent("AAA", price=10.0, shares_outstanding=7.0),
+                    Constituent("BBB", price=2.5, shares_outstanding=4.0),
+                    Constituent("CCC", price=3.0, shares_outstanding=10.0),
+                ],
+            ),
+        ],
+    )
+    def test_universe_is_a_sequence_of_constituents(self, text, expected):
+        out = parse_universe(io.StringIO(text))
+        assert len(out) == 3
+        assert out[0] == expected[0] and out[-1] == expected[-1]
+        assert out[1:] == expected[1:] and out[::-2] == expected[::-2]
+        assert list(out) == expected and out == expected
+        assert [c.market_cap for c in out] == [c.market_cap for c in expected]
+        with pytest.raises(IndexError):
+            out[3]
+        columns = weights_from_market_caps(out)
+        rows = weights_from_market_caps(expected)
+        assert columns.identifiers == rows.identifiers
+        assert columns.weights.tobytes() == rows.weights.tobytes()
 
     def test_zero_market_cap_accepted(self):
         out = parse_universe(io.StringIO("id,market_cap\nAAA,0\nBBB,5\n"))
