@@ -7,6 +7,19 @@ or JSON (a single object with schema_version, method, params, summary
 and rows). All file-bound numbers are rendered at full precision so
 reports round-trip exactly; rounding to 6 significant digits is a
 console concern only.
+
+Input files are read as columns. The text is split into fields in
+blocks of rows, at newlines and commas, or by ``csv.reader`` from the
+first block that holds a quote, a carriage return or a NUL; either way
+the fields are those ``csv.reader`` gives. Blank rows and ``#`` comment
+rows are dropped, each column is checked as a whole (field counts,
+nonempty and unique ids, numbers as ``float()`` reads them, finite and
+signed as the column needs) and kept as an array. A JSON report's rows
+get the same checks on the columns pulled out of them. The column checks
+say only that some row fails. Every message comes from the row checks
+(``_id_rows``, ``_parse_number``), which then run over the rows in file
+order and raise the error of the first row that fails, named by its
+1-based row in the file, or in the JSON ``rows`` list.
 """
 
 from __future__ import annotations
@@ -15,8 +28,11 @@ import csv
 import io
 import json
 import math
+from itertools import chain, compress, islice, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -26,15 +42,21 @@ from .errors import (
     MalformedHeaderError,
     MalformedRowError,
     NonFiniteNumberError,
+    RebalanceError,
     WeightSumError,
 )
 from .weights import Universe, WeightVector, normalize
 
 SCHEMA_VERSION = 1
 
-UNIVERSE_HEADERS = {
-    ("id", "market_cap"): "market_cap",
-    ("id", "price", "shares"): "price_shares",
+# A numeric field of a schema: its index in the row, its name in
+# messages, and whether it must be positive (else nonnegative).
+_Number = tuple[int, str, bool]
+
+# Each universe header, with its numeric fields.
+UNIVERSE_HEADERS: dict[tuple[str, ...], tuple[_Number, ...]] = {
+    ("id", "market_cap"): ((1, "market_cap", False),),
+    ("id", "price", "shares"): ((1, "price", True), (2, "shares", True)),
 }
 REPORT_HEADER = ("id", "weight_before", "weight_after", "delta")
 BARE_WEIGHT_HEADER = ("id", "weight")
@@ -43,15 +65,60 @@ BARE_WEIGHT_HEADER = ("id", "weight")
 # sum is within this window of 1, reject beyond it.
 RENORMALIZE_WINDOW = 1e-3
 
+# Rows are split in blocks of about this many characters (or rows, where
+# csv.reader splits them), so that a large file's fields are never all
+# held at once.
+_BLOCK_CHARS = 1 << 16
+_BLOCK_ROWS = 1 << 12
+
 
 def _read_text(source: str | Path | IO[str]) -> str:
+    """The text of ``source``, with line ends read as text mode reads them."""
     if hasattr(source, "read"):
         return source.read()
-    return Path(source).read_text(encoding="utf-8")
+    data = Path(source).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RebalanceError(
+            f"{source}: byte {data[exc.start]:#04x} at offset {exc.start} "
+            "is not valid UTF-8"
+        ) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
-def _header_cells(row: list[str]) -> tuple[str, ...]:
-    return tuple(c.strip().lstrip("﻿").lower() for c in row)
+def _header(row: Sequence[str] | None) -> tuple[str, ...]:
+    """The cells of a header row, without case, spaces or a byte-order mark."""
+    if row is None:
+        raise MalformedHeaderError("input is empty; expected a header row")
+    return tuple(c.strip().lstrip("\ufeff").lower() for c in row)
+
+
+def _universe_numbers(header: tuple[str, ...]) -> tuple[_Number, ...]:
+    numbers = UNIVERSE_HEADERS.get(header)
+    if numbers is None:
+        raise MalformedHeaderError(
+            f"unrecognized header {','.join(header)!r}; expected "
+            "'id,market_cap' or 'id,price,shares'"
+        )
+    return numbers
+
+
+def _weight_numbers(header: tuple[str, ...]) -> tuple[_Number, ...]:
+    if header == REPORT_HEADER:
+        return ((2, "weight", False),)
+    if header == BARE_WEIGHT_HEADER:
+        return ((1, "weight", False),)
+    raise MalformedHeaderError(
+        f"unrecognized weight-file header {','.join(header)!r}; expected "
+        "'id,weight' or 'id,weight_before,weight_after,delta'"
+    )
+
+
+# -- The row checks: one row at a time, in file order. They hold every
+# -- message, and run only to explain a failed column check.
 
 
 def _parse_number(field: Any, where: str, column: str, positive: bool = False) -> float:
@@ -59,9 +126,9 @@ def _parse_number(field: Any, where: str, column: str, positive: bool = False) -
     try:
         value = float(field)
     except (TypeError, ValueError, OverflowError):
-        raise MalformedRowError(
-            f"{where}: {column} value {field!r} is not a number"
-        ) from None
+        value = None
+    if value is None or isinstance(field, bool):
+        raise MalformedRowError(f"{where}: {column} value {field!r} is not a number")
     if not math.isfinite(value):
         raise NonFiniteNumberError(
             f"{where}: {column} value {field!r} is not finite"
@@ -72,14 +139,16 @@ def _parse_number(field: Any, where: str, column: str, positive: bool = False) -
     return value
 
 
+def _is_skipped(row: Sequence[str]) -> bool:
+    """A blank row, or a comment row: its first field starts with ``#``."""
+    return not "".join(row).strip() or row[0].lstrip().startswith("#")
+
+
 def _data_rows(reader: Iterator[list[str]]) -> Iterator[tuple[str, list[str]]]:
     """Non-blank, non-comment rows, each named by its 1-based file row."""
     for row_num, row in enumerate(reader, start=1):
-        if not "".join(row).strip():
-            continue
-        if row[0].lstrip().startswith("#"):
-            continue
-        yield f"row {row_num}", row
+        if not _is_skipped(row):
+            yield f"row {row_num}", row
 
 
 def _id_rows(
@@ -104,51 +173,180 @@ def _id_rows(
         yield where, ident, row
 
 
+def _explain(
+    rows: Iterable[tuple[str, Sequence[Any]]],
+    width: int,
+    numbers: tuple[_Number, ...],
+) -> NoReturn:
+    """Run the row checks in file order and raise the error of the first
+    row that fails, for input whose column checks failed."""
+    for where, _, row in _id_rows(rows, width):
+        values = [
+            _parse_number(row[col], where, name, positive)
+            for col, name, positive in numbers
+        ]
+        # Two numbers are a price and a share count.
+        if len(values) == 2 and not math.isfinite(values[0] * values[1]):
+            raise NonFiniteNumberError(
+                f"{where}: market cap {values[0]!r} * {values[1]!r} is not finite"
+            )
+    raise AssertionError("a column check failed on rows that pass the row checks")
+
+
+def _explain_csv(
+    text: str, numbers_for: Callable[[tuple[str, ...]], tuple[_Number, ...]]
+) -> NoReturn:
+    """``_explain`` over the rows of a CSV text, as ``csv.reader`` splits them."""
+    rows = _data_rows(csv.reader(io.StringIO(text)))
+    header = _header(next(rows, (None, None))[1])
+    _explain(rows, len(header), numbers_for(header))
+
+
+# -- The column checks: every row at once, without a message.
+
+
+class _ColumnCheckFailed(Exception):
+    """Some row fails a check; ``_explain`` says which and why."""
+
+
+def _blocks(text: str) -> Iterator[tuple[list[str], np.ndarray, bool]]:
+    """The rows of a CSV text in blocks of a few thousand, so that a large
+    file is never held as fields all at once. Each block is the fields of
+    its rows in one list, the number of fields in each row, and whether a
+    row may be a comment.
+
+    Text is split at newlines and commas, up to the first block holding a
+    quote, a carriage return or a NUL; ``csv.reader`` splits the rest.
+    """
+    limit = csv.field_size_limit()
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _BLOCK_CHARS)
+        if end < 0:
+            end = len(text)
+        chunk = text[pos:end]
+        if '"' in chunk or "\r" in chunk or "\0" in chunk:
+            yield from _reader_blocks(text[pos:])
+            return
+        pos = end + 1
+        fields = chunk.replace("\n", ",").split(",")
+        if len(chunk) > limit and max(map(len, fields)) > limit:
+            raise _ColumnCheckFailed  # csv.reader refuses so long a field
+        # Field k of the block is followed by separator k: a newline ends
+        # its row. Neither separator is a byte of a longer UTF-8 sequence.
+        raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
+        separators = raw[(raw == 10) | (raw == 44)]
+        ends = np.flatnonzero(separators == 10)
+        counts = np.diff(ends, prepend=-1, append=len(separators))
+        yield fields, counts, "#" in chunk
+
+
+def _reader_blocks(text: str) -> Iterator[tuple[list[str], np.ndarray, bool]]:
+    """``_blocks`` of ``text`` as ``csv.reader`` splits it."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            counts = np.fromiter(map(len, rows), np.intp, len(rows))
+            yield list(chain.from_iterable(rows)), counts, True
+    except csv.Error:
+        raise _ColumnCheckFailed from None
+
+
+def _split_header(
+    blocks: Iterator[tuple[list[str], np.ndarray, bool]],
+) -> tuple[list[str] | None, Iterator[tuple[list[str], np.ndarray, bool]]]:
+    """The first row that is not blank or a comment, and the blocks of
+    the rows after it."""
+    for fields, counts, comments in blocks:
+        start = 0
+        for i, count in enumerate(counts.tolist()):
+            row = fields[start:start + count]
+            start += count
+            if not _is_skipped(row):
+                rest = (fields[start:], counts[i + 1:], comments)
+                return row, chain([rest], blocks)
+    return None, blocks
+
+
+def _drop_skipped(
+    fields: list[str], counts: np.ndarray, suspect: np.ndarray
+) -> list[str]:
+    """``fields`` without the rows marked ``suspect``, each of which must
+    be blank or a comment."""
+    starts = (np.cumsum(counts) - counts).tolist()
+    for i in np.flatnonzero(suspect).tolist():
+        if not _is_skipped(fields[starts[i]:starts[i] + int(counts[i])]):
+            raise _ColumnCheckFailed
+    return list(compress(fields, np.repeat(~suspect, counts).tolist()))
+
+
+def _numbers(fields: Sequence[Any], positive: bool) -> np.ndarray:
+    """``float()`` of each field, so that every spelling it takes is
+    taken, if all are finite and nonnegative, or positive if asked."""
+    try:
+        values = np.fromiter(map(float, fields), float, len(fields))
+    except (TypeError, ValueError, OverflowError):
+        raise _ColumnCheckFailed from None
+    signed = values > 0.0 if positive else values >= 0.0
+    if not (np.isfinite(values).all() and signed.all()):
+        raise _ColumnCheckFailed
+    return values
+
+
+def _check_unique(ids: list[str]) -> None:
+    # Distinct sorted hashes show that no two ids are equal, without a
+    # set of 2n slots; only a repeated hash needs the set to tell a
+    # duplicate from a collision.
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    hashes.sort()
+    if (hashes[1:] == hashes[:-1]).any() and len(set(ids)) != len(ids):
+        raise _ColumnCheckFailed
+
+
+def _csv_columns(
+    text: str, numbers_for: Callable[[tuple[str, ...]], tuple[_Number, ...]]
+) -> tuple[list[str], list[np.ndarray]]:
+    """The identifiers and the checked numeric columns of a CSV text."""
+    row, blocks = _split_header(_blocks(text))
+    header = _header(row)
+    numbers = numbers_for(header)
+    width = len(header)
+    ids: list[str] = []
+    parts: list[list[np.ndarray]] = [[] for _ in numbers]
+    for fields, counts, comments in blocks:
+        if not (counts == width).all():
+            fields = _drop_skipped(fields, counts, counts != width)
+        first = list(map(str.strip, fields[0::width]))
+        hashed = comments and any(map(str.startswith, first, repeat("#")))
+        if not all(first) or hashed:
+            suspect = np.array([not f or f[0] == "#" for f in first], dtype=bool)
+            fields = _drop_skipped(fields, np.full(len(first), width), suspect)
+            first = list(map(str.strip, fields[0::width]))
+        ids.extend(first)
+        for (col, _, positive), part in zip(numbers, parts):
+            part.append(_numbers(fields[col::width], positive))
+    _check_unique(ids)
+    return ids, [np.concatenate(part) if part else np.empty(0) for part in parts]
+
+
 def parse_universe(source: str | Path | IO[str]) -> Universe:
     """Read a constituent CSV, auto-detecting which schema the header
     declares. Market caps are computed from price and shares when the
     file carries those instead. The rows fill columns, returned as a
     ``Universe`` that builds each ``Constituent`` only when it is read."""
-    reader = csv.reader(io.StringIO(_read_text(source)))
-    rows = _data_rows(reader)
+    text = _read_text(source)
     try:
-        _, header_row = next(rows)
-    except StopIteration:
-        raise MalformedHeaderError("input is empty; expected a header row") from None
-    header = _header_cells(header_row)
-    schema = UNIVERSE_HEADERS.get(header)
-    if schema is None:
-        raise MalformedHeaderError(
-            f"unrecognized header {','.join(header)!r}; expected "
-            "'id,market_cap' or 'id,price,shares'"
-        )
-
-    ids: list[str] = []
-    caps: list[float] = []
-    prices: list[float] = []
-    shares: list[float] = []
-    for where, ident, row in _id_rows(rows, len(header)):
-        ids.append(ident)
-        if schema == "market_cap":
-            caps.append(_parse_number(row[1], where, "market_cap"))
-            continue
-        price = _parse_number(row[1], where, "price", positive=True)
-        count = _parse_number(row[2], where, "shares", positive=True)
-        if not math.isfinite(price * count):
-            raise NonFiniteNumberError(
-                f"{where}: market cap {price!r} * {count!r} is not finite"
-            )
-        prices.append(price)
-        shares.append(count)
-        caps.append(price * count)
-    if schema == "market_cap":
-        return Universe(tuple(ids), np.array(caps, dtype=float))
-    return Universe(
-        tuple(ids),
-        np.array(caps, dtype=float),
-        np.array(prices, dtype=float),
-        np.array(shares, dtype=float),
-    )
+        ids, columns = _csv_columns(text, _universe_numbers)
+        if len(columns) == 1:
+            return Universe._checked(tuple(ids), columns[0])
+        prices, shares = columns
+        with np.errstate(over="ignore"):
+            caps = prices * shares
+        if np.isfinite(caps).all():
+            return Universe._checked(tuple(ids), caps, prices, shares)
+    except _ColumnCheckFailed:
+        pass
+    _explain_csv(text, _universe_numbers)
 
 
 def _fmt(value: Any) -> str:
@@ -168,15 +366,17 @@ def report_payload(
     report: DiagnosticsReport,
 ) -> dict[str, Any]:
     """Assemble the serializable report object, stable field order."""
-    after = eta.as_dict()
+    before = mu.weights
+    if eta.identifiers == mu.identifiers:
+        after = eta.weights
+    else:
+        position = {ident: i for i, ident in enumerate(eta.identifiers)}
+        after = eta.weights[[position[ident] for ident in mu.identifiers]]
     rows = [
-        {
-            "id": ident,
-            "weight_before": float(before),
-            "weight_after": float(after[ident]),
-            "delta": float(after[ident]) - float(before),
-        }
-        for ident, before in mu.entries
+        {"id": ident, "weight_before": b, "weight_after": a, "delta": d}
+        for ident, b, a, d in zip(
+            mu.identifiers, before.tolist(), after.tolist(), (after - before).tolist()
+        )
     ]
     summary = {
         "turnover": report.turnover,
@@ -201,8 +401,30 @@ def report_payload(
     }
 
 
+# One row of ``json.dumps(payload, indent=2)``, for the rows that
+# ``report_payload`` builds: a string id and three floats.
+_JSON_ROW = (
+    '    {\n      "id": %s,\n      "weight_before": %r,\n'
+    '      "weight_after": %r,\n      "delta": %r\n    }'
+)
+
+
 def render_report_json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2)`` and a newline, for a payload from
+    ``report_payload``. Its rows, which come last, are rendered from one
+    template, as the stdlib's pure-Python indenting encoder would be slow."""
+    head = json.dumps({**payload, "rows": []}, indent=2)
+    rows = ",\n".join(
+        _JSON_ROW
+        % (
+            encode_basestring_ascii(row["id"]),
+            row["weight_before"],
+            row["weight_after"],
+            row["delta"],
+        )
+        for row in payload["rows"]
+    )
+    return head.removesuffix("[]\n}") + "[\n" + rows + "\n  ]\n}\n"
 
 
 def render_report_csv(payload: dict[str, Any]) -> str:
@@ -243,34 +465,8 @@ def write_report(path: str | Path, payload: dict[str, Any], fmt: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _weights_from_rows(
-    rows: Iterable[tuple[str, Sequence[Any]]], width: int, weight_col: int
-) -> WeightVector:
-    ids: list[str] = []
-    values: list[float] = []
-    for where, ident, row in _id_rows(rows, width):
-        ids.append(ident)
-        values.append(_parse_number(row[weight_col], where, "weight"))
-    if not ids:
-        raise MalformedHeaderError("weight file carries no rows")
-    total = sum(values)
-    if abs(total - 1.0) >= RENORMALIZE_WINDOW:
-        raise WeightSumError(
-            f"weights sum to {total!r}; more than {RENORMALIZE_WINDOW} from 1, "
-            "refusing to renormalize"
-        )
-    return WeightVector(tuple(ids), normalize(values))
-
-
-def _report_json_rows(text: str) -> Iterator[tuple[str, list[Any]]]:
+def _report_json_rows(rows: list[Any]) -> Iterator[tuple[str, list[Any]]]:
     """The (id, weight_after) pair of each row of a JSON report."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedHeaderError(f"not valid report JSON: {exc}") from exc
-    rows = payload.get("rows") if isinstance(payload, dict) else None
-    if not isinstance(rows, list) or not rows:
-        raise MalformedHeaderError("report JSON carries no rows")
     for pos, row in enumerate(rows, start=1):
         if not (isinstance(row, dict) and isinstance(row.get("id"), str)):
             raise MalformedRowError(f"report row {pos}: expected a string 'id' field")
@@ -279,6 +475,19 @@ def _report_json_rows(text: str) -> Iterator[tuple[str, list[Any]]]:
                 f"report row {pos}: expected a 'weight_after' field"
             )
         yield f"report row {pos}", [row["id"], row["weight_after"]]
+
+
+def _json_columns(rows: list[Any]) -> tuple[list[str], np.ndarray]:
+    """The identifiers and the checked weight_after column of JSON report rows."""
+    try:
+        ids = list(map(str.strip, map(itemgetter("id"), rows)))
+        weights = list(map(itemgetter("weight_after"), rows))
+    except (KeyError, TypeError):  # not a dict, a key missing, an id not a string
+        raise _ColumnCheckFailed from None
+    if not all(ids) or bool in set(map(type, weights)):
+        raise _ColumnCheckFailed
+    _check_unique(ids)
+    return ids, _numbers(weights, positive=False)
 
 
 def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
@@ -291,24 +500,29 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
     """
     text = _read_text(source)
     name = str(source) if not hasattr(source, "read") else ""
-    stripped = text.lstrip()
-    if name.endswith(".json") or stripped.startswith("{"):
-        return _weights_from_rows(_report_json_rows(text), 2, 1)
-
-    reader = csv.reader(io.StringIO(text))
-    rows = _data_rows(reader)
-    try:
-        _, header_row = next(rows)
-    except StopIteration:
-        raise MalformedHeaderError("input is empty; expected a header row") from None
-    header = _header_cells(header_row)
-    if header == REPORT_HEADER:
-        weight_col = 2
-    elif header == BARE_WEIGHT_HEADER:
-        weight_col = 1
+    if name.endswith(".json") or text.lstrip().startswith("{"):
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedHeaderError(f"not valid report JSON: {exc}") from exc
+        rows = payload.get("rows") if isinstance(payload, dict) else None
+        if not isinstance(rows, list) or not rows:
+            raise MalformedHeaderError("report JSON carries no rows")
+        try:
+            ids, values = _json_columns(rows)
+        except _ColumnCheckFailed:
+            _explain(_report_json_rows(rows), 2, ((1, "weight", False),))
     else:
-        raise MalformedHeaderError(
-            f"unrecognized weight-file header {','.join(header)!r}; expected "
-            "'id,weight' or 'id,weight_before,weight_after,delta'"
+        try:
+            ids, (values,) = _csv_columns(text, _weight_numbers)
+        except _ColumnCheckFailed:
+            _explain_csv(text, _weight_numbers)
+    if not ids:
+        raise MalformedHeaderError("weight file carries no rows")
+    total = sum(values.tolist())
+    if abs(total - 1.0) >= RENORMALIZE_WINDOW:
+        raise WeightSumError(
+            f"weights sum to {total!r}; more than {RENORMALIZE_WINDOW} from 1, "
+            "refusing to renormalize"
         )
-    return _weights_from_rows(rows, len(header), weight_col)
+    return WeightVector._of_unique(tuple(ids), normalize(values))

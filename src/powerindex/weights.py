@@ -81,6 +81,13 @@ def _check_unique(identifiers: Sequence[str]) -> None:
     raise DuplicateIdentifierError(f"duplicate identifiers: {sorted(dupes)}")
 
 
+def _check_lengths(identifiers: tuple[str, ...], w: np.ndarray) -> None:
+    if w.ndim != 1 or len(identifiers) != w.size:
+        raise ValueError("identifiers and weights must match in length")
+    if w.size == 0:
+        raise EmptyUniverseError("weight vector has no entries")
+
+
 def _check_weights(w: np.ndarray) -> None:
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
@@ -105,15 +112,28 @@ class WeightVector:
     def __post_init__(self) -> None:
         ids = tuple(str(i) for i in self.identifiers)
         w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or len(ids) != w.size:
-            raise ValueError("identifiers and weights must match in length")
-        if w.size == 0:
-            raise EmptyUniverseError("weight vector has no entries")
+        _check_lengths(ids, w)
         _check_unique(ids)
         _check_weights(w)
         w.setflags(write=False)
         object.__setattr__(self, "identifiers", ids)
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _of_unique(
+        cls, identifiers: tuple[str, ...], weights: np.ndarray
+    ) -> WeightVector:
+        """A vector over identifiers already checked to be unique strings,
+        as a parsed file's are: only the weights are checked. ``weights``
+        must be a new float array; the vector keeps it, read-only."""
+        w = np.asarray(weights, dtype=float)
+        _check_lengths(identifiers, w)
+        _check_weights(w)
+        w.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "identifiers", identifiers)
+        object.__setattr__(out, "weights", w)
+        return out
 
     def reweighted(self, raw: np.ndarray) -> WeightVector:
         """A vector over the same identifiers whose weights are ``raw``
@@ -126,13 +146,7 @@ class WeightVector:
         raw = np.asarray(raw, dtype=float)
         if raw.shape != self.weights.shape:
             raise ValueError("identifiers and weights must match in length")
-        w = scale_to_one(raw)
-        _check_weights(w)
-        w.setflags(write=False)
-        out = object.__new__(type(self))
-        object.__setattr__(out, "identifiers", self.identifiers)
-        object.__setattr__(out, "weights", w)
-        return out
+        return self._of_unique(self.identifiers, scale_to_one(raw))
 
     @property
     def n(self) -> int:
@@ -207,6 +221,22 @@ class Universe(Sequence[Constituent]):
         self.market_caps = market_caps
         self._prices = prices
         self._shares = shares
+        self._checked_ids: tuple[str, ...] | None = None
+
+    @classmethod
+    def _checked(
+        cls,
+        identifiers: tuple[str, ...],
+        market_caps: np.ndarray,
+        prices: np.ndarray | None = None,
+        shares: np.ndarray | None = None,
+    ) -> Universe:
+        """A universe whose identifiers are known to be unique, nonempty
+        strings, as ``parse_universe`` checks them, so that
+        ``weights_from_market_caps`` does not check them again."""
+        out = cls(identifiers, market_caps, prices, shares)
+        out._checked_ids = identifiers
+        return out
 
     def _constituent(self, i: int) -> Constituent:
         if self._prices is None or self._shares is None:
@@ -248,12 +278,16 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
 
     Zero-cap constituents are kept with weight zero so positions stay
     index-aligned. Order matches the input order. A ``Universe`` is read
-    by its columns; any other sequence of constituents, item by item.
+    by its columns; any other sequence of constituents, item by item. The
+    identifiers of a parsed ``Universe`` were checked by the parse and are
+    not checked again; all others get the full ``WeightVector`` checks.
     """
     if not universe:
         raise EmptyUniverseError("universe is empty")
+    checked = False
     if isinstance(universe, Universe):
         ids, caps = universe.identifiers, universe.market_caps
+        checked = universe._checked_ids is ids
     else:
         ids = tuple(c.identifier for c in universe)
         caps = np.array([c.market_cap for c in universe], dtype=float)
@@ -264,4 +298,6 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
         )
     if not np.any(caps > 0.0):
         raise ZeroAggregateError("all market caps are zero")
+    if checked:
+        return WeightVector._of_unique(ids, normalize(caps))
     return WeightVector(ids, normalize(caps))

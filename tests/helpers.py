@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import math
+
 import numpy as np
 
-from powerindex import WeightVector
+from powerindex import (
+    DuplicateIdentifierError,
+    MalformedHeaderError,
+    MalformedRowError,
+    NonFiniteNumberError,
+    WeightSumError,
+    WeightVector,
+    normalize,
+)
 
 
 def make_ids(n: int) -> tuple[str, ...]:
@@ -33,3 +45,113 @@ def random_simplex(
         k = max(1, n // 10)
         w[rng.choice(n - 1, size=min(k, n - 1), replace=False) + 1] = 0.0
     return w / w.sum()
+
+
+# -- a row-by-row CSV reader, kept as the reference for io's column pass:
+# each row is split by csv.reader and checked in file order.
+
+UNIVERSE_SCHEMAS = {("id", "market_cap"): 1, ("id", "price", "shares"): 2}
+
+
+def _reference_number(field, where, column, positive=False):
+    try:
+        value = float(field)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedRowError(
+            f"{where}: {column} value {field!r} is not a number"
+        ) from None
+    if not math.isfinite(value):
+        raise NonFiniteNumberError(f"{where}: {column} value {field!r} is not finite")
+    if value < 0.0 or (positive and value == 0.0):
+        need = "positive" if positive else "nonnegative"
+        raise MalformedRowError(f"{where}: {column} must be {need}, got {value!r}")
+    return value
+
+
+def _reference_rows(text):
+    """The header cells and the checked (where, id, fields) data rows."""
+    rows = (
+        (f"row {num}", row)
+        for num, row in enumerate(csv.reader(io.StringIO(text)), start=1)
+        if "".join(row).strip() and not row[0].lstrip().startswith("#")
+    )
+    try:
+        _, header_row = next(rows)
+    except StopIteration:
+        raise MalformedHeaderError("input is empty; expected a header row") from None
+    header = tuple(c.strip().lstrip("\ufeff").lower() for c in header_row)
+
+    def checked():
+        seen = set()
+        for where, row in rows:
+            if len(row) != len(header):
+                raise MalformedRowError(
+                    f"{where}: expected {len(header)} fields, got {len(row)}"
+                )
+            ident = row[0].strip()
+            if not ident:
+                raise MalformedRowError(f"{where}: empty identifier")
+            if ident in seen:
+                raise DuplicateIdentifierError(
+                    f"{where}: duplicate identifier {ident!r}"
+                )
+            seen.add(ident)
+            yield where, ident, row
+
+    return header, checked()
+
+
+def reference_parse_universe(text):
+    """(ids, caps, prices, shares) of a universe CSV; prices and shares
+    are None for an ``id,market_cap`` file."""
+    header, rows = _reference_rows(text)
+    if header not in UNIVERSE_SCHEMAS:
+        raise MalformedHeaderError(
+            f"unrecognized header {','.join(header)!r}; expected "
+            "'id,market_cap' or 'id,price,shares'"
+        )
+    ids, caps, prices, shares = [], [], [], []
+    for where, ident, row in rows:
+        ids.append(ident)
+        if UNIVERSE_SCHEMAS[header] == 1:
+            caps.append(_reference_number(row[1], where, "market_cap"))
+            continue
+        price = _reference_number(row[1], where, "price", positive=True)
+        count = _reference_number(row[2], where, "shares", positive=True)
+        if not math.isfinite(price * count):
+            raise NonFiniteNumberError(
+                f"{where}: market cap {price!r} * {count!r} is not finite"
+            )
+        prices.append(price)
+        shares.append(count)
+        caps.append(price * count)
+    if UNIVERSE_SCHEMAS[header] == 1:
+        return tuple(ids), caps, None, None
+    return tuple(ids), caps, prices, shares
+
+
+def reference_read_weight_csv(text):
+    """The WeightVector of a bare ``id,weight`` or report CSV."""
+    header, rows = _reference_rows(text)
+    if header == ("id", "weight_before", "weight_after", "delta"):
+        col = 2
+    elif header == ("id", "weight"):
+        col = 1
+    else:
+        raise MalformedHeaderError(
+            f"unrecognized weight-file header {','.join(header)!r}; expected "
+            "'id,weight' or 'id,weight_before,weight_after,delta'"
+        )
+    ids, values = [], []
+    for where, ident, row in rows:
+        ids.append(ident)
+        values.append(_reference_number(row[col], where, "weight"))
+    if not ids:
+        raise MalformedHeaderError("weight file carries no rows")
+    total = sum(values)
+    if abs(total - 1.0) >= 1e-3:
+        raise WeightSumError(
+            f"weights sum to {total!r}; more than 0.001 from 1, "
+            "refusing to renormalize"
+        )
+    return WeightVector(tuple(ids), normalize(values))

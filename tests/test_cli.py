@@ -272,6 +272,15 @@ class TestSolveCommand:
             top6_after = json.loads(report.read_text())["summary"]["top_k_sums"]["6"][1]
             assert top6_after <= float(bound)
 
+    def test_non_utf8_input_is_input_error(self, tmp_path):
+        universe = tmp_path / "u.csv"
+        universe.write_bytes(b"id,market_cap\nCAF\xe9,70\nBBB,30\n")
+        proc = run_module(
+            "solve", "--input", str(universe), "--target", "max", "--bound", "0.6"
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == f"{universe}: byte 0xe9 at offset 17 is not valid UTF-8\n"
+
     def test_infeasible_exit_code(self, two_stock_csv, capsys):
         code = run_cli(
             [
@@ -379,6 +388,14 @@ class TestDiagnoseCommand:
             assert "Traceback" not in proc.stderr
             assert proc.stderr.startswith("report row 2: ")
             assert proc.stderr.count("\n") == 1
+
+    def test_non_utf8_weight_file_is_input_error(self, tmp_path):
+        before = write_weights(tmp_path / "b.csv", [0.5, 0.5])
+        after = tmp_path / "a.csv"
+        after.write_bytes(b"id,weight\nS000,0.5\nS\xf8001,0.5\n")
+        proc = run_module("diagnose", "--before", str(before), "--after", str(after))
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == f"{after}: byte 0xf8 at offset 20 is not valid UTF-8\n"
 
     def test_accepts_report_file_as_input(self, two_stock_csv, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -1,9 +1,15 @@
+import csv
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import powerindex.io as pio
+from helpers import reference_parse_universe, reference_read_weight_csv
 from powerindex import (
     Constituent,
     DuplicateIdentifierError,
@@ -12,6 +18,7 @@ from powerindex import (
     NonFiniteNumberError,
     PowerRule,
     WeightSumError,
+    WeightVector,
     diagnostics_report,
     parse_universe,
     power_rebalance,
@@ -21,7 +28,6 @@ from powerindex import (
     write_report,
 )
 from powerindex.io import render_report_csv, render_report_json
-
 
 
 def json_report(first: str, second: str, second_id: str | None = "BBB") -> str:
@@ -149,6 +155,79 @@ class TestParseUniverse:
         out = parse_universe(io.StringIO("id,market_cap\nAAA,0\nBBB,5\n"))
         assert out[0].market_cap == 0.0
 
+    @pytest.mark.parametrize(
+        "text, ids, caps",
+        [
+            ('id,market_cap\n"A,B",70\n"Q""X",30\n', ("A,B", 'Q"X'), [70.0, 30.0]),
+            ("id,market_cap\r\nAAA,70\r\nBBB,30\r\n", ("AAA", "BBB"), [70.0, 30.0]),
+            ("\ufeffid,market_cap\nAAA,70\n", ("AAA",), [70.0]),
+            (
+                "# as of close\nid,market_cap\nAAA,70\n\n# note, with a comma\n"
+                " , \n,,\n  # indented\nBBB,30\n",
+                ("AAA", "BBB"),
+                [70.0, 30.0],
+            ),
+            ("id,market_cap\n AAA , 70 \nBBB,\t30\n", ("AAA", "BBB"), [70.0, 30.0]),
+            ("id,market_cap\nAAA,1_000\nBBB,1e3\n", ("AAA", "BBB"), [1000.0, 1000.0]),
+            ("id,market_cap\nAAA,70\n #12,5\nBBB,30\n", ("AAA", "BBB"), [70.0, 30.0]),
+            ("id,price,shares\nAAA, 10 ,7\n", ("AAA",), [70.0]),
+        ],
+    )
+    def test_accepted_spellings(self, text, ids, caps):
+        out = parse_universe(io.StringIO(text))
+        assert out.identifiers == ids
+        assert out.market_caps.tolist() == caps
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (
+                "id,market_cap\nAAA,inf\n",
+                NonFiniteNumberError,
+                "row 2: market_cap value 'inf' is not finite",
+            ),
+            (
+                "id,price,shares\nAAA,10,7\nBBB,1e200,1e200\n",
+                NonFiniteNumberError,
+                "row 3: market cap 1e+200 * 1e+200 is not finite",
+            ),
+            (
+                "id,market_cap\nAAA,70\nBBB,-1\nCCC\n",
+                MalformedRowError,
+                "row 3: market_cap must be nonnegative, got -1.0",
+            ),
+            (
+                "id,market_cap\nAAA\nBBB,-1\n",
+                MalformedRowError,
+                "row 2: expected 2 fields, got 1",
+            ),
+            (
+                'id,market_cap\n"A,B",70\nAAA,x\nAAA,1\n',
+                MalformedRowError,
+                "row 3: market_cap value 'x' is not a number",
+            ),
+            (
+                "id,market_cap\r\nAAA,1\r\nAAA,x\r\n",
+                DuplicateIdentifierError,
+                "row 3: duplicate identifier 'AAA'",
+            ),
+            (
+                "id,market_cap\n\n# c\nAAA,1\n , 2\nBBB,x\n",
+                MalformedRowError,
+                "row 5: empty identifier",
+            ),
+            (
+                "id,price,shares\nAAA,0,7\nBBB,1e200,1e200\n",
+                MalformedRowError,
+                "row 2: price must be positive, got 0.0",
+            ),
+        ],
+    )
+    def test_first_bad_row_is_reported(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_universe(io.StringIO(text))
+        assert str(info.value) == message
+
 
 class TestReportRendering:
     def test_json_payload_shape(self):
@@ -208,6 +287,15 @@ class TestReportRendering:
         payload, _, _ = two_stock_payload()
         with pytest.raises(ValueError, match="format"):
             write_report(tmp_path / "r.xml", payload, "xml")
+
+    def test_json_matches_the_stdlib_encoder(self):
+        ids = ("AAA", 'q"x', "back\\slash", "new\nline", "\x00", "é", "\ud800", "😀")
+        mu = WeightVector(ids, np.arange(1.0, 9.0) / 36.0)
+        eta = power_rebalance(mu, PowerRule(0.37))
+        payload = report_payload(
+            "power", {"p": 0.37}, mu, eta, diagnostics_report(mu, eta)
+        )
+        assert render_report_json(payload) == json.dumps(payload, indent=2) + "\n"
 
     def test_rendering_is_deterministic(self):
         a, _, _ = two_stock_payload()
@@ -276,10 +364,55 @@ class TestReadWeightFile:
             (json_report("1.0", "null"), MalformedRowError),
             (json_report("1.0", "0.0", second_id=""), MalformedRowError),
             (json_report("1.0", "0.0", second_id=None), MalformedRowError),
+            (json_report("1.0", "true"), MalformedRowError),
+            (json_report("1.0", "false"), MalformedRowError),
         ]
         for text, error in cases:
             with pytest.raises(error, match="report row 2"):
                 read_weight_file(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, ids, weights",
+        [
+            ('id,weight\r\n"A,B",0.5\r\n"Q""X", 0.5 \r\n', ("A,B", 'Q"X'), [0.5, 0.5]),
+            (
+                "# method=power\n\ufeffid,weight_before,weight_after,delta\n"
+                "AAA,0.7,0.25,-0.45\n\n# note, with a comma\nBBB,0.3,0.75,0.45\n",
+                ("AAA", "BBB"),
+                [0.25, 0.75],
+            ),
+            ("id,weight\n AAA ,0.1_0\nBBB, 0.9\n", ("AAA", "BBB"), [0.1, 0.9]),
+        ],
+    )
+    def test_accepted_spellings(self, text, ids, weights):
+        out = read_weight_file(io.StringIO(text))
+        assert out.identifiers == ids
+        assert out.weights.tolist() == pytest.approx(weights, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (
+                "id,weight\nAAA,inf\n",
+                NonFiniteNumberError,
+                "row 2: weight value 'inf' is not finite",
+            ),
+            (
+                "id,weight\nAAA,0.5\nBBB,-1\nBBB\n",
+                MalformedRowError,
+                "row 3: weight must be nonnegative, got -1.0",
+            ),
+            (
+                'id,weight\n"A,B",0.5\n,0.5\nAAA,x\n',
+                MalformedRowError,
+                "row 3: empty identifier",
+            ),
+        ],
+    )
+    def test_first_bad_row_is_reported(self, text, error, message):
+        with pytest.raises(error) as info:
+            read_weight_file(io.StringIO(text))
+        assert str(info.value) == message
 
     def test_comment_lines_skipped(self):
         out = read_weight_file(
@@ -294,3 +427,87 @@ class TestReadWeightFile:
     def test_json_without_rows_rejected(self):
         with pytest.raises(MalformedHeaderError, match="rows"):
             read_weight_file(io.StringIO('{"schema_version": 1}'))
+
+
+# Text drawn from the characters that decide how a CSV row is split and
+# skipped, with the header of each schema in front.
+CSV_CHARS = ',"#\r\n 0123456789.-_eA'
+HEADERS = [
+    "id,market_cap",
+    "id,price,shares",
+    "id,weight",
+    "id,weight_before,weight_after,delta",
+]
+csv_fields = st.one_of(
+    st.text(alphabet=CSV_CHARS, max_size=4),
+    st.sampled_from(["#", " # c", "A", "B", "0", " 0.5 ", "1_0", "-1", "inf"]),
+)
+csv_rows = st.lists(
+    st.lists(csv_fields, min_size=1, max_size=5), max_size=8
+).map(lambda rows: "\n".join(",".join(row) for row in rows))
+
+
+def outcome(read, text):
+    """What reading ``text`` gives: its columns, or its error and message."""
+    try:
+        return "ok", read(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def universe_columns(text):
+    out = parse_universe(io.StringIO(text))
+    return out.identifiers, out.market_caps.tolist(), list(out)
+
+
+def reference_universe_columns(text):
+    ids, caps, prices, shares = reference_parse_universe(text)
+    if prices is None:
+        rows = [Constituent(i, market_cap=c) for i, c in zip(ids, caps)]
+    else:
+        rows = [
+            Constituent(i, price=p, shares_outstanding=s)
+            for i, p, s in zip(ids, prices, shares)
+        ]
+    return ids, caps, rows
+
+
+def weight_columns(text):
+    out = read_weight_file(io.StringIO(text))
+    return out.identifiers, out.weights.tobytes()
+
+
+def reference_weight_columns(text):
+    out = reference_read_weight_csv(text)
+    return out.identifiers, out.weights.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    header=st.sampled_from(HEADERS),
+    line_end=st.sampled_from(["\n", "\r\n", "\r"]),
+    body=st.one_of(st.text(alphabet=CSV_CHARS, max_size=60), csv_rows),
+    block_chars=st.sampled_from([1, 5, 1 << 16]),
+    block_rows=st.sampled_from([1, 3, 1 << 12]),
+    field_limit=st.sampled_from([3, csv.field_size_limit()]),
+)
+def test_column_readers_match_the_row_reader(
+    header, line_end, body, block_chars, block_rows, field_limit
+):
+    """The column pass, over any block size and csv field-size limit,
+    reads what the reference row loop reads, or fails with the same error
+    and message."""
+    text = header + line_end + body
+    old_limit = csv.field_size_limit(field_limit)
+    try:
+        with mock.patch.object(pio, "_BLOCK_CHARS", block_chars), mock.patch.object(
+            pio, "_BLOCK_ROWS", block_rows
+        ):
+            assert outcome(universe_columns, text) == outcome(
+                reference_universe_columns, text
+            )
+            assert outcome(weight_columns, text) == outcome(
+                reference_weight_columns, text
+            )
+    finally:
+        csv.field_size_limit(old_limit)
