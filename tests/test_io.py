@@ -228,6 +228,37 @@ class TestParseUniverse:
             parse_universe(io.StringIO(text))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (
+                "id,market_cap\nAAA,1\nBBB,12345678901\n",
+                csv.Error,
+                "field larger than field limit (10)",
+            ),
+            (
+                "id,market_cap\nBBB,12345678901\nAAA,x\n",
+                csv.Error,
+                "field larger than field limit (10)",
+            ),
+            (
+                "id,market_cap\nAAA,x\nBBB,12345678901\n",
+                MalformedRowError,
+                "row 2: market_cap value 'x' is not a number",
+            ),
+        ],
+    )
+    def test_over_long_field_is_reported_in_file_order(self, text, error, message):
+        """A field longer than csv.field_size_limit() fails where csv.reader
+        meets it, after any bad row before it."""
+        old_limit = csv.field_size_limit(10)
+        try:
+            with pytest.raises(error) as info:
+                parse_universe(io.StringIO(text))
+        finally:
+            csv.field_size_limit(old_limit)
+        assert str(info.value) == message
+
 
 class TestReportRendering:
     def test_json_payload_shape(self):
@@ -296,6 +327,22 @@ class TestReportRendering:
             "power", {"p": 0.37}, mu, eta, diagnostics_report(mu, eta)
         )
         assert render_report_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda p: p["rows"][0].update(delta=np.float64(0.5)),
+            lambda p: p["rows"][0].update(delta=1),
+            lambda p: p["rows"][1].update(note="x"),
+            lambda p: p["rows"][1].pop("delta"),
+            lambda p: p.update(rows=p.pop("rows"), extra=1),
+        ],
+    )
+    def test_json_refuses_other_payload_shapes(self, reshape):
+        payload, _, _ = two_stock_payload()
+        reshape(payload)
+        with pytest.raises(ValueError, match="report_payload"):
+            render_report_json(payload)
 
     def test_rendering_is_deterministic(self):
         a, _, _ = two_stock_payload()
@@ -441,6 +488,8 @@ HEADERS = [
 csv_fields = st.one_of(
     st.text(alphabet=CSV_CHARS, max_size=4),
     st.sampled_from(["#", " # c", "A", "B", "0", " 0.5 ", "1_0", "-1", "inf"]),
+    # 13, 20 and 21 characters: at and beyond the small field-size limits.
+    st.sampled_from(["0.00000000001", "ABCDEFGHIJKLMNOPQRST", "0.0000000000000000001"]),
 )
 csv_rows = st.lists(
     st.lists(csv_fields, min_size=1, max_size=5), max_size=8
@@ -489,7 +538,9 @@ def reference_weight_columns(text):
     body=st.one_of(st.text(alphabet=CSV_CHARS, max_size=60), csv_rows),
     block_chars=st.sampled_from([1, 5, 1 << 16]),
     block_rows=st.sampled_from([1, 3, 1 << 12]),
-    field_limit=st.sampled_from([3, csv.field_size_limit()]),
+    # Above the longest header cell (weight_before), so that a data row
+    # can hold the first over-long field.
+    field_limit=st.sampled_from([13, 20, csv.field_size_limit()]),
 )
 def test_column_readers_match_the_row_reader(
     header, line_end, body, block_chars, block_rows, field_limit
