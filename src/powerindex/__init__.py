@@ -28,24 +28,7 @@ from .diagnostics import (
     find_order_violations,
     turnover,
 )
-from .errors import (
-    AllWeightsZeroError,
-    DegenerateComplementError,
-    DuplicateIdentifierError,
-    EmptyUniverseError,
-    IdentifierMismatchError,
-    InfeasibleError,
-    KExceedsNError,
-    MalformedHeaderError,
-    MalformedRowError,
-    NegativeEntryError,
-    NegativeMarketCapError,
-    NonConvergenceError,
-    NonFiniteNumberError,
-    RebalanceError,
-    WeightSumError,
-    ZeroAggregateError,
-)
+from .errors import InfeasibleError, RebalanceError
 from .io import parse_universe, read_weight_file, report_payload, write_report
 from .transforms import (
     CapRule,
@@ -68,34 +51,20 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllWeightsZeroError",
     "CalibrationResult",
     "CalibrationTarget",
     "CapRule",
     "ConcentrationMetrics",
     "Constituent",
-    "DegenerateComplementError",
     "DiagnosticsReport",
-    "DuplicateIdentifierError",
-    "EmptyUniverseError",
-    "IdentifierMismatchError",
     "InfeasibleError",
-    "KExceedsNError",
     "LinearizedPowerRule",
-    "MalformedHeaderError",
-    "MalformedRowError",
-    "NegativeEntryError",
-    "NegativeMarketCapError",
-    "NonConvergenceError",
-    "NonFiniteNumberError",
     "OrderViolation",
     "PowerRule",
     "RebalanceError",
     "RebalanceRule",
     "Universe",
-    "WeightSumError",
     "WeightVector",
-    "ZeroAggregateError",
     "apply_rule",
     "cap_rebalance",
     "compare_methods",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, KExceedsNError, NonConvergenceError
+from .errors import InfeasibleError, RebalanceError
 from .transforms import power_curve
 from .weights import WeightVector, scale_to_one
 
@@ -82,7 +82,7 @@ def top_k_sum(weights: np.ndarray, k: int) -> float:
 
 def _check_k(target: CalibrationTarget, n: int) -> None:
     if target.kind == "top_k_sum" and target.k > n:
-        raise KExceedsNError(
+        raise RebalanceError(
             f"k={target.k} exceeds the {n} available constituents"
         )
 
@@ -169,7 +169,7 @@ def solve_exponent(
     while hi - lo >= tol:
         iterations += 1
         if iterations > MAX_ITERATIONS:
-            raise NonConvergenceError(
+            raise RebalanceError(
                 f"solver exceeded {MAX_ITERATIONS} iterations "
                 f"(bracket [{lo!r}, {hi!r}])"
             )

@@ -18,7 +18,7 @@ from typing import NamedTuple, overload
 import numpy as np
 
 from .calibration import top_k_sum
-from .errors import IdentifierMismatchError, RebalanceError
+from .errors import RebalanceError
 from .transforms import RebalanceRule, apply_rule
 from .weights import WeightVector
 
@@ -246,7 +246,7 @@ def find_order_violations(mu: WeightVector, eta: WeightVector) -> OrderViolation
     if only_mu.size or only_eta.size:
         missing = [mu.identifiers[i] for i in only_mu.tolist()]
         missing += [eta.identifiers[i] for i in only_eta.tolist()]
-        raise IdentifierMismatchError(
+        raise RebalanceError(
             f"weight vectors cover different identifiers: {sorted(missing)}"
         )
     return OrderViolations(mu.identifiers, mu.weights, eta.weights[where])

@@ -1,69 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""The package's errors: the two that its exit codes tell apart."""
 
 from __future__ import annotations
 
 
 class RebalanceError(ValueError):
-    """Base class for all domain errors raised by this package."""
-
-
-class EmptyUniverseError(RebalanceError):
-    """No constituents were supplied."""
-
-
-class ZeroAggregateError(RebalanceError):
-    """All inputs are zero, so there is nothing to normalize over."""
-
-
-class NegativeMarketCapError(RebalanceError):
-    """A constituent carries a negative market capitalization."""
-
-
-class NegativeEntryError(RebalanceError):
-    """A raw weight input is negative."""
-
-
-class DuplicateIdentifierError(RebalanceError):
-    """The same identifier appears more than once in a universe."""
-
-
-class AllWeightsZeroError(RebalanceError):
-    """A transform was handed weights with no positive entry."""
-
-
-class DegenerateComplementError(RebalanceError):
-    """Every positive weight exceeds the cap threshold, leaving no
-    complement to absorb the redistributed mass."""
-
-
-class KExceedsNError(RebalanceError):
-    """A top-k statistic was requested with k larger than the universe."""
+    """Bad input, or a request the input cannot meet; the message says
+    which row, value or rule is at fault. The CLI exits with status 2."""
 
 
 class InfeasibleError(RebalanceError):
-    """The concentration bound lies below the equal-weight floor."""
-
-
-class NonConvergenceError(RebalanceError):
-    """The solver hit its iteration cap; indicates a contract violation,
-    not a retryable state."""
-
-
-class IdentifierMismatchError(RebalanceError):
-    """Two weight vectors do not cover the same identifier set."""
-
-
-class MalformedHeaderError(RebalanceError):
-    """An input file header matches none of the accepted schemas."""
-
-
-class MalformedRowError(RebalanceError):
-    """An input file row cannot be parsed; the message names the row."""
-
-
-class NonFiniteNumberError(RebalanceError):
-    """A numeric field parsed to NaN or infinity."""
-
-
-class WeightSumError(RebalanceError):
-    """An external weight file sums too far from one to renormalize safely."""
+    """The concentration bound lies below the equal-weight floor. The CLI
+    exits with status 3."""

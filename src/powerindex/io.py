@@ -8,18 +8,19 @@ and rows). All file-bound numbers are rendered at full precision so
 reports round-trip exactly; rounding to 6 significant digits is a
 console concern only.
 
-Input files are read as columns. The text is split into fields in
-blocks of rows, at newlines and commas, or by ``csv.reader`` from the
-first block that holds a quote, a carriage return or a NUL; either way
-the fields are those ``csv.reader`` gives. Blank rows and ``#`` comment
-rows are dropped, each column is checked as a whole (field counts,
-nonempty and unique ids, numbers as ``float()`` reads them, finite and
-signed as the column needs) and kept as an array. A JSON report's rows
-get the same checks on the columns pulled out of them. The column checks
-say only that some row fails. Every message comes from the row checks
-(``_id_rows``, ``_parse_number``), which then run over the rows in file
-order and raise the error of the first row that fails, named by its
-1-based row in the file, or in the JSON ``rows`` list.
+Input files are read as columns, from one split of the text into fields:
+in blocks of rows, at newlines and commas, or by ``csv.reader`` from the
+first block that holds a quote, a carriage return or a NUL, so that the
+fields are always those ``csv.reader`` gives. Blank and ``#`` comment
+rows are dropped, each block's columns are checked as a whole (field
+counts, nonempty ids, numbers as ``float()`` reads them, finite and
+signed as the column needs), and the ids are checked for repeats at the
+end. A JSON report's rows get the same checks on the columns pulled out
+of them. The column checks say only that some row fails. The row checks
+(``_explain``, ``_parse_number``) hold every message: they run over the
+rows of the block that failed, against the ids before it, and raise the
+error of the first row that fails, named by its 1-based row in the file,
+or in the JSON ``rows`` list.
 """
 
 from __future__ import annotations
@@ -28,23 +29,16 @@ import csv
 import io
 import json
 import math
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Any, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .diagnostics import DiagnosticsReport
-from .errors import (
-    DuplicateIdentifierError,
-    MalformedHeaderError,
-    MalformedRowError,
-    NonFiniteNumberError,
-    RebalanceError,
-    WeightSumError,
-)
+from .errors import RebalanceError
 from .weights import Universe, WeightVector, normalize
 
 SCHEMA_VERSION = 1
@@ -60,6 +54,11 @@ UNIVERSE_HEADERS: dict[tuple[str, ...], tuple[_Number, ...]] = {
 }
 REPORT_HEADER = ("id", "weight_before", "weight_after", "delta")
 BARE_WEIGHT_HEADER = ("id", "weight")
+# Each weight-file header, with its weight field.
+WEIGHT_HEADERS: dict[tuple[str, ...], tuple[_Number, ...]] = {
+    BARE_WEIGHT_HEADER: ((1, "weight", False),),
+    REPORT_HEADER: ((2, "weight", False),),
+}
 
 # External weight files may carry rounded values; renormalize while the
 # sum is within this window of 1, reject beyond it.
@@ -70,6 +69,11 @@ RENORMALIZE_WINDOW = 1e-3
 # held at once.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 12
+
+# A block of rows: the 1-based file row of its first row, the fields of
+# its rows in one list, the number of fields in each row, and whether a
+# row may be a comment.
+_Block = tuple[int, list[str], np.ndarray, bool]
 
 
 def _read_text(source: str | Path | IO[str]) -> str:
@@ -89,34 +93,6 @@ def _read_text(source: str | Path | IO[str]) -> str:
     return text
 
 
-def _header(row: Sequence[str] | None) -> tuple[str, ...]:
-    """The cells of a header row, without case, spaces or a byte-order mark."""
-    if row is None:
-        raise MalformedHeaderError("input is empty; expected a header row")
-    return tuple(c.strip().lstrip("\ufeff").lower() for c in row)
-
-
-def _universe_numbers(header: tuple[str, ...]) -> tuple[_Number, ...]:
-    numbers = UNIVERSE_HEADERS.get(header)
-    if numbers is None:
-        raise MalformedHeaderError(
-            f"unrecognized header {','.join(header)!r}; expected "
-            "'id,market_cap' or 'id,price,shares'"
-        )
-    return numbers
-
-
-def _weight_numbers(header: tuple[str, ...]) -> tuple[_Number, ...]:
-    if header == REPORT_HEADER:
-        return ((2, "weight", False),)
-    if header == BARE_WEIGHT_HEADER:
-        return ((1, "weight", False),)
-    raise MalformedHeaderError(
-        f"unrecognized weight-file header {','.join(header)!r}; expected "
-        "'id,weight' or 'id,weight_before,weight_after,delta'"
-    )
-
-
 # -- The row checks: one row at a time, in file order. They hold every
 # -- message, and run only to explain a failed column check.
 
@@ -128,160 +104,145 @@ def _parse_number(field: Any, where: str, column: str, positive: bool = False) -
     except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or isinstance(field, bool):
-        raise MalformedRowError(f"{where}: {column} value {field!r} is not a number")
+        raise RebalanceError(f"{where}: {column} value {field!r} is not a number")
     if not math.isfinite(value):
-        raise NonFiniteNumberError(
-            f"{where}: {column} value {field!r} is not finite"
-        )
+        raise RebalanceError(f"{where}: {column} value {field!r} is not finite")
     if value < 0.0 or (positive and value == 0.0):
         need = "positive" if positive else "nonnegative"
-        raise MalformedRowError(f"{where}: {column} must be {need}, got {value!r}")
+        raise RebalanceError(f"{where}: {column} must be {need}, got {value!r}")
     return value
-
-
-def _is_skipped(row: Sequence[str]) -> bool:
-    """A blank row, or a comment row: its first field starts with ``#``."""
-    return not "".join(row).strip() or row[0].lstrip().startswith("#")
-
-
-def _data_rows(reader: Iterator[list[str]]) -> Iterator[tuple[str, list[str]]]:
-    """Non-blank, non-comment rows, each named by its 1-based file row."""
-    for row_num, row in enumerate(reader, start=1):
-        if not _is_skipped(row):
-            yield f"row {row_num}", row
-
-
-def _id_rows(
-    rows: Iterable[tuple[str, Sequence[Any]]], width: int
-) -> Iterator[tuple[str, str, Sequence[Any]]]:
-    """Check that each row has ``width`` fields and leads with a nonempty
-    identifier not seen before; yield its name, identifier and fields."""
-    seen: set[str] = set()
-    for where, row in rows:
-        if len(row) != width:
-            raise MalformedRowError(
-                f"{where}: expected {width} fields, got {len(row)}"
-            )
-        ident = row[0].strip()
-        if not ident:
-            raise MalformedRowError(f"{where}: empty identifier")
-        if ident in seen:
-            raise DuplicateIdentifierError(
-                f"{where}: duplicate identifier {ident!r}"
-            )
-        seen.add(ident)
-        yield where, ident, row
 
 
 def _explain(
     rows: Iterable[tuple[str, Sequence[Any]]],
     width: int,
     numbers: tuple[_Number, ...],
+    seen: set[str],
 ) -> NoReturn:
     """Run the row checks in file order and raise the error of the first
-    row that fails, for input whose column checks failed."""
-    for where, _, row in _id_rows(rows, width):
+    row that fails, for rows whose column checks failed. Each row must
+    have ``width`` fields and lead with a nonempty identifier that is not
+    in ``seen``, the identifiers of the rows before them."""
+    for where, row in rows:
+        if len(row) != width:
+            raise RebalanceError(f"{where}: expected {width} fields, got {len(row)}")
+        ident = row[0].strip()
+        if not ident:
+            raise RebalanceError(f"{where}: empty identifier")
+        if ident in seen:
+            raise RebalanceError(f"{where}: duplicate identifier {ident!r}")
+        seen.add(ident)
         values = [
             _parse_number(row[col], where, name, positive)
             for col, name, positive in numbers
         ]
         # Two numbers are a price and a share count.
         if len(values) == 2 and not math.isfinite(values[0] * values[1]):
-            raise NonFiniteNumberError(
+            raise RebalanceError(
                 f"{where}: market cap {values[0]!r} * {values[1]!r} is not finite"
             )
     raise AssertionError("a column check failed on rows that pass the row checks")
 
 
-def _explain_csv(
-    text: str, numbers_for: Callable[[tuple[str, ...]], tuple[_Number, ...]]
-) -> NoReturn:
-    """``_explain`` over the rows of a CSV text, as ``csv.reader`` splits them."""
-    rows = _data_rows(csv.reader(io.StringIO(text)))
-    header = _header(next(rows, (None, None))[1])
-    _explain(rows, len(header), numbers_for(header))
+def _block_rows(block: _Block) -> Iterator[tuple[int, list[str]]]:
+    """The file row and the fields of each row of ``block`` that is not
+    blank or a comment, whose first field starts with ``#``."""
+    row, fields, counts, _ = block
+    start = 0
+    for num, count in enumerate(counts.tolist(), start=row):
+        cells = fields[start:start + count]
+        start += count
+        if "".join(cells).strip() and not cells[0].lstrip().startswith("#"):
+            yield num, cells
 
 
-# -- The column checks: every row at once, without a message.
+# -- The column checks: a block of rows at once, without a message.
 
 
 class _ColumnCheckFailed(Exception):
     """Some row fails a check; ``_explain`` says which and why."""
 
 
-def _blocks(text: str) -> Iterator[tuple[list[str], np.ndarray, bool]]:
+def _blocks(text: str) -> Iterator[_Block]:
     """The rows of a CSV text in blocks of a few thousand, so that a large
-    file is never held as fields all at once. Each block is the fields of
-    its rows in one list, the number of fields in each row, and whether a
-    row may be a comment.
+    file is never held as fields all at once.
 
     Text is split at newlines and commas, up to the first block holding a
-    quote, a carriage return or a NUL; ``csv.reader`` splits the rest.
-    Splitting needs no copy of the text at four bytes a character, as a
-    ``StringIO`` for ``csv.reader`` does: at n=50,000, leaving all text to
+    quote, a carriage return, a NUL or a field longer than
+    ``csv.field_size_limit()``; ``csv.reader`` splits the rest. Splitting
+    needs no copy of the text at four bytes a character, as a ``StringIO``
+    for ``csv.reader`` does: at n=50,000, leaving all text to
     ``csv.reader`` made a CLI ``solve`` peak 4.5 MB higher and take about
     a sixth longer on a 2-vCPU Xeon.
     """
     limit = csv.field_size_limit()
-    pos = 0
+    pos, row = 0, 1
     while pos < len(text):
         end = text.find("\n", pos + _BLOCK_CHARS)
         if end < 0:
-            end = len(text)
+            # The last newline ends the last row, as in csv.reader, and
+            # starts no blank one.
+            end = len(text) - text.endswith("\n")
         chunk = text[pos:end]
-        if '"' in chunk or "\r" in chunk or "\0" in chunk:
-            yield from _reader_blocks(text[pos:])
+        fields = chunk.replace("\n", ",").split(",")
+        if (
+            '"' in chunk or "\r" in chunk or "\0" in chunk
+            or len(chunk) > limit and max(map(len, fields)) > limit
+        ):
+            yield from _reader_blocks(text[pos:], row)
             return
         pos = end + 1
-        fields = chunk.replace("\n", ",").split(",")
-        if len(chunk) > limit and max(map(len, fields)) > limit:
-            raise _ColumnCheckFailed  # csv.reader refuses so long a field
         # Field k of the block is followed by separator k: a newline ends
         # its row. Neither separator is a byte of a longer UTF-8 sequence.
         raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
         separators = raw[(raw == 10) | (raw == 44)]
         ends = np.flatnonzero(separators == 10)
         counts = np.diff(ends, prepend=-1, append=len(separators))
-        yield fields, counts, "#" in chunk
+        yield row, fields, counts, "#" in chunk
+        row += len(counts)
 
 
-def _reader_blocks(text: str) -> Iterator[tuple[list[str], np.ndarray, bool]]:
-    """``_blocks`` of ``text`` as ``csv.reader`` splits it."""
-    reader = csv.reader(io.StringIO(text))
+def _reader_blocks(rest: str, row: int) -> Iterator[_Block]:
+    """``_blocks`` of ``rest``, whose first row is file row ``row``, as
+    ``csv.reader`` splits it. At a row that ``csv.reader`` refuses, the
+    rows before it make the last block, and the error is raised when the
+    next block is asked for."""
+
+    def block(rows: list[list[str]]) -> _Block:
+        counts = np.fromiter(map(len, rows), np.intp, len(rows))
+        return row, list(chain.from_iterable(rows)), counts, True
+
+    rows: list[list[str]] = []
     try:
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            counts = np.fromiter(map(len, rows), np.intp, len(rows))
-            yield list(chain.from_iterable(rows)), counts, True
-    except csv.Error:
-        raise _ColumnCheckFailed from None
+        for cells in csv.reader(io.StringIO(rest)):
+            rows.append(cells)
+            if len(rows) == _BLOCK_ROWS:
+                yield block(rows)
+                row, rows = row + len(rows), []
+    except csv.Error as exc:
+        yield block(rows)
+        # The other error, a carriage return inside an unquoted field,
+        # needs text that was not read with newline translation.
+        if str(exc).startswith("field larger"):
+            limit = csv.field_size_limit()
+            raise RebalanceError(
+                f"row {row + len(rows)}: field longer than {limit} characters"
+            ) from None
+        raise
+    yield block(rows)
 
 
-def _split_header(
-    blocks: Iterator[tuple[list[str], np.ndarray, bool]],
-) -> tuple[list[str] | None, Iterator[tuple[list[str], np.ndarray, bool]]]:
-    """The first row that is not blank or a comment, and the blocks of
-    the rows after it."""
-    for fields, counts, comments in blocks:
-        start = 0
-        for i, count in enumerate(counts.tolist()):
-            row = fields[start:start + count]
-            start += count
-            if not _is_skipped(row):
-                rest = (fields[start:], counts[i + 1:], comments)
-                return row, chain([rest], blocks)
-    return None, blocks
-
-
-def _drop_skipped(
-    fields: list[str], counts: np.ndarray, suspect: np.ndarray
-) -> list[str]:
-    """``fields`` without the rows marked ``suspect``, each of which must
-    be blank or a comment."""
-    starts = (np.cumsum(counts) - counts).tolist()
-    for i in np.flatnonzero(suspect).tolist():
-        if not _is_skipped(fields[starts[i]:starts[i] + int(counts[i])]):
-            raise _ColumnCheckFailed
-    return list(compress(fields, np.repeat(~suspect, counts).tolist()))
+def _split_header(blocks: Iterator[_Block]) -> tuple[tuple[str, ...], Iterator[_Block]]:
+    """The cells of the first row that is not blank or a comment, without
+    case, spaces or a byte-order mark, and the blocks of the rows after it."""
+    for block in blocks:
+        row, fields, counts, comments = block
+        for num, cells in _block_rows(block):
+            done = num - row + 1
+            rest = (num + 1, fields[int(counts[:done].sum()):], counts[done:], comments)
+            header = tuple(c.strip().lstrip("\ufeff").lower() for c in cells)
+            return header, chain([rest], blocks)
+    raise RebalanceError("input is empty; expected a header row")
 
 
 def _numbers(fields: Sequence[Any], positive: bool) -> np.ndarray:
@@ -297,40 +258,88 @@ def _numbers(fields: Sequence[Any], positive: bool) -> np.ndarray:
     return values
 
 
-def _has_repeats(ids: list[str]) -> bool:
-    """Whether two ids are equal. Distinct sorted hashes rule it out; only
-    a repeated hash builds the set that tells a repeat from a collision.
-    On 1e6 ids, building that set every time raised parse_universe's peak
-    memory from 151 MB to 197 MB."""
+def _repeat_at(ids: list[str]) -> int | None:
+    """The position of the first id that repeats one before it, or None.
+    Only ids whose hash another id has can repeat, and sorted hashes find
+    them without a set of every id: on 1e6 ids, building that set every
+    time raised parse_universe's peak memory from 151 MB to 197 MB."""
     hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
     hashes.sort()
-    return bool((hashes[1:] == hashes[:-1]).any()) and len(set(ids)) != len(ids)
+    shared = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    seen: set[str] = set()
+    for i, ident in enumerate(ids if shared else ()):
+        if hash(ident) in shared:
+            if ident in seen:
+                return i
+            seen.add(ident)
+    return None
+
+
+def _block_columns(
+    block: _Block, width: int, numbers: tuple[_Number, ...]
+) -> tuple[list[str], Sequence[int], list[np.ndarray]]:
+    """The identifiers, their file rows and the checked numeric columns
+    of the rows of a block that are not blank or a comment."""
+    row, fields, counts, comments = block
+    rows: Sequence[int] = range(row, row + len(counts))
+    first = list(map(str.strip, fields[0::width]))
+    hashed = comments and any(map(str.startswith, first, repeat("#")))
+    if not (counts == width).all() or not all(first) or hashed:
+        # A row may be blank or a comment: keep the others, row by row.
+        kept = list(_block_rows(block))
+        rows = [num for num, _ in kept]
+        fields = list(chain.from_iterable(cells for _, cells in kept))
+        first = list(map(str.strip, fields[0::width]))
+        if any(len(cells) != width for _, cells in kept) or not all(first):
+            raise _ColumnCheckFailed
+    columns = [_numbers(fields[col::width], positive) for col, _, positive in numbers]
+    # Two numbers are a price and a share count.
+    with np.errstate(over="ignore"):
+        if len(columns) == 2 and not np.isfinite(columns[0] * columns[1]).all():
+            raise _ColumnCheckFailed
+    return first, rows, columns
 
 
 def _csv_columns(
-    text: str, numbers_for: Callable[[tuple[str, ...]], tuple[_Number, ...]]
+    text: str, headers: dict[tuple[str, ...], tuple[_Number, ...]], what: str
 ) -> tuple[list[str], list[np.ndarray]]:
-    """The identifiers and the checked numeric columns of a CSV text."""
-    row, blocks = _split_header(_blocks(text))
-    header = _header(row)
-    numbers = numbers_for(header)
-    width = len(header)
+    """The identifiers and the checked numeric columns of a CSV text whose
+    header is one of ``headers``, called ``what`` in messages."""
     ids: list[str] = []
-    parts: list[list[np.ndarray]] = [[] for _ in numbers]
-    for fields, counts, comments in blocks:
-        if not (counts == width).all():
-            fields = _drop_skipped(fields, counts, counts != width)
-        first = list(map(str.strip, fields[0::width]))
-        hashed = comments and any(map(str.startswith, first, repeat("#")))
-        if not all(first) or hashed:
-            suspect = np.array([not f or f[0] == "#" for f in first], dtype=bool)
-            fields = _drop_skipped(fields, np.full(len(first), width), suspect)
-            first = list(map(str.strip, fields[0::width]))
-        ids.extend(first)
-        for (col, _, positive), part in zip(numbers, parts):
-            part.append(_numbers(fields[col::width], positive))
-    if _has_repeats(ids):
-        raise _ColumnCheckFailed
+    rows: list[Sequence[int]] = []  # the file rows of each block's ids
+    error: Exception | None = None
+    try:
+        header, blocks = _split_header(_blocks(text))
+        numbers = headers.get(header)
+        if numbers is None:
+            expected = " or ".join(repr(",".join(h)) for h in headers)
+            raise RebalanceError(
+                f"unrecognized {what} {','.join(header)!r}; expected {expected}"
+            )
+        parts: list[list[np.ndarray]] = [[] for _ in numbers]
+        for block in blocks:
+            try:
+                first, block_rows, columns = _block_columns(block, len(header), numbers)
+            except _ColumnCheckFailed:
+                named = [(f"row {num}", cells) for num, cells in _block_rows(block)]
+                # Of the earlier ids, only those that this block's rows repeat:
+                # a set of them all held 2 MB at n=50,000.
+                seen = {cells[0].strip() for _, cells in named}.intersection(ids)
+                _explain(named, len(header), numbers, seen)
+            rows.append(block_rows)
+            ids.extend(first)
+            for part, column in zip(parts, columns):
+                part.append(column)
+    except (RebalanceError, csv.Error) as exc:
+        error = exc
+    # Every row before one that failed has passed all but the check for
+    # repeats, and a repeat among them comes first.
+    i = _repeat_at(ids)
+    if i is not None:
+        where = f"row {next(islice(chain.from_iterable(rows), i, None))}"
+        _explain([(where, [ids[i]])], 1, (), {ids[i]})
+    if error is not None:
+        raise error
     return ids, [np.concatenate(part) if part else np.empty(0) for part in parts]
 
 
@@ -339,19 +348,11 @@ def parse_universe(source: str | Path | IO[str]) -> Universe:
     declares. Market caps are computed from price and shares when the
     file carries those instead. The rows fill columns, returned as a
     ``Universe`` that builds each ``Constituent`` only when it is read."""
-    text = _read_text(source)
-    try:
-        ids, columns = _csv_columns(text, _universe_numbers)
-        if len(columns) == 1:
-            return Universe._checked(tuple(ids), columns[0])
-        prices, shares = columns
-        with np.errstate(over="ignore"):
-            caps = prices * shares
-        if np.isfinite(caps).all():
-            return Universe._checked(tuple(ids), caps, prices, shares)
-    except _ColumnCheckFailed:
-        pass
-    _explain_csv(text, _universe_numbers)
+    ids, columns = _csv_columns(_read_text(source), UNIVERSE_HEADERS, "header")
+    if len(columns) == 1:
+        return Universe._checked(tuple(ids), columns[0])
+    prices, shares = columns
+    return Universe._checked(tuple(ids), prices * shares, prices, shares)
 
 
 def _fmt(value: Any) -> str:
@@ -493,9 +494,9 @@ def _report_json_rows(rows: list[Any]) -> Iterator[tuple[str, list[Any]]]:
     """The (id, weight_after) pair of each row of a JSON report."""
     for pos, row in enumerate(rows, start=1):
         if not (isinstance(row, dict) and isinstance(row.get("id"), str)):
-            raise MalformedRowError(f"report row {pos}: expected a string 'id' field")
+            raise RebalanceError(f"report row {pos}: expected a string 'id' field")
         if "weight_after" not in row:
-            raise MalformedRowError(
+            raise RebalanceError(
                 f"report row {pos}: expected a 'weight_after' field"
             )
         yield f"report row {pos}", [row["id"], row["weight_after"]]
@@ -508,7 +509,7 @@ def _json_columns(rows: list[Any]) -> tuple[list[str], np.ndarray]:
         weights = list(map(itemgetter("weight_after"), rows))
     except (KeyError, TypeError):  # not a dict, a key missing, an id not a string
         raise _ColumnCheckFailed from None
-    if not all(ids) or _has_repeats(ids) or bool in set(map(type, weights)):
+    if not all(ids) or _repeat_at(ids) is not None or bool in set(map(type, weights)):
         raise _ColumnCheckFailed
     return ids, _numbers(weights, positive=False)
 
@@ -527,24 +528,21 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise MalformedHeaderError(f"not valid report JSON: {exc}") from exc
+            raise RebalanceError(f"not valid report JSON: {exc}") from exc
         rows = payload.get("rows") if isinstance(payload, dict) else None
         if not isinstance(rows, list) or not rows:
-            raise MalformedHeaderError("report JSON carries no rows")
+            raise RebalanceError("report JSON carries no rows")
         try:
             ids, values = _json_columns(rows)
         except _ColumnCheckFailed:
-            _explain(_report_json_rows(rows), 2, ((1, "weight", False),))
+            _explain(_report_json_rows(rows), 2, ((1, "weight", False),), set())
     else:
-        try:
-            ids, (values,) = _csv_columns(text, _weight_numbers)
-        except _ColumnCheckFailed:
-            _explain_csv(text, _weight_numbers)
+        ids, (values,) = _csv_columns(text, WEIGHT_HEADERS, "weight-file header")
     if not ids:
-        raise MalformedHeaderError("weight file carries no rows")
+        raise RebalanceError("weight file carries no rows")
     total = sum(values.tolist())
     if abs(total - 1.0) >= RENORMALIZE_WINDOW:
-        raise WeightSumError(
+        raise RebalanceError(
             f"weights sum to {total!r}; more than {RENORMALIZE_WINDOW} from 1, "
             "refusing to renormalize"
         )

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import AllWeightsZeroError, DegenerateComplementError
+from .errors import RebalanceError
 from .weights import WeightVector
 
 
@@ -113,8 +113,6 @@ def _power_curve(mu: WeightVector, p: float, knot: float) -> WeightVector:
     if below.any():
         slope = float(np.exp((p - 1.0) * np.log(knot)))
         out[below] = slope * w[below]
-    if not (out > 0.0).any():
-        raise AllWeightsZeroError("no positive weight to renormalize over")
     return mu.reweighted(out)
 
 
@@ -159,7 +157,7 @@ def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector
         return mu.reweighted(w)
     s = float(w[capped].sum())
     if not (w[~capped] > 0.0).any() or (1.0 - s) <= 0.0:
-        raise DegenerateComplementError(
+        raise RebalanceError(
             f"weights above threshold sum to {s!r}; no positive complement "
             "is left to absorb the redistributed mass"
         )

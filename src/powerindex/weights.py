@@ -15,13 +15,7 @@ from typing import overload
 
 import numpy as np
 
-from .errors import (
-    DuplicateIdentifierError,
-    EmptyUniverseError,
-    NegativeEntryError,
-    NegativeMarketCapError,
-    ZeroAggregateError,
-)
+from .errors import RebalanceError
 
 SUM_TOL = 1e-12
 
@@ -63,7 +57,7 @@ class Constituent:
         if not np.isfinite(cap):
             raise ValueError(f"{self.identifier}: market_cap must be finite")
         if cap < 0:
-            raise NegativeMarketCapError(
+            raise RebalanceError(
                 f"{self.identifier}: market_cap {cap!r} is negative"
             )
         object.__setattr__(self, "market_cap", cap)
@@ -78,14 +72,14 @@ def _check_unique(identifiers: Sequence[str]) -> None:
         if ident in seen:
             dupes.add(ident)
         seen.add(ident)
-    raise DuplicateIdentifierError(f"duplicate identifiers: {sorted(dupes)}")
+    raise RebalanceError(f"duplicate identifiers: {sorted(dupes)}")
 
 
 def _check_lengths(identifiers: tuple[str, ...], w: np.ndarray) -> None:
     if w.ndim != 1 or len(identifiers) != w.size:
         raise ValueError("identifiers and weights must match in length")
     if w.size == 0:
-        raise EmptyUniverseError("weight vector has no entries")
+        raise RebalanceError("weight vector has no entries")
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -168,10 +162,9 @@ class WeightVector:
 def normalize(raw: Iterable[float] | np.ndarray) -> np.ndarray:
     """Scale nonnegative values so they sum to one.
 
-    Raises ``NegativeEntryError`` on any negative input and
-    ``ZeroAggregateError`` when the total is zero. Values whose sum
-    overflows, such as two of 1e308, are scaled by their maximum first.
-    Idempotent up to floating-point roundoff.
+    Raises ``RebalanceError`` on any negative input and when the total
+    is zero. Values whose sum overflows, such as two of 1e308, are scaled
+    by their maximum first. Idempotent up to floating-point roundoff.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1:
@@ -180,7 +173,7 @@ def normalize(raw: Iterable[float] | np.ndarray) -> np.ndarray:
         raise ValueError("entries must be finite")
     if np.any(arr < 0.0):
         idx = int(np.argmin(arr))
-        raise NegativeEntryError(f"entry {idx} is negative: {arr[idx]!r}")
+        raise RebalanceError(f"entry {idx} is negative: {arr[idx]!r}")
     return scale_to_one(arr)
 
 
@@ -195,7 +188,7 @@ def scale_to_one(arr: np.ndarray) -> np.ndarray:
         arr = arr / arr.max()
         total = float(arr.sum())
     if total <= 0.0:
-        raise ZeroAggregateError("entries sum to zero; nothing to normalize")
+        raise RebalanceError("entries sum to zero; nothing to normalize")
     return arr / total
 
 
@@ -283,7 +276,7 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
     not checked again; all others get the full ``WeightVector`` checks.
     """
     if not universe:
-        raise EmptyUniverseError("universe is empty")
+        raise RebalanceError("universe is empty")
     checked = False
     if isinstance(universe, Universe):
         ids, caps = universe.identifiers, universe.market_caps
@@ -293,11 +286,11 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
         caps = np.array([c.market_cap for c in universe], dtype=float)
     if np.any(caps < 0.0):
         idx = int(np.argmin(caps))
-        raise NegativeMarketCapError(
+        raise RebalanceError(
             f"{ids[idx]}: market_cap {caps[idx]!r} is negative"
         )
     if not np.any(caps > 0.0):
-        raise ZeroAggregateError("all market caps are zero")
+        raise RebalanceError("all market caps are zero")
     if checked:
         return WeightVector._of_unique(ids, normalize(caps))
     return WeightVector(ids, normalize(caps))

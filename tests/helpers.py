@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import re
 
 import numpy as np
 
-from powerindex import (
-    DuplicateIdentifierError,
-    MalformedHeaderError,
-    MalformedRowError,
-    NonFiniteNumberError,
-    WeightSumError,
-    WeightVector,
-    normalize,
-)
+from powerindex import RebalanceError, WeightVector, normalize
+
+
+def whole(message: str) -> str:
+    """A ``pytest.raises`` pattern that matches ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 def make_ids(n: int) -> tuple[str, ...]:
@@ -57,42 +56,61 @@ def _reference_number(field, where, column, positive=False):
     try:
         value = float(field)
     except (TypeError, ValueError, OverflowError):
-        raise MalformedRowError(
+        raise RebalanceError(
             f"{where}: {column} value {field!r} is not a number"
         ) from None
     if not math.isfinite(value):
-        raise NonFiniteNumberError(f"{where}: {column} value {field!r} is not finite")
+        raise RebalanceError(f"{where}: {column} value {field!r} is not finite")
     if value < 0.0 or (positive and value == 0.0):
         need = "positive" if positive else "nonnegative"
-        raise MalformedRowError(f"{where}: {column} must be {need}, got {value!r}")
+        raise RebalanceError(f"{where}: {column} must be {need}, got {value!r}")
     return value
+
+
+def _reference_records(text):
+    """Each (row number, fields) that csv.reader gives; a field longer than
+    its limit is an input error at the row that holds it."""
+    reader = csv.reader(io.StringIO(text))
+    for num in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            if not str(exc).startswith("field larger"):
+                raise
+            limit = csv.field_size_limit()
+            raise RebalanceError(
+                f"row {num}: field longer than {limit} characters"
+            ) from None
+        yield num, row
 
 
 def _reference_rows(text):
     """The header cells and the checked (where, id, fields) data rows."""
     rows = (
         (f"row {num}", row)
-        for num, row in enumerate(csv.reader(io.StringIO(text)), start=1)
+        for num, row in _reference_records(text)
         if "".join(row).strip() and not row[0].lstrip().startswith("#")
     )
     try:
         _, header_row = next(rows)
     except StopIteration:
-        raise MalformedHeaderError("input is empty; expected a header row") from None
+        raise RebalanceError("input is empty; expected a header row") from None
     header = tuple(c.strip().lstrip("\ufeff").lower() for c in header_row)
 
     def checked():
         seen = set()
         for where, row in rows:
             if len(row) != len(header):
-                raise MalformedRowError(
+                raise RebalanceError(
                     f"{where}: expected {len(header)} fields, got {len(row)}"
                 )
             ident = row[0].strip()
             if not ident:
-                raise MalformedRowError(f"{where}: empty identifier")
+                raise RebalanceError(f"{where}: empty identifier")
             if ident in seen:
-                raise DuplicateIdentifierError(
+                raise RebalanceError(
                     f"{where}: duplicate identifier {ident!r}"
                 )
             seen.add(ident)
@@ -106,7 +124,7 @@ def reference_parse_universe(text):
     are None for an ``id,market_cap`` file."""
     header, rows = _reference_rows(text)
     if header not in UNIVERSE_SCHEMAS:
-        raise MalformedHeaderError(
+        raise RebalanceError(
             f"unrecognized header {','.join(header)!r}; expected "
             "'id,market_cap' or 'id,price,shares'"
         )
@@ -119,7 +137,7 @@ def reference_parse_universe(text):
         price = _reference_number(row[1], where, "price", positive=True)
         count = _reference_number(row[2], where, "shares", positive=True)
         if not math.isfinite(price * count):
-            raise NonFiniteNumberError(
+            raise RebalanceError(
                 f"{where}: market cap {price!r} * {count!r} is not finite"
             )
         prices.append(price)
@@ -138,7 +156,7 @@ def reference_read_weight_csv(text):
     elif header == ("id", "weight"):
         col = 1
     else:
-        raise MalformedHeaderError(
+        raise RebalanceError(
             f"unrecognized weight-file header {','.join(header)!r}; expected "
             "'id,weight' or 'id,weight_before,weight_after,delta'"
         )
@@ -147,10 +165,10 @@ def reference_read_weight_csv(text):
         ids.append(ident)
         values.append(_reference_number(row[col], where, "weight"))
     if not ids:
-        raise MalformedHeaderError("weight file carries no rows")
+        raise RebalanceError("weight file carries no rows")
     total = sum(values)
     if abs(total - 1.0) >= 1e-3:
-        raise WeightSumError(
+        raise RebalanceError(
             f"weights sum to {total!r}; more than 0.001 from 1, "
             "refusing to renormalize"
         )

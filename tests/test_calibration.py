@@ -6,14 +6,15 @@ import pytest
 from powerindex import (
     CalibrationTarget,
     InfeasibleError,
-    KExceedsNError,
+    RebalanceError,
+    calibration,
     concentration_statistic,
     power_rebalance,
     solve_exponent,
     top_k_sum,
 )
 
-from helpers import random_simplex, wv
+from helpers import random_simplex, whole, wv
 
 # Closed form for (0.7, 0.3) with a 0.60 max-weight bound:
 # (0.7/0.3)**p = 0.6/0.4.
@@ -67,7 +68,8 @@ class TestConcentrationStatistic:
         assert stat == pytest.approx(0.7, abs=1e-15)
 
     def test_k_exceeds_n(self):
-        with pytest.raises(KExceedsNError):
+        message = "k=3 exceeds the 2 available constituents"
+        with pytest.raises(RebalanceError, match=whole(message)):
             concentration_statistic(
                 wv([0.5, 0.5]), CalibrationTarget("top_k_sum", 0.9, k=3)
             )
@@ -104,6 +106,12 @@ class TestSolveExponent:
         scan = max(feasible)
         result = solve_exponent(mu, target)
         assert abs(result.p_star - scan) <= 2e-5
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(calibration, "MAX_ITERATIONS", 1)
+        message = r"^solver exceeded 1 iterations \(bracket \[0\.3935596636\d*, 1\.0\]\)$"
+        with pytest.raises(RebalanceError, match=message):
+            solve_exponent(wv([0.7, 0.3]), CalibrationTarget("max_weight", 0.60))
 
     def test_infeasible_bound(self):
         with pytest.raises(InfeasibleError):

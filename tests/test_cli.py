@@ -10,6 +10,7 @@ import pytest
 from powerindex import (
     CalibrationTarget,
     CapRule,
+    calibration,
     parse_universe,
     solve_exponent,
     weights_from_market_caps,
@@ -280,6 +281,27 @@ class TestSolveCommand:
         )
         assert proc.returncode == EXIT_INPUT
         assert proc.stderr == f"{universe}: byte 0xe9 at offset 17 is not valid UTF-8\n"
+
+    def test_over_long_field_is_input_error(self, tmp_path):
+        universe = tmp_path / "u.csv"
+        # One character over csv's default field-size limit.
+        universe.write_text(f"id,market_cap\n{'A' * 131_073},70\nBBB,30\n")
+        proc = run_module(
+            "solve", "--input", str(universe), "--target", "max", "--bound", "0.6"
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == "row 2: field longer than 131072 characters\n"
+
+    def test_iteration_cap_is_input_error(self, two_stock_csv, capsys, monkeypatch):
+        monkeypatch.setattr(calibration, "MAX_ITERATIONS", 1)
+        code = run_cli(
+            [
+                "solve", "--input", str(two_stock_csv),
+                "--target", "max", "--bound", "0.60",
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("solver exceeded 1 iterations ")
 
     def test_infeasible_exit_code(self, two_stock_csv, capsys):
         code = run_cli(

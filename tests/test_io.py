@@ -5,19 +5,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powerindex.io as pio
-from helpers import reference_parse_universe, reference_read_weight_csv
+from helpers import reference_parse_universe, reference_read_weight_csv, whole
 from powerindex import (
     Constituent,
-    DuplicateIdentifierError,
-    MalformedHeaderError,
-    MalformedRowError,
-    NonFiniteNumberError,
     PowerRule,
-    WeightSumError,
+    RebalanceError,
     WeightVector,
     diagnostics_report,
     parse_universe,
@@ -75,45 +71,59 @@ class TestParseUniverse:
         assert len(out) == 2
 
     def test_negative_market_cap_names_row(self):
-        with pytest.raises(MalformedRowError, match="row 2"):
+        message = "row 2: market_cap must be nonnegative, got -5.0"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("id,market_cap\nAAA,-5\n"))
 
     def test_non_numeric_field_names_row(self):
-        with pytest.raises(MalformedRowError, match="row 3"):
+        message = "row 3: market_cap value 'abc' is not a number"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("id,market_cap\nAAA,70\nBBB,abc\n"))
-        with pytest.raises(MalformedRowError, match="row 3: shares"):
+        message = "row 3: shares value 'abc' is not a number"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("id,price,shares\nAAA,10,7\nBBB,10,abc\n"))
 
     def test_nonfinite_number(self):
-        with pytest.raises(NonFiniteNumberError, match="row 2"):
+        message = "row 2: market_cap value 'nan' is not finite"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("id,market_cap\nAAA,nan\n"))
-        with pytest.raises(NonFiniteNumberError):
+        message = "row 2: market_cap value 'inf' is not finite"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("id,market_cap\nAAA,inf\n"))
 
     def test_unknown_header(self):
-        with pytest.raises(MalformedHeaderError, match="expected"):
+        message = (
+            "unrecognized header 'ticker,cap'; expected 'id,market_cap' or "
+            "'id,price,shares'"
+        )
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("ticker,cap\nAAA,70\n"))
 
     def test_empty_input(self):
-        with pytest.raises(MalformedHeaderError, match="empty"):
+        message = "input is empty; expected a header row"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO(""))
 
     def test_wrong_field_count(self):
-        with pytest.raises(MalformedRowError, match="row 2"):
+        message = "row 2: expected 2 fields, got 3"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("id,market_cap\nAAA,70,extra\n"))
-        with pytest.raises(MalformedRowError, match="row 3"):
+        message = "row 3: expected 3 fields, got 2"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("id,price,shares\nAAA,10,7\nBBB,10\n"))
 
     def test_duplicate_identifier(self):
-        with pytest.raises(DuplicateIdentifierError, match="AAA"):
+        message = "row 3: duplicate identifier 'AAA'"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("id,market_cap\nAAA,70\nAAA,30\n"))
 
     def test_empty_identifier(self):
-        with pytest.raises(MalformedRowError, match="row 2"):
+        with pytest.raises(RebalanceError, match=whole("row 2: empty identifier")):
             parse_universe(io.StringIO("id,market_cap\n,70\n"))
 
     def test_zero_price_rejected(self):
-        with pytest.raises(MalformedRowError, match="price"):
+        message = "row 2: price must be positive, got 0.0"
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO("id,price,shares\nAAA,0,7\n"))
 
     @pytest.mark.parametrize(
@@ -179,85 +189,72 @@ class TestParseUniverse:
         assert out.market_caps.tolist() == caps
 
     @pytest.mark.parametrize(
-        "text, error, message",
+        "text, message",
         [
             (
                 "id,market_cap\nAAA,inf\n",
-                NonFiniteNumberError,
                 "row 2: market_cap value 'inf' is not finite",
             ),
             (
                 "id,price,shares\nAAA,10,7\nBBB,1e200,1e200\n",
-                NonFiniteNumberError,
                 "row 3: market cap 1e+200 * 1e+200 is not finite",
             ),
             (
                 "id,market_cap\nAAA,70\nBBB,-1\nCCC\n",
-                MalformedRowError,
                 "row 3: market_cap must be nonnegative, got -1.0",
             ),
             (
                 "id,market_cap\nAAA\nBBB,-1\n",
-                MalformedRowError,
                 "row 2: expected 2 fields, got 1",
             ),
             (
                 'id,market_cap\n"A,B",70\nAAA,x\nAAA,1\n',
-                MalformedRowError,
                 "row 3: market_cap value 'x' is not a number",
             ),
             (
                 "id,market_cap\r\nAAA,1\r\nAAA,x\r\n",
-                DuplicateIdentifierError,
                 "row 3: duplicate identifier 'AAA'",
             ),
             (
                 "id,market_cap\n\n# c\nAAA,1\n , 2\nBBB,x\n",
-                MalformedRowError,
                 "row 5: empty identifier",
             ),
             (
                 "id,price,shares\nAAA,0,7\nBBB,1e200,1e200\n",
-                MalformedRowError,
                 "row 2: price must be positive, got 0.0",
             ),
         ],
     )
-    def test_first_bad_row_is_reported(self, text, error, message):
-        with pytest.raises(error) as info:
+    def test_first_bad_row_is_reported(self, text, message):
+        with pytest.raises(RebalanceError, match=whole(message)):
             parse_universe(io.StringIO(text))
-        assert str(info.value) == message
 
     @pytest.mark.parametrize(
-        "text, error, message",
+        "text, message",
         [
             (
                 "id,market_cap\nAAA,1\nBBB,12345678901\n",
-                csv.Error,
-                "field larger than field limit (10)",
+                "row 3: field longer than 10 characters",
             ),
             (
                 "id,market_cap\nBBB,12345678901\nAAA,x\n",
-                csv.Error,
-                "field larger than field limit (10)",
+                "row 2: field longer than 10 characters",
             ),
             (
                 "id,market_cap\nAAA,x\nBBB,12345678901\n",
-                MalformedRowError,
                 "row 2: market_cap value 'x' is not a number",
             ),
         ],
     )
-    def test_over_long_field_is_reported_in_file_order(self, text, error, message):
+    def test_over_long_field_is_reported_in_file_order(self, text, message):
         """A field longer than csv.field_size_limit() fails where csv.reader
         meets it, after any bad row before it."""
         old_limit = csv.field_size_limit(10)
         try:
-            with pytest.raises(error) as info:
+            with pytest.raises(RebalanceError, match=whole(message)):
                 parse_universe(io.StringIO(text))
         finally:
             csv.field_size_limit(old_limit)
-        assert str(info.value) == message
 
 
 class TestReportRendering:
@@ -384,38 +381,50 @@ class TestReadWeightFile:
         assert abs(out.weights.sum() - 1.0) <= 1e-12
 
     def test_large_sum_drift_rejected(self):
-        with pytest.raises(WeightSumError):
+        message = "weights sum to 1.1; more than 0.001 from 1, refusing to renormalize"
+        with pytest.raises(RebalanceError, match=whole(message)):
             read_weight_file(io.StringIO("id,weight\nAAA,0.8\nBBB,0.3\n"))
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(MalformedRowError, match="row 3"):
+        message = "row 3: weight must be nonnegative, got -0.2"
+        with pytest.raises(RebalanceError, match=whole(message)):
             read_weight_file(io.StringIO("id,weight\nAAA,1.2\nBBB,-0.2\n"))
-        with pytest.raises(MalformedRowError, match="report row 2"):
+        message = "report row 2: weight must be nonnegative, got -0.2"
+        with pytest.raises(RebalanceError, match=whole(message)):
             read_weight_file(io.StringIO(json_report("1.2", "-0.2")))
 
     def test_unknown_header_rejected(self):
-        with pytest.raises(MalformedHeaderError):
+        message = (
+            "unrecognized weight-file header 'name,w'; expected 'id,weight' or "
+            "'id,weight_before,weight_after,delta'"
+        )
+        with pytest.raises(RebalanceError, match=whole(message)):
             read_weight_file(io.StringIO("name,w\nAAA,1.0\n"))
 
     def test_duplicate_identifier_rejected(self):
-        with pytest.raises(DuplicateIdentifierError):
+        message = "row 3: duplicate identifier 'AAA'"
+        with pytest.raises(RebalanceError, match=whole(message)):
             read_weight_file(io.StringIO("id,weight\nAAA,0.5\nAAA,0.5\n"))
-        with pytest.raises(DuplicateIdentifierError, match="report row 2"):
+        message = "report row 2: duplicate identifier 'AAA'"
+        with pytest.raises(RebalanceError, match=whole(message)):
             read_weight_file(io.StringIO(json_report("0.5", "0.5", second_id="AAA")))
 
     def test_malformed_json_row_names_row(self):
         cases = [
-            (json_report("1.0", "NaN"), NonFiniteNumberError),
-            (json_report("1.0", '"abc"'), MalformedRowError),
-            (json_report("1.0", "[1]"), MalformedRowError),
-            (json_report("1.0", "null"), MalformedRowError),
-            (json_report("1.0", "0.0", second_id=""), MalformedRowError),
-            (json_report("1.0", "0.0", second_id=None), MalformedRowError),
-            (json_report("1.0", "true"), MalformedRowError),
-            (json_report("1.0", "false"), MalformedRowError),
+            (json_report("1.0", "NaN"), "weight value nan is not finite"),
+            (json_report("1.0", '"abc"'), "weight value 'abc' is not a number"),
+            (json_report("1.0", "[1]"), "weight value [1] is not a number"),
+            (json_report("1.0", "null"), "weight value None is not a number"),
+            (json_report("1.0", "0.0", second_id=""), "empty identifier"),
+            (
+                json_report("1.0", "0.0", second_id=None),
+                "expected a string 'id' field",
+            ),
+            (json_report("1.0", "true"), "weight value True is not a number"),
+            (json_report("1.0", "false"), "weight value False is not a number"),
         ]
-        for text, error in cases:
-            with pytest.raises(error, match="report row 2"):
+        for text, message in cases:
+            with pytest.raises(RebalanceError, match=whole(f"report row 2: {message}")):
                 read_weight_file(io.StringIO(text))
 
     @pytest.mark.parametrize(
@@ -437,29 +446,25 @@ class TestReadWeightFile:
         assert out.weights.tolist() == pytest.approx(weights, abs=1e-15)
 
     @pytest.mark.parametrize(
-        "text, error, message",
+        "text, message",
         [
             (
                 "id,weight\nAAA,inf\n",
-                NonFiniteNumberError,
                 "row 2: weight value 'inf' is not finite",
             ),
             (
                 "id,weight\nAAA,0.5\nBBB,-1\nBBB\n",
-                MalformedRowError,
                 "row 3: weight must be nonnegative, got -1.0",
             ),
             (
                 'id,weight\n"A,B",0.5\n,0.5\nAAA,x\n',
-                MalformedRowError,
                 "row 3: empty identifier",
             ),
         ],
     )
-    def test_first_bad_row_is_reported(self, text, error, message):
-        with pytest.raises(error) as info:
+    def test_first_bad_row_is_reported(self, text, message):
+        with pytest.raises(RebalanceError, match=whole(message)):
             read_weight_file(io.StringIO(text))
-        assert str(info.value) == message
 
     def test_comment_lines_skipped(self):
         out = read_weight_file(
@@ -468,11 +473,14 @@ class TestReadWeightFile:
         assert out.identifiers == ("AAA",)
 
     def test_bad_json_rejected(self):
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(json.JSONDecodeError) as bad:
+            json.loads("{...not json")
+        message = f"not valid report JSON: {bad.value}"
+        with pytest.raises(RebalanceError, match=whole(message)):
             read_weight_file(io.StringIO("{...not json"))
 
     def test_json_without_rows_rejected(self):
-        with pytest.raises(MalformedHeaderError, match="rows"):
+        with pytest.raises(RebalanceError, match=whole("report JSON carries no rows")):
             read_weight_file(io.StringIO('{"schema_version": 1}'))
 
 
@@ -532,6 +540,8 @@ def reference_weight_columns(text):
 
 
 @settings(max_examples=400, deadline=None)
+# A repeat after a block that holds only a comment row.
+@example("id,market_cap", "\n", "AAA,1\n# c\nAAA,2", 1, 1, csv.field_size_limit())
 @given(
     header=st.sampled_from(HEADERS),
     line_end=st.sampled_from(["\n", "\r\n", "\r"]),

@@ -3,7 +3,7 @@ import pytest
 
 from powerindex import (
     CapRule,
-    DegenerateComplementError,
+    RebalanceError,
     LinearizedPowerRule,
     PowerRule,
     apply_rule,
@@ -13,7 +13,7 @@ from powerindex import (
     top_k_sum,
 )
 
-from helpers import random_simplex, wv
+from helpers import random_simplex, whole, wv
 
 # Frozen from an independent script: sqrt/pow entrywise, divide by the sum.
 TWO_STOCK_HALF = (0.60435607626104, 0.39564392373895996)
@@ -28,6 +28,10 @@ LIN_EXAMPLE = (
 # 0.40/0.046 and 0.60/0.954 for instance 2.
 CAP1_MU = [0.20, 0.19, 0.18, 0.05] + [0.038] * 10
 CAP2_MU = [0.046] + [0.018] * 53
+DEGENERATE = (
+    "weights above threshold sum to 1.0; no positive complement is left to "
+    "absorb the redistributed mass"
+)
 
 
 def no_strict_inversions(mu: np.ndarray, eta: np.ndarray) -> bool:
@@ -236,11 +240,11 @@ class TestCapRebalance:
         np.testing.assert_allclose(eta.weights, [0.3, 0.3, 0.4], rtol=0, atol=1e-12)
 
     def test_degenerate_complement(self):
-        with pytest.raises(DegenerateComplementError):
+        with pytest.raises(RebalanceError, match=whole(DEGENERATE)):
             cap_rebalance(wv([0.5, 0.5]), CapRule())
 
     def test_degenerate_complement_with_zero_tail(self):
-        with pytest.raises(DegenerateComplementError):
+        with pytest.raises(RebalanceError, match=whole(DEGENERATE)):
             cap_rebalance(wv([0.5, 0.5, 0.0]), CapRule())
 
     def test_default_rule_values(self):
@@ -262,7 +266,7 @@ class TestCapRebalance:
             mu = wv(random_simplex(rng, int(rng.integers(5, 80))))
             try:
                 eta = cap_rebalance(mu, CapRule())
-            except DegenerateComplementError:
+            except RebalanceError:
                 continue
             assert abs(eta.weights.sum() - 1.0) <= 1e-12
 
