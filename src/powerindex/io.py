@@ -2,25 +2,27 @@
 
 Constituent universes arrive as CSV with one of two headers:
 ``id,market_cap`` or ``id,price,shares``. Rebalance reports are written
-as CSV (``# key=value`` summary comments, then one row per constituent)
-or JSON (a single object with schema_version, method, params, summary
-and rows). All file-bound numbers are rendered at full precision so
-reports round-trip exactly; rounding to 6 significant digits is a
-console concern only.
+from the payload's columns, a block of rows at a time, as CSV
+(``# key=value`` summary comments, then one row per constituent) or JSON
+(a single object with schema_version, method, params, summary and rows).
+All file-bound numbers are rendered at full precision so reports
+round-trip exactly; rounding to 6 significant digits is a console
+concern only.
 
-Input files are read as columns, from one split of the text into fields:
-in blocks of rows, at newlines and commas, or by ``csv.reader`` from the
-first block that holds a quote, a carriage return or a NUL, so that the
-fields are always those ``csv.reader`` gives. Blank and ``#`` comment
-rows are dropped, each block's columns are checked as a whole (field
-counts, nonempty ids, numbers as ``float()`` reads them, finite and
-signed as the column needs), and the ids are checked for repeats at the
-end. A JSON report's rows get the same checks on the columns pulled out
-of them. The column checks say only that some row fails. The row checks
-(``_explain``, ``_parse_number``) hold every message: they run over the
-rows of the block that failed, against the ids before it, and raise the
-error of the first row that fails, named by its 1-based row in the file,
-or in the JSON ``rows`` list.
+Input files are read as columns, from one split of the text into fields,
+with line ends read as text mode reads them, from a path or a stream: in
+blocks of rows, at newlines and commas, or by ``csv.reader`` from the
+first block that holds a quote or a NUL, so that the fields are always
+those ``csv.reader`` gives. Blank and ``#`` comment rows are dropped,
+each block's columns are checked as a whole (field counts, nonempty ids,
+numbers as ``float()`` reads them, finite and signed as the column
+needs), and the ids are checked for repeats at the end. A JSON report's
+rows get the same checks on the columns pulled out of them. The column
+checks say only that some row fails. The row checks (``_explain``,
+``_parse_number``) hold every message: they run over the rows of the
+block that failed, against the ids before it, and raise the error of the
+first row that fails, named by its 1-based row in the file, or in the
+JSON ``rows`` list.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ WEIGHT_HEADERS: dict[tuple[str, ...], tuple[_Number, ...]] = {
 # sum is within this window of 1, reject beyond it.
 RENORMALIZE_WINDOW = 1e-3
 
-# Rows are split in blocks of about this many characters (or rows, where
-# csv.reader splits them), so that a large file's fields are never all
-# held at once.
+# Files are read in blocks of about this many characters (or rows, where
+# csv.reader splits them), and reports written in blocks of this many rows,
+# so that a large file's fields or a report's rows are never all held.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 12
 
@@ -79,15 +81,16 @@ _Block = tuple[int, list[str], np.ndarray, bool]
 def _read_text(source: str | Path | IO[str]) -> str:
     """The text of ``source``, with line ends read as text mode reads them."""
     if hasattr(source, "read"):
-        return source.read()
-    data = Path(source).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise RebalanceError(
-            f"{source}: byte {data[exc.start]:#04x} at offset {exc.start} "
-            "is not valid UTF-8"
-        ) from None
+        text = source.read()
+    else:
+        data = Path(source).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RebalanceError(
+                f"{source}: byte {data[exc.start]:#04x} at offset {exc.start} "
+                "is not valid UTF-8"
+            ) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -168,7 +171,7 @@ def _blocks(text: str) -> Iterator[_Block]:
     file is never held as fields all at once.
 
     Text is split at newlines and commas, up to the first block holding a
-    quote, a carriage return, a NUL or a field longer than
+    quote, a NUL or a field longer than
     ``csv.field_size_limit()``; ``csv.reader`` splits the rest. Splitting
     needs no copy of the text at four bytes a character, as a ``StringIO``
     for ``csv.reader`` does: at n=50,000, leaving all text to
@@ -186,7 +189,7 @@ def _blocks(text: str) -> Iterator[_Block]:
         chunk = text[pos:end]
         fields = chunk.replace("\n", ",").split(",")
         if (
-            '"' in chunk or "\r" in chunk or "\0" in chunk
+            '"' in chunk or "\0" in chunk
             or len(chunk) > limit and max(map(len, fields)) > limit
         ):
             yield from _reader_blocks(text[pos:], row)
@@ -219,16 +222,14 @@ def _reader_blocks(rest: str, row: int) -> Iterator[_Block]:
             if len(rows) == _BLOCK_ROWS:
                 yield block(rows)
                 row, rows = row + len(rows), []
-    except csv.Error as exc:
+    except csv.Error:
         yield block(rows)
-        # The other error, a carriage return inside an unquoted field,
-        # needs text that was not read with newline translation.
-        if str(exc).startswith("field larger"):
-            limit = csv.field_size_limit()
-            raise RebalanceError(
-                f"row {row + len(rows)}: field longer than {limit} characters"
-            ) from None
-        raise
+        # The field-size limit is csv's one error here: ``_read_text``
+        # leaves no carriage return to make the other.
+        limit = csv.field_size_limit()
+        raise RebalanceError(
+            f"row {row + len(rows)}: field longer than {limit} characters"
+        ) from None
     yield block(rows)
 
 
@@ -330,7 +331,7 @@ def _csv_columns(
             ids.extend(first)
             for part, column in zip(parts, columns):
                 part.append(column)
-    except (RebalanceError, csv.Error) as exc:
+    except RebalanceError as exc:
         error = exc
     # Every row before one that failed has passed all but the check for
     # repeats, and a repeat among them comes first.
@@ -371,19 +372,14 @@ def report_payload(
     eta: WeightVector,
     report: DiagnosticsReport,
 ) -> dict[str, Any]:
-    """Assemble the serializable report object, stable field order."""
-    before = mu.weights
+    """The report object, stable field order: ``schema_version``, ``method``,
+    ``params``, ``summary``, then the columns ``ids`` and ``before`` of mu,
+    and ``after``, eta's weights aligned to ``ids``."""
     if eta.identifiers == mu.identifiers:
         after = eta.weights
     else:
         position = {ident: i for i, ident in enumerate(eta.identifiers)}
         after = eta.weights[[position[ident] for ident in mu.identifiers]]
-    rows = [
-        {"id": ident, "weight_before": b, "weight_after": a, "delta": d}
-        for ident, b, a, d in zip(
-            mu.identifiers, before.tolist(), after.tolist(), (after - before).tolist()
-        )
-    ]
     summary = {
         "turnover": report.turnover,
         "max_before": report.max_before,
@@ -403,91 +399,75 @@ def report_payload(
         "method": method,
         "params": dict(params),
         "summary": summary,
-        "rows": rows,
+        "ids": mu.identifiers,
+        "before": mu.weights,
+        "after": after,
     }
 
 
-# One row of ``json.dumps(payload, indent=2)``, for the rows that
-# ``report_payload`` builds: a string id and three floats.
+def _report_rows(payload: dict[str, Any]) -> Iterator[Iterable[tuple]]:
+    """The (id, weight_before, weight_after, delta) rows of a report
+    payload, in blocks of ``_BLOCK_ROWS``."""
+    ids, before, after = payload["ids"], payload["before"], payload["after"]
+    for start in range(0, len(ids), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        b, a = before[start:stop], after[start:stop]
+        yield zip(ids[start:stop], b.tolist(), a.tolist(), (a - b).tolist())
+
+
+# One row of a JSON report as ``json.dumps(..., indent=2)`` renders it: an
+# object with the keys of ``REPORT_HEADER``, a string id and three floats.
 _JSON_ROW = (
     '    {\n      "id": %s,\n      "weight_before": %r,\n'
     '      "weight_after": %r,\n      "delta": %r\n    }'
 )
 
 
-def render_report_json(payload: dict[str, Any]) -> str:
-    """``json.dumps(payload, indent=2)`` and a newline, for a payload from
-    ``report_payload``: ``rows`` is its last key, and each row holds the
-    keys of ``REPORT_HEADER`` in that order, a string id and three builtin
-    floats. The rows are rendered from one template, as the stdlib's
-    pure-Python indenting encoder would be slow. Any other payload is
-    refused: with ``ValueError`` if ``rows`` is not last, or a row holds
-    another number of keys or a number that is not a builtin float; with
-    ``KeyError`` if a row lacks a key; with ``TypeError`` if an id is not
-    a string. Key order within a row is not checked."""
-    rows = payload["rows"]
-    numbers = chain.from_iterable(map(itemgetter(*REPORT_HEADER[1:]), rows))
-    if (
-        list(payload)[-1] != "rows"
-        or set(map(len, rows)) - {len(REPORT_HEADER)}
-        or set(map(type, numbers)) - {float}
-    ):
-        raise ValueError(
-            "render_report_json takes a payload shaped as report_payload "
-            "builds it"
+def render_report_json(payload: dict[str, Any], out: IO[str]) -> None:
+    """Write ``payload``, as built by ``report_payload``, to ``out`` as
+    ``json.dumps(..., indent=2)`` and a newline would, its columns as a
+    ``rows`` list of ``REPORT_HEADER`` objects. One template renders the
+    rows, as the stdlib's pure-Python indenting encoder would be slow."""
+    head = {k: v for k, v in payload.items() if k not in ("ids", "before", "after")}
+    out.write(json.dumps({**head, "rows": []}, indent=2).removesuffix("[]\n}") + "[\n")
+    separator = ""
+    for rows in _report_rows(payload):
+        body = ",\n".join(
+            _JSON_ROW % (encode_basestring_ascii(ident), before, after, delta)
+            for ident, before, after, delta in rows
         )
-    head = json.dumps({**payload, "rows": []}, indent=2)
-    body = ",\n".join(
-        _JSON_ROW
-        % (
-            encode_basestring_ascii(row["id"]),
-            row["weight_before"],
-            row["weight_after"],
-            row["delta"],
-        )
-        for row in rows
-    )
-    return head.removesuffix("[]\n}") + "[\n" + body + "\n  ]\n}\n"
+        out.write(separator + body)
+        separator = ",\n"
+    out.write("\n  ]\n}\n")
 
 
-def render_report_csv(payload: dict[str, Any]) -> str:
-    buf = io.StringIO()
-    buf.write(f"# schema_version={payload['schema_version']}\n")
-    buf.write(f"# method={payload['method']}\n")
+def render_report_csv(payload: dict[str, Any], out: IO[str]) -> None:
+    """Write ``payload``, as built by ``report_payload``, to ``out`` as
+    ``# key=value`` comments, then a ``REPORT_HEADER`` table."""
+    out.write(f"# schema_version={payload['schema_version']}\n")
+    out.write(f"# method={payload['method']}\n")
     for key, value in payload["params"].items():
-        buf.write(f"# {key}={_fmt(value)}\n")
-    summary = payload["summary"]
-    for key, value in summary.items():
+        out.write(f"# {key}={_fmt(value)}\n")
+    for key, value in payload["summary"].items():
         if key == "top_k_sums":
             for k, (before, after) in value.items():
-                buf.write(f"# top{k}_before={_fmt(before)}\n")
-                buf.write(f"# top{k}_after={_fmt(after)}\n")
+                out.write(f"# top{k}_before={_fmt(before)}\n")
+                out.write(f"# top{k}_after={_fmt(after)}\n")
         else:
-            buf.write(f"# {key}={_fmt(value)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+            out.write(f"# {key}={_fmt(value)}\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(REPORT_HEADER)
-    for row in payload["rows"]:
-        writer.writerow(
-            [
-                row["id"],
-                _fmt(row["weight_before"]),
-                _fmt(row["weight_after"]),
-                _fmt(row["delta"]),
-            ]
-        )
-    return buf.getvalue()
+    for rows in _report_rows(payload):
+        writer.writerows(rows)
 
 
 def write_report(path: str | Path, payload: dict[str, Any], fmt: str) -> None:
     """Write ``payload``, as built by ``report_payload``, to ``path`` as
-    ``fmt`` (``json`` or ``csv``)."""
-    if fmt == "json":
-        text = render_report_json(payload)
-    elif fmt == "csv":
-        text = render_report_csv(payload)
-    else:
+    ``fmt`` (``json`` or ``csv``), a block of rows at a time."""
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        (render_report_json if fmt == "json" else render_report_csv)(payload, out)
 
 
 def _report_json_rows(rows: list[Any]) -> Iterator[tuple[str, list[Any]]]:

@@ -68,8 +68,10 @@ def _reference_number(field, where, column, positive=False):
 
 
 def _reference_records(text):
-    """Each (row number, fields) that csv.reader gives; a field longer than
-    its limit is an input error at the row that holds it."""
+    """Each (row number, fields) that csv.reader gives, with line ends read
+    as text mode reads them; a field longer than its limit is an input
+    error at the row that holds it."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     reader = csv.reader(io.StringIO(text))
     for num in itertools.count(1):
         try:

@@ -43,6 +43,43 @@ def two_stock_payload():
     return report_payload("power", {"p": 0.5}, mu, eta, report), mu, eta
 
 
+def quoted_id_payload():
+    """A report payload whose ids csv.writer must quote."""
+    mu = WeightVector(("A,B", 'Q"X', "new\nline"), np.array([0.5, 0.3, 0.2]))
+    eta = power_rebalance(mu, PowerRule(0.5))
+    report = diagnostics_report(mu, eta)
+    return report_payload("power", {"p": 0.5}, mu, eta, report), mu, eta
+
+
+# Report block sizes that put seams between the rows of ``seam_payload``.
+BLOCK_ROWS = (1, 3, pio._BLOCK_ROWS)
+
+
+def seam_payload():
+    """A report whose ids hold the characters that the JSON encoder escapes
+    or csv.writer quotes, with enough rows to cross block seams."""
+    ids = (
+        "AAA", 'q"x', "back\\slash", "new\nline", "c\rr", "A,B", "\x00", "é",
+        "\ud800", "😀",
+    )
+    mu = WeightVector(ids, np.arange(1.0, 11.0) / 55.0)
+    eta = power_rebalance(mu, PowerRule(0.37))
+    return report_payload("power", {"p": 0.37}, mu, eta, diagnostics_report(mu, eta))
+
+
+def rendered(render, payload) -> str:
+    """The text that ``render`` writes for ``payload``."""
+    out = io.StringIO()
+    assert render(payload, out) is None
+    return out.getvalue()
+
+
+def payload_rows(payload):
+    """The (id, weight_before, weight_after, delta) rows of a payload."""
+    before, after = payload["before"].tolist(), payload["after"].tolist()
+    return [(ident, b, a, a - b) for ident, b, a in zip(payload["ids"], before, after)]
+
+
 class TestParseUniverse:
     def test_market_cap_schema(self):
         out = parse_universe(io.StringIO("id,market_cap\nAAA,70\nBBB,30\n"))
@@ -181,6 +218,7 @@ class TestParseUniverse:
             ("id,market_cap\nAAA,1_000\nBBB,1e3\n", ("AAA", "BBB"), [1000.0, 1000.0]),
             ("id,market_cap\nAAA,70\n #12,5\nBBB,30\n", ("AAA", "BBB"), [70.0, 30.0]),
             ("id,price,shares\nAAA, 10 ,7\n", ("AAA",), [70.0]),
+            ("id,market_cap\rAAA,70\rBBB,30\r", ("AAA", "BBB"), [70.0, 30.0]),
         ],
     )
     def test_accepted_spellings(self, text, ids, caps):
@@ -260,7 +298,7 @@ class TestParseUniverse:
 class TestReportRendering:
     def test_json_payload_shape(self):
         payload, mu, eta = two_stock_payload()
-        parsed = json.loads(render_report_json(payload))
+        parsed = json.loads(rendered(render_report_json, payload))
         assert parsed["schema_version"] == 1
         assert parsed["method"] == "power"
         assert parsed["params"] == {"p": 0.5}
@@ -270,13 +308,13 @@ class TestReportRendering:
 
     def test_json_full_precision_roundtrip(self):
         payload, _, eta = two_stock_payload()
-        parsed = json.loads(render_report_json(payload))
+        parsed = json.loads(rendered(render_report_json, payload))
         for row, expected in zip(parsed["rows"], eta.weights):
             assert row["weight_after"] == expected
 
     def test_csv_summary_comments_and_rows(self):
         payload, _, _ = two_stock_payload()
-        text = render_report_csv(payload)
+        text = rendered(render_report_csv, payload)
         lines = text.splitlines()
         comments = [l for l in lines if l.startswith("# ")]
         assert "# method=power" in comments
@@ -302,7 +340,7 @@ class TestReportRendering:
         payload = report_payload(
             "power", {"p": 0.6}, mu, eta, diagnostics_report(mu, eta)
         )
-        text = render_report_csv(payload)
+        text = rendered(render_report_csv, payload)
         rows = [
             line.split(",")
             for line in text.splitlines()
@@ -315,37 +353,49 @@ class TestReportRendering:
         payload, _, _ = two_stock_payload()
         with pytest.raises(ValueError, match="format"):
             write_report(tmp_path / "r.xml", payload, "xml")
+        assert not (tmp_path / "r.xml").exists()
 
     def test_json_matches_the_stdlib_encoder(self):
-        ids = ("AAA", 'q"x', "back\\slash", "new\nline", "\x00", "é", "\ud800", "😀")
-        mu = WeightVector(ids, np.arange(1.0, 9.0) / 36.0)
-        eta = power_rebalance(mu, PowerRule(0.37))
-        payload = report_payload(
-            "power", {"p": 0.37}, mu, eta, diagnostics_report(mu, eta)
-        )
-        assert render_report_json(payload) == json.dumps(payload, indent=2) + "\n"
+        payload = seam_payload()
+        head = ("schema_version", "method", "params", "summary")
+        expected = {key: payload[key] for key in head}
+        expected["rows"] = [
+            dict(zip(pio.REPORT_HEADER, row)) for row in payload_rows(payload)
+        ]
+        for block_rows in BLOCK_ROWS:
+            with mock.patch.object(pio, "_BLOCK_ROWS", block_rows):
+                text = rendered(render_report_json, payload)
+            assert text == json.dumps(expected, indent=2) + "\n", block_rows
 
-    @pytest.mark.parametrize(
-        "reshape",
-        [
-            lambda p: p["rows"][0].update(delta=np.float64(0.5)),
-            lambda p: p["rows"][0].update(delta=1),
-            lambda p: p["rows"][1].update(note="x"),
-            lambda p: p["rows"][1].pop("delta"),
-            lambda p: p.update(rows=p.pop("rows"), extra=1),
-        ],
-    )
-    def test_json_refuses_other_payload_shapes(self, reshape):
-        payload, _, _ = two_stock_payload()
-        reshape(payload)
-        with pytest.raises(ValueError, match="report_payload"):
-            render_report_json(payload)
+    def test_csv_table_matches_the_stdlib_writer(self):
+        """The table, as one csv.writer call per row of repr strings wrote it."""
+        payload = seam_payload()
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
+        writer.writerow(pio.REPORT_HEADER)
+        for ident, *numbers in payload_rows(payload):
+            writer.writerow([ident, *map(repr, numbers)])
+        for block_rows in BLOCK_ROWS:
+            with mock.patch.object(pio, "_BLOCK_ROWS", block_rows):
+                text = rendered(render_report_csv, payload)
+            head, sep, rest = text.partition("\n" + ",".join(pio.REPORT_HEADER) + "\n")
+            assert all(line.startswith("# ") for line in head.split("\n"))
+            assert sep + rest == "\n" + table.getvalue(), block_rows
+
+    def test_payload_aligns_a_permuted_eta(self):
+        payload, mu, eta = two_stock_payload()
+        flipped = WeightVector(eta.identifiers[::-1], eta.weights[::-1])
+        report = diagnostics_report(mu, flipped)
+        aligned = report_payload("power", {"p": 0.5}, mu, flipped, report)
+        assert aligned["ids"] == mu.identifiers
+        assert aligned["before"].tolist() == mu.weights.tolist()
+        assert aligned["after"].tolist() == payload["after"].tolist()
 
     def test_rendering_is_deterministic(self):
         a, _, _ = two_stock_payload()
         b, _, _ = two_stock_payload()
-        assert render_report_json(a) == render_report_json(b)
-        assert render_report_csv(a) == render_report_csv(b)
+        assert rendered(render_report_json, a) == rendered(render_report_json, b)
+        assert rendered(render_report_csv, a) == rendered(render_report_csv, b)
 
 
 class TestReadWeightFile:
@@ -355,19 +405,22 @@ class TestReadWeightFile:
         np.testing.assert_allclose(out.weights, [0.7, 0.3], rtol=0, atol=1e-15)
 
     def test_report_csv_uses_weight_after(self, tmp_path):
-        payload, _, eta = two_stock_payload()
-        path = tmp_path / "report.csv"
-        write_report(path, payload, "csv")
-        out = read_weight_file(path)
-        np.testing.assert_allclose(out.weights, eta.weights, rtol=0, atol=1e-12)
+        for make_payload in (two_stock_payload, quoted_id_payload):
+            payload, _, eta = make_payload()
+            path = tmp_path / "report.csv"
+            write_report(path, payload, "csv")
+            out = read_weight_file(path)
+            assert out.identifiers == eta.identifiers
+            np.testing.assert_allclose(out.weights, eta.weights, rtol=0, atol=1e-12)
 
     def test_report_json_roundtrip_exact(self, tmp_path):
-        payload, _, eta = two_stock_payload()
-        path = tmp_path / "report.json"
-        write_report(path, payload, "json")
-        out = read_weight_file(path)
-        assert out.identifiers == eta.identifiers
-        assert np.max(np.abs(out.weights - eta.weights)) <= 1e-12
+        for make_payload in (two_stock_payload, quoted_id_payload):
+            payload, _, eta = make_payload()
+            path = tmp_path / "report.json"
+            write_report(path, payload, "json")
+            out = read_weight_file(path)
+            assert out.identifiers == eta.identifiers
+            assert np.max(np.abs(out.weights - eta.weights)) <= 1e-12
 
     def test_json_detected_by_content(self, tmp_path):
         payload, _, eta = two_stock_payload()
