@@ -12,6 +12,7 @@ the cap.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +72,21 @@ class CalibrationResult:
 
 
 def top_k_sum(weights: np.ndarray, k: int) -> float:
-    """Sum of the k largest values; ties are resolved by value only."""
-    k = int(k)
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k!r}")
-    if k >= weights.size:
-        return float(weights.sum())
-    return float(np.partition(weights, -k)[-k:].sum())
+    """Sum of the k largest values in ascending order, the bits of
+    ``float(np.sort(weights)[-k:].sum())`` whatever order the CPU's
+    partition leaves; for k >= size, of all values in input order."""
+    return _top_k_sums(weights, (k,))[int(k)]
+
+
+def _top_k_sums(weights: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
+    """``top_k_sum`` for each k, from one partition and one sorted tail."""
+    ks, n = [int(k) for k in ks], weights.size
+    for k in ks:
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k!r}")
+    kmax = max([k for k in ks if k < n], default=0)
+    tail = np.sort(np.partition(weights, -kmax)[-kmax:]) if kmax else weights
+    return {k: float(tail[-k:].sum() if k < n else weights.sum()) for k in ks}
 
 
 def _check_k(target: CalibrationTarget, n: int) -> None:
@@ -136,21 +145,25 @@ def solve_exponent(
     else:
         top = np.argpartition(w, -target.k)[-target.k :]
     # Zero weights in the top set, when k exceeds the number of positive
-    # ones, stay zero and add nothing to the statistic or its slope.
-    top = top[w[top] > 0.0]
-    log_top = np.log(w[top])
+    # ones, add nothing to the slope but stay in the sorted sum, which is
+    # top_k_sum's for k < n (at k = n it adds in input order).
+    top_positive = top[w[top] > 0.0]
+    log_top = np.log(w[top_positive])
     log_bound = math.log(target.bound)
+    sum_top = target.kind == "top_k_sum" and target.k < mu.n
+    all_positive = log_positive.size == w.size
 
     def evaluate(p: float) -> tuple[float, float]:
         """The statistic at p, and the slope of its log: the w**p-tilted
         mean of log w over the top entries minus that over all positive
         ones."""
         v = scale_to_one(power_curve(w, positive, log_positive, p))
-        on_top, on_all = v[top], v[positive]
+        on_top, on_all = v[top_positive], (v if all_positive else v[positive])
         slope = float(
             log_top @ on_top / on_top.sum() - log_positive @ on_all / on_all.sum()
         )
-        return _statistic(v, target), slope
+        stat = float(np.sort(v[top]).sum()) if sum_top else _statistic(v, target)
+        return stat, slope
 
     floor, _ = evaluate(0.0)
     if floor > target.bound:

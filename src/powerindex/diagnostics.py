@@ -17,7 +17,7 @@ from typing import NamedTuple, overload
 
 import numpy as np
 
-from .calibration import top_k_sum
+from .calibration import _top_k_sums
 from .errors import RebalanceError
 from .transforms import RebalanceRule, apply_rule
 from .weights import WeightVector
@@ -271,18 +271,26 @@ def concentration_metrics(
 
     The diversity measure is (sum w_i**p)**(1/p) for the reporting
     exponent p in (0, 1); it is at least 1, with equality exactly when a
-    single weight carries everything. Requested k values larger than the
-    universe clamp to the full sum.
+    single weight carries everything. Top-k sums are ``top_k_sum``'s, all
+    taken from one sorted tail; requested k values larger than the
+    universe clamp to the full sum. The result is memoized on the vector
+    per (reporting_p, top_ks), outside its fields, and is shared by later
+    calls: treat it as read-only.
     """
     if not 0.0 < reporting_p < 1.0:
         raise ValueError(
             f"reporting_p must be in (0, 1), got {reporting_p!r}"
         )
-    arr = w.weights
-    hhi = float(np.sum(arr * arr))
-    tops = {int(k): top_k_sum(arr, min(int(k), arr.size)) for k in top_ks}
-    diversity = float(np.sum(arr**reporting_p) ** (1.0 / reporting_p))
-    return ConcentrationMetrics(hhi, tops, diversity)
+    memo = vars(w).setdefault("_metrics", {})
+    key = (reporting_p, tuple(top_ks))
+    if key not in memo:
+        arr = w.weights
+        memo[key] = ConcentrationMetrics(
+            float((arr * arr).sum()),
+            _top_k_sums(arr, top_ks),
+            float((arr**reporting_p).sum() ** (1.0 / reporting_p)),
+        )
+    return memo[key]
 
 
 def diagnostics_report(
@@ -295,15 +303,22 @@ def diagnostics_report(
 
     Order violations are evaluated over identifiers common to both
     vectors; turnover uses the union; the per-vector metrics (max, HHI,
-    top-k, diversity) always describe each full vector.
+    top-k, diversity) always describe each full vector. When both list
+    the same identifiers, as a transform's output does, nothing is aligned.
     """
-    where, only_eta = _align(mu, eta)
-    common = where >= 0
-    violations = OrderViolations(
-        tuple(compress(mu.identifiers, common.tolist())),
-        mu.weights[common],
-        eta.weights[where[common]],
-    )
+    if mu.identifiers == eta.identifiers:
+        violations = OrderViolations(mu.identifiers, mu.weights, eta.weights)
+        # The same bits as _turnover, which adds the same moves in order.
+        moved = 0.5 * sum(np.abs(eta.weights - mu.weights).tolist())
+    else:
+        where, only_eta = _align(mu, eta)
+        common = where >= 0
+        violations = OrderViolations(
+            tuple(compress(mu.identifiers, common.tolist())),
+            mu.weights[common],
+            eta.weights[where[common]],
+        )
+        moved = _turnover(mu, eta, where, only_eta)
     before = concentration_metrics(mu, reporting_p, top_ks)
     after = concentration_metrics(eta, reporting_p, top_ks)
     max_before = float(mu.weights.max())
@@ -313,7 +328,7 @@ def diagnostics_report(
         max_before=max_before,
         max_after=max_after,
         max_increased=max_after > max_before + MAX_INCREASE_TOL,
-        turnover=_turnover(mu, eta, where, only_eta),
+        turnover=moved,
         hhi_before=before.hhi,
         hhi_after=after.hhi,
         top_k_sums={

@@ -95,6 +95,8 @@ def power_curve(
     so no platform pow edge case at 0 is involved. The solver passes the
     logs it took once; the transforms take them per call.
     """
+    if log_positive.size == w.size:
+        return np.exp(p * log_positive)
     out = np.zeros_like(w)
     out[positive] = np.exp(p * log_positive)
     return out

@@ -83,10 +83,12 @@ def _check_lengths(identifiers: tuple[str, ...], w: np.ndarray) -> None:
 
 
 def _check_weights(w: np.ndarray) -> None:
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if (w < 0.0).any() or (w > 1.0).any():
-        raise ValueError("weights must lie in [0, 1]")
+    # NaN fails both comparisons; the checks below only pick the message.
+    if not (0.0 <= w.min() and w.max() <= 1.0):
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        if (w < 0.0).any() or (w > 1.0).any():
+            raise ValueError("weights must lie in [0, 1]")
     total = float(w.sum())
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
@@ -104,7 +106,7 @@ class WeightVector:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = tuple(str(i) for i in self.identifiers)
+        ids = tuple(map(str, self.identifiers))
         w = np.array(self.weights, dtype=float)
         _check_lengths(ids, w)
         _check_unique(ids)
@@ -128,6 +130,10 @@ class WeightVector:
         object.__setattr__(out, "identifiers", identifiers)
         object.__setattr__(out, "weights", w)
         return out
+
+    def __getstate__(self) -> dict[str, object]:
+        # The fields only: the memo of concentration_metrics is not pickled.
+        return {"identifiers": self.identifiers, "weights": self.weights}
 
     def reweighted(self, raw: np.ndarray) -> WeightVector:
         """A vector over the same identifiers whose weights are ``raw``
@@ -169,9 +175,9 @@ def normalize(raw: Iterable[float] | np.ndarray) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional array of values")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         idx = int(np.argmin(arr))
         raise RebalanceError(f"entry {idx} is negative: {arr[idx]!r}")
     return scale_to_one(arr)
@@ -284,12 +290,12 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
     else:
         ids = tuple(c.identifier for c in universe)
         caps = np.array([c.market_cap for c in universe], dtype=float)
-    if np.any(caps < 0.0):
+    if (caps < 0.0).any():
         idx = int(np.argmin(caps))
         raise RebalanceError(
             f"{ids[idx]}: market_cap {caps[idx]!r} is negative"
         )
-    if not np.any(caps > 0.0):
+    if not (caps > 0.0).any():
         raise RebalanceError("all market caps are zero")
     if checked:
         return WeightVector._of_unique(ids, normalize(caps))

@@ -78,6 +78,24 @@ class TestConcentrationStatistic:
         with pytest.raises(ValueError):
             top_k_sum(np.array([0.5, 0.5]), 0)
 
+    def test_top_k_sum_adds_the_sorted_tail(self):
+        # The k largest in ascending order, whatever order the CPU's
+        # partition leaves them in; for k >= n the sum in input order.
+        rng = np.random.default_rng(67)
+        cases = [np.full(8, 0.125), np.array([0.5, 0.0, 0.25, 0.0, 0.25])]
+        for case in range(60):
+            n = int(rng.integers(2, 400))
+            if case % 3 == 0:
+                caps = rng.pareto(1.2, n)
+                cases.append(caps / caps.sum())
+            else:
+                cases.append(random_simplex(rng, n, zeros=True, ties=True))
+        for w in cases:
+            n = w.size
+            for k in sorted({1, 2, 6, n // 2, n - 1, n, n + 3} - {0}):
+                expected = w.sum() if k >= n else np.sort(w)[-k:].sum()
+                assert top_k_sum(w, k) == float(expected)
+
 
 class TestSolveExponent:
     def test_already_satisfied_returns_one(self):
@@ -123,6 +141,21 @@ class TestSolveExponent:
             solve_exponent(
                 wv([0.4, 0.3, 0.2, 0.1]), CalibrationTarget("top_k_sum", 0.45, k=2)
             )
+
+    def test_infeasible_floor_is_the_statistic_with_zeros_in_the_top_set(self):
+        # With k at or above the number of positive weights, zeros join
+        # the top set; the floor the error names is the statistic's value.
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            n = int(rng.integers(12, 200))
+            mu = wv(random_simplex(rng, n, zeros=True))
+            m = int(np.count_nonzero(mu.weights))
+            k = int(rng.integers(m, n))
+            target = CalibrationTarget("top_k_sum", 0.5, k=k)
+            floor = concentration_statistic(power_rebalance(mu, 0.0), target)
+            message = f"bound 0.5 lies below the fully diversified floor {floor!r}"
+            with pytest.raises(InfeasibleError, match=whole(message)):
+                solve_exponent(mu, target)
 
     def test_bound_at_floor_is_feasible(self):
         result = solve_exponent(wv([0.7, 0.3]), CalibrationTarget("max_weight", 0.5))

@@ -1,10 +1,14 @@
+import copy
+import pickle
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from powerindex import (
     CapRule,
+    DiagnosticsReport,
     LinearizedPowerRule,
     OrderViolation,
     PowerRule,
@@ -17,6 +21,7 @@ from powerindex import (
     normalize,
     power_rebalance,
     turnover,
+    WeightVector,
 )
 
 from helpers import random_simplex, whole, wv
@@ -229,6 +234,51 @@ class TestConcentrationMetrics:
             with pytest.raises(ValueError, match="reporting_p"):
                 concentration_metrics(wv([0.7, 0.3]), reporting_p=p)
 
+    def test_top_k_sums_add_the_sorted_tail(self):
+        rng = np.random.default_rng(103)
+        for case in range(40):
+            n = int(rng.integers(2, 300))
+            w = random_simplex(rng, n, zeros=case % 2 == 0, ties=case % 3 == 0)
+            ks = sorted({1, 5, 6, 10, n // 2, n - 1, n, n + 3} - {0})
+            metrics = concentration_metrics(wv(w), top_ks=ks)
+            for k in ks:
+                expected = w.sum() if k >= n else np.sort(w)[-k:].sum()
+                assert metrics.top_k_sums[k] == float(expected)
+
+    def test_memo_is_per_arguments(self):
+        w = random_simplex(np.random.default_rng(107), 30, ties=True)
+        mu = wv(w)
+        first = concentration_metrics(mu)
+        assert concentration_metrics(mu) is first
+        for kwargs in ({"reporting_p": 0.25}, {"top_ks": (2, 3)}):
+            again = concentration_metrics(mu, **kwargs)
+            assert again == concentration_metrics(wv(w), **kwargs)
+            assert again != first
+        # Transform outputs are built without __init__ and memoize too.
+        eta = power_rebalance(mu, 0.5)
+        assert concentration_metrics(eta) is concentration_metrics(eta)
+
+    def test_memo_leaves_eq_repr_and_pickle(self):
+        mu = wv(CAP1_MU)
+        twin, text = copy.copy(mu), repr(mu)
+        plain = [pickle.dumps(mu, protocol=p) for p in range(6)]
+        metrics = concentration_metrics(mu)
+        assert mu == twin and twin == mu
+        assert repr(mu) == text
+        assert [pickle.dumps(mu, protocol=p) for p in range(6)] == plain
+        back = pickle.loads(plain[-1])
+        assert back.identifiers == mu.identifiers
+        assert back.weights.tobytes() == mu.weights.tobytes()
+        assert concentration_metrics(back) == metrics
+
+    def test_rejects_nonpositive_k(self):
+        mu = wv([0.7, 0.3])
+        for ks in ((0,), (5, -1)):
+            message = f"k must be positive, got {ks[-1]}"
+            with pytest.raises(ValueError, match=whole(message)):
+                concentration_metrics(mu, top_ks=ks)
+        assert concentration_metrics(mu, top_ks=(1,)).top_k_sums == {1: 0.7}
+
     def test_hhi_weakly_decreases_under_power(self):
         rng = np.random.default_rng(97)
         for _ in range(20):
@@ -280,6 +330,34 @@ class TestDiagnosticsReport:
         before_top1, after_top1 = report.top_k_sums[1]
         assert before_top1 == pytest.approx(0.20, abs=1e-15)
         assert after_top1 == pytest.approx(0.20 * 0.40 / 0.62, abs=1e-12)
+
+    def test_permuted_eta_gives_the_same_report(self):
+        # Same ids in the same order take the path without alignment; a
+        # permuted eta takes the general one. Only the sums over eta's
+        # own order (HHI, diversity) may round differently.
+        rng = np.random.default_rng(109)
+        caps = rng.pareto(1.2, 300)
+        cases = (
+            (CAP1_MU + [0.0] * 3, CapRule(), 10),
+            (caps / caps.sum(), CapRule(0.01, 0.3), 401),
+        )
+        for mu_w, rule, count in cases:
+            mu = wv(mu_w)
+            eta = cap_rebalance(mu, rule)
+            perm = rng.permutation(mu.n)
+            shuffled = WeightVector(
+                tuple(eta.identifiers[i] for i in perm), eta.weights[perm]
+            )
+            same = diagnostics_report(mu, eta)
+            other = diagnostics_report(mu, shuffled)
+            assert len(same.order_violations) == count
+            assert list(same.order_violations) == list(other.order_violations)
+            for field in fields(DiagnosticsReport):
+                a, b = getattr(same, field.name), getattr(other, field.name)
+                if field.name in ("hhi_after", "diversity_after"):
+                    assert a == pytest.approx(b, rel=1e-15, abs=0)
+                elif field.name != "order_violations":
+                    assert a == b, field.name
 
     def test_report_across_different_universes(self):
         before = wv([0.6, 0.4], ids=("A", "B"))

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerindex import (
     CapRule,
     RebalanceError,
     LinearizedPowerRule,
     PowerRule,
+    WeightVector,
     apply_rule,
     cap_rebalance,
+    find_order_violations,
     linearized_power_rebalance,
     power_rebalance,
     top_k_sum,
 )
+from powerindex.diagnostics import MAX_INCREASE_TOL
+from powerindex.transforms import power_curve
 
 from helpers import random_simplex, whole, wv
 
@@ -45,6 +51,64 @@ def ties_stay_tied(mu: np.ndarray, eta: np.ndarray, tol: float = 1e-14) -> bool:
     tied = mu[:, None] == mu[None, :]
     apart = np.abs(eta[:, None] - eta[None, :]) > tol
     return not np.any(tied & apart)
+
+
+@st.composite
+def hard_weights(draw):
+    """Weights on the simplex built from runs: ties, zeros, runs of
+    adjacent floats (up or down), values near and in the subnormal range,
+    and runs from the default knot. One last entry takes the rest of the
+    mass, so that the runs keep their exact values; order is shuffled."""
+    values: list[float] = []
+    for _ in range(draw(st.integers(1, 8))):
+        x = draw(
+            st.one_of(
+                st.floats(1e-4, 0.012),
+                st.floats(5e-324, 1e-300),
+                st.sampled_from([0.0, 0.01, float(np.finfo(float).tiny)]),
+            )
+        )
+        toward = draw(st.sampled_from([None, 0.0, 1.0]))
+        for _ in range(draw(st.integers(1, 10))):
+            values.append(x)
+            if toward is not None:
+                x = float(np.nextafter(x, toward))
+    values.append(1.0 - sum(values))
+    return np.array(draw(st.permutations(values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w=hard_weights(),
+    p=st.floats(0.0, 1.0),
+    linearized=st.booleans(),
+)
+def test_power_guarantees_on_hard_vectors(w, p, linearized):
+    def rebalance(mu):
+        if linearized:
+            return linearized_power_rebalance(mu, LinearizedPowerRule(p))
+        return power_rebalance(mu, p)
+
+    ids = tuple(f"C{i:03d}" for i in range(w.size))
+    mu = WeightVector(ids, w)
+    eta = rebalance(mu)
+    # Within the tolerance of DiagnosticsReport.max_increased: at p = 1,
+    # a sum a few ulps below one is rescaled, and the max moves up an ulp.
+    assert eta.weights.max() <= mu.weights.max() + MAX_INCREASE_TOL
+    assert len(find_order_violations(mu, eta)) == 0
+    if w.size <= 50:
+        assert no_strict_inversions(w, eta.weights)
+    # One more name at weight zero: with no zero in w, the curve takes its
+    # all-positive path on w and the masked path on w0, and every other
+    # entry must come out bit-identical. The transform's weights may
+    # differ only in rounding, because the total adds one more term.
+    w0 = np.append(w, 0.0)
+    raw = power_curve(w, w > 0.0, np.log(w[w > 0.0]), p)
+    raw0 = power_curve(w0, w0 > 0.0, np.log(w0[w0 > 0.0]), p)
+    assert raw0[:-1].tobytes() == raw.tobytes() and raw0[-1] == 0.0
+    eta0 = rebalance(WeightVector(ids + ("ZERO",), w0))
+    assert eta0.weights[-1] == 0.0
+    np.testing.assert_allclose(eta0.weights[:-1], eta.weights, rtol=1e-14, atol=1e-321)
 
 
 class TestPowerRebalance:
