@@ -208,58 +208,75 @@ class OrderViolations(Sequence[OrderViolation]):
         return f"OrderViolations(count={self._count}, first={self[:3]!r})"
 
 
-def _align(mu: WeightVector, eta: WeightVector) -> tuple[np.ndarray, np.ndarray]:
-    """The position in ``eta`` of each of mu's identifiers (-1 where it is
-    absent), and the positions of eta's identifiers absent from ``mu``."""
+class _Pairing(NamedTuple):
+    """Two weight vectors, mu and eta, matched by identifier."""
+
+    ids: tuple[str, ...]  # the common identifiers, in mu's order
+    mu_w: np.ndarray  # mu's weights on ``ids``
+    eta_w: np.ndarray  # eta's weights on ``ids``
+    after: np.ndarray  # eta's weights on all of mu's ids, 0.0 where eta lacks one
+    only_eta: np.ndarray  # the weights of the ids only eta holds, in eta's order
+    unmatched: list[str]  # the ids only one vector holds, sorted
+
+    def require_same_ids(self) -> _Pairing:
+        """This pairing; a ``RebalanceError`` if the vectors' ids differ."""
+        if self.unmatched:
+            raise RebalanceError(
+                f"weight vectors cover different identifiers: {self.unmatched}"
+            )
+        return self
+
+
+def _pair(mu: WeightVector, eta: WeightVector) -> _Pairing:
+    """Match ``eta`` to ``mu`` by identifier. When both list the same
+    identifiers, as a transform's output does, the pairing holds the
+    vectors' own arrays and nothing is gathered."""
     if mu.identifiers == eta.identifiers:
-        return np.arange(mu.n), np.empty(0, dtype=np.intp)
-    where_in_eta = {ident: pos for pos, ident in enumerate(eta.identifiers)}
-    where = np.array(
-        [where_in_eta.get(i, -1) for i in mu.identifiers], dtype=np.intp
+        empty = eta.weights[:0]
+        return _Pairing(mu.identifiers, mu.weights, eta.weights, eta.weights, empty, [])
+    position = {ident: pos for pos, ident in enumerate(eta.identifiers)}
+    where = np.array([position.pop(i, -1) for i in mu.identifiers], dtype=np.intp)
+    # What is left in ``position`` are the ids only eta holds.
+    common = where >= 0
+    return _Pairing(
+        tuple(compress(mu.identifiers, common.tolist())),
+        mu.weights[common],
+        eta.weights[where[common]],
+        np.where(common, eta.weights[where], 0.0),
+        eta.weights[np.fromiter(position.values(), np.intp, len(position))],
+        sorted([*compress(mu.identifiers, (~common).tolist()), *position]),
     )
-    only_eta = np.ones(eta.n, dtype=bool)
-    only_eta[where[where >= 0]] = False
-    return where, np.flatnonzero(only_eta)
 
 
-def _turnover(
-    mu: WeightVector, eta: WeightVector, where: np.ndarray, only_eta: np.ndarray
-) -> float:
-    after = np.where(where >= 0, eta.weights[where], 0.0)
-    moves = np.abs(np.concatenate((after - mu.weights, eta.weights[only_eta])))
-    # Builtin sum, in mu's order and then eta's: the same bits as a loop
-    # over the identifiers, which np.sum's pairwise order would not give.
-    return 0.5 * sum(moves.tolist())
+def _turnover(mu_w: np.ndarray, after: np.ndarray, only_eta: np.ndarray) -> float:
+    """Half the L1 distance, from mu's weights and a pairing's ``after`` and
+    ``only_eta``, added by builtin sum in that order: the same bits as a
+    loop over the identifiers, which np.sum's pairwise order would not give."""
+    return 0.5 * sum(np.abs(np.concatenate((after - mu_w, only_eta))).tolist())
 
 
 def find_order_violations(mu: WeightVector, eta: WeightVector) -> OrderViolations:
     """The pairs with mu_low < mu_high but eta_low > eta_high.
 
     Both comparisons are strict, so ties in mu or in eta are never
-    violations. The two vectors must cover the same identifiers; ``eta``
-    is matched to ``mu`` by identifier. The result counts the pairs
-    exactly in O(n log n) and builds each one only when it is read (see
-    ``OrderViolations``).
+    violations. ``eta`` is matched to ``mu`` by identifier; a
+    ``RebalanceError`` names the identifiers only one of them holds. The
+    result counts the pairs exactly in O(n log n) and builds each one
+    only when it is read (see ``OrderViolations``).
     """
-    where, only_eta = _align(mu, eta)
-    only_mu = np.flatnonzero(where < 0)
-    if only_mu.size or only_eta.size:
-        missing = [mu.identifiers[i] for i in only_mu.tolist()]
-        missing += [eta.identifiers[i] for i in only_eta.tolist()]
-        raise RebalanceError(
-            f"weight vectors cover different identifiers: {sorted(missing)}"
-        )
-    return OrderViolations(mu.identifiers, mu.weights, eta.weights[where])
+    pairing = _pair(mu, eta).require_same_ids()
+    return OrderViolations(pairing.ids, pairing.mu_w, pairing.eta_w)
 
 
 def turnover(mu: WeightVector, eta: WeightVector) -> float:
     """One-way turnover: half the L1 distance between the two vectors.
 
-    Computed over the identifier-aligned union, so a name present in only
-    one vector contributes its full weight. Symmetric, in [0, 1], zero
-    exactly when the vectors agree.
+    Computed over the identifier-matched union, so a name present in only
+    one vector contributes its full weight; ``diagnostics_report`` gives
+    the same bits. Symmetric, in [0, 1], zero exactly when they agree.
     """
-    return _turnover(mu, eta, *_align(mu, eta))
+    pairing = _pair(mu, eta)
+    return _turnover(mu.weights, pairing.after, pairing.only_eta)
 
 
 def concentration_metrics(
@@ -293,42 +310,25 @@ def concentration_metrics(
     return memo[key]
 
 
-def diagnostics_report(
-    mu: WeightVector,
-    eta: WeightVector,
-    reporting_p: float = DEFAULT_REPORTING_P,
-    top_ks: Sequence[int] = DEFAULT_TOP_KS,
-) -> DiagnosticsReport:
+def diagnostics_report(mu: WeightVector, eta: WeightVector) -> DiagnosticsReport:
     """Full before/after report for one rebalance.
 
     Order violations are evaluated over identifiers common to both
-    vectors; turnover uses the union; the per-vector metrics (max, HHI,
-    top-k, diversity) always describe each full vector. When both list
-    the same identifiers, as a transform's output does, nothing is aligned.
+    vectors; turnover uses the union, as ``turnover`` computes it; the
+    per-vector metrics (max, HHI, top-k, diversity) describe each full
+    vector, with ``concentration_metrics``' defaults.
     """
-    if mu.identifiers == eta.identifiers:
-        violations = OrderViolations(mu.identifiers, mu.weights, eta.weights)
-        # The same bits as _turnover, which adds the same moves in order.
-        moved = 0.5 * sum(np.abs(eta.weights - mu.weights).tolist())
-    else:
-        where, only_eta = _align(mu, eta)
-        common = where >= 0
-        violations = OrderViolations(
-            tuple(compress(mu.identifiers, common.tolist())),
-            mu.weights[common],
-            eta.weights[where[common]],
-        )
-        moved = _turnover(mu, eta, where, only_eta)
-    before = concentration_metrics(mu, reporting_p, top_ks)
-    after = concentration_metrics(eta, reporting_p, top_ks)
+    pairing = _pair(mu, eta)
+    before = concentration_metrics(mu)
+    after = concentration_metrics(eta)
     max_before = float(mu.weights.max())
     max_after = float(eta.weights.max())
     return DiagnosticsReport(
-        order_violations=violations,
+        order_violations=OrderViolations(pairing.ids, pairing.mu_w, pairing.eta_w),
         max_before=max_before,
         max_after=max_after,
         max_increased=max_after > max_before + MAX_INCREASE_TOL,
-        turnover=moved,
+        turnover=_turnover(mu.weights, pairing.after, pairing.only_eta),
         hhi_before=before.hhi,
         hhi_after=after.hhi,
         top_k_sums={

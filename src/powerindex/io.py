@@ -39,7 +39,7 @@ from typing import IO, Any, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport
+from .diagnostics import DiagnosticsReport, _pair
 from .errors import RebalanceError
 from .weights import Universe, WeightVector, normalize
 
@@ -374,12 +374,10 @@ def report_payload(
 ) -> dict[str, Any]:
     """The report object, stable field order: ``schema_version``, ``method``,
     ``params``, ``summary``, then the columns ``ids`` and ``before`` of mu,
-    and ``after``, eta's weights aligned to ``ids``."""
-    if eta.identifiers == mu.identifiers:
-        after = eta.weights
-    else:
-        position = {ident: i for i, ident in enumerate(eta.identifiers)}
-        after = eta.weights[[position[ident] for ident in mu.identifiers]]
+    and ``after``, eta's weights aligned to ``ids``. The two vectors must
+    cover the same identifiers, or a ``RebalanceError`` names the ones
+    only one of them holds."""
+    after = _pair(mu, eta).require_same_ids().after
     summary = {
         "turnover": report.turnover,
         "max_before": report.max_before,

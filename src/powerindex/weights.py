@@ -94,7 +94,7 @@ def _check_weights(w: np.ndarray) -> None:
         raise ValueError(f"weights sum to {total!r}, not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Nonnegative weights summing to one, keyed by identifier.
 
@@ -130,6 +130,13 @@ class WeightVector:
         object.__setattr__(out, "identifiers", identifiers)
         object.__setattr__(out, "weights", w)
         return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightVector):
+            return NotImplemented
+        return self.identifiers == other.identifiers and np.array_equal(
+            self.weights, other.weights
+        )
 
     def __getstate__(self) -> dict[str, object]:
         # The fields only: the memo of concentration_metrics is not pickled.

@@ -24,7 +24,7 @@ from powerindex import (
     WeightVector,
 )
 
-from helpers import random_simplex, whole, wv
+from helpers import make_ids, random_simplex, whole, wv
 
 CAP1_MU = [0.20, 0.19, 0.18, 0.05] + [0.038] * 10
 CAP2_MU = [0.046] + [0.018] * 53
@@ -366,6 +366,51 @@ class TestDiagnosticsReport:
         assert report.order_violations == []
         assert report.turnover == pytest.approx(0.5 * (0.4 + 0.4 + 0.8), abs=1e-15)
         assert report.max_increased
+
+
+def paired_vectors(kind, seed):
+    """mu and eta over the same ids, the same ids permuted, or partly
+    overlapping ids: 25 shared, 15 only in mu and 15 only in eta."""
+    rng = np.random.default_rng(seed)
+    mu_ids = eta_ids = make_ids(40)
+    if kind == "overlapping":
+        eta_ids = make_ids(55)[15:]
+    mu = wv(random_simplex(rng, len(mu_ids), zeros=True, ties=True), mu_ids)
+    eta_w = random_simplex(rng, len(eta_ids), ties=True)
+    if kind == "same":
+        return mu, wv(eta_w, eta_ids)
+    mu_order, eta_order = rng.permutation(mu.n), rng.permutation(eta_w.size)
+    return (
+        WeightVector([mu_ids[i] for i in mu_order], mu.weights[mu_order]),
+        wv(eta_w[eta_order], [eta_ids[i] for i in eta_order]),
+    )
+
+
+@pytest.mark.parametrize("kind", ["same", "permuted", "overlapping"])
+@pytest.mark.parametrize("seed", range(4))
+def test_pairing_matches_a_loop_over_the_identifiers(kind, seed):
+    mu, eta = paired_vectors(kind, seed)
+    before, after = mu.as_dict(), eta.as_dict()
+    moves = [abs(after.get(ident, 0.0) - w) for ident, w in mu.entries]
+    moves += [w for ident, w in eta.entries if ident not in before]
+    expected = 0.5 * sum(moves)
+    report = diagnostics_report(mu, eta)
+    assert turnover(mu, eta) == expected
+    assert report.turnover == expected
+
+    # Scaling the common ids' weights to one moves no tie or order.
+    common = [ident for ident in mu.identifiers if ident in after]
+    sub_mu, sub_eta = (
+        WeightVector(common, normalize([v[i] for i in common])) for v in (before, after)
+    )
+    violations = [
+        OrderViolation(lo, hi, before[lo], before[hi], after[lo], after[hi])
+        for lo, hi in pair_ids(find_order_violations(sub_mu, sub_eta))
+    ]
+    assert len(violations) > 0
+    assert list(report.order_violations) == violations
+    if kind != "overlapping":
+        assert list(find_order_violations(mu, eta)) == violations
 
 
 class TestCompareMethods:

@@ -391,6 +391,19 @@ class TestReportRendering:
         assert aligned["before"].tolist() == mu.weights.tolist()
         assert aligned["after"].tolist() == payload["after"].tolist()
 
+    def test_payload_rejects_ids_only_one_vector_holds(self):
+        mu = WeightVector(("A", "B", "C"), np.array([0.5, 0.3, 0.2]))
+        cases = (
+            (("A", "B", "D"), [0.5, 0.3, 0.2], "['C', 'D']"),
+            (("A", "E", "B", "C"), [0.4, 0.1, 0.3, 0.2], "['E']"),
+        )
+        for ids, weights, unmatched in cases:
+            eta = WeightVector(ids, np.array(weights))
+            report = diagnostics_report(mu, eta)
+            message = f"weight vectors cover different identifiers: {unmatched}"
+            with pytest.raises(RebalanceError, match=whole(message)):
+                report_payload("power", {"p": 0.5}, mu, eta, report)
+
     def test_rendering_is_deterministic(self):
         a, _, _ = two_stock_payload()
         b, _, _ = two_stock_payload()

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from powerindex import (
     Constituent,
     RebalanceError,
     WeightVector,
+    concentration_metrics,
     normalize,
     weights_from_market_caps,
 )
@@ -188,6 +191,17 @@ class TestWeightVector:
         # 14 entries summing to 1 + 4e-16 style noise must still validate.
         v = wv([0.20, 0.19, 0.18, 0.05] + [0.038] * 10)
         assert abs(v.weights.sum() - 1.0) <= 1e-12
+
+    def test_equality_compares_weights_by_value(self):
+        v = wv([0.5, 0.3, 0.2], ids=("A", "B", "C"))
+        twin = WeightVector(v.identifiers, v.weights)
+        assert twin.weights is not v.weights
+        concentration_metrics(v)
+        for same in (twin, pickle.loads(pickle.dumps(v))):
+            assert v == same and same == v
+        assert v != wv([0.5, 0.2, 0.3], ids=("A", "B", "C"))
+        assert v != wv([0.5, 0.3, 0.2], ids=("A", "B", "D"))
+        assert v != (v.identifiers, v.weights)
 
     def test_random_simplex_helper_is_valid(self):
         rng = np.random.default_rng(5)
