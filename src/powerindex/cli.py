@@ -184,13 +184,11 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.target == "top-k" and args.k is None:
+        raise _UsageError("error: --target top-k requires --k")
+    kind = "max_weight" if args.target == "max" else "top_k_sum"
     try:
-        if args.target == "max":
-            target = CalibrationTarget("max_weight", args.bound)
-        else:
-            if args.k is None:
-                raise _UsageError("error: --target top-k requires --k")
-            target = CalibrationTarget("top_k_sum", args.bound, k=args.k)
+        target = CalibrationTarget(kind, args.bound, k=args.k)
         if not args.tol > 0:
             raise ValueError(f"tol must be positive, got {args.tol!r}")
     except ValueError as exc:

@@ -9,18 +9,17 @@ turnover and concentration metrics for the before/after pair.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress, islice, starmap
-from typing import NamedTuple, overload
+from typing import NamedTuple
 
 import numpy as np
 
 from .calibration import _top_k_sums
 from .errors import RebalanceError
 from .transforms import RebalanceRule, apply_rule
-from .weights import WeightVector
+from .weights import WeightVector, _LazySequence
 
 MAX_INCREASE_TOL = 1e-12
 DEFAULT_TOP_KS = (1, 5, 6, 10)
@@ -121,7 +120,7 @@ def _rows_with_partner(
     return np.sort(order[partnered])
 
 
-class OrderViolations(Sequence[OrderViolation]):
+class OrderViolations(_LazySequence[OrderViolation]):
     """The flipped pairs of a rebalance as a read-only sequence.
 
     ``len()`` is the exact count, taken in O(n log n) without listing a
@@ -130,7 +129,6 @@ class OrderViolations(Sequence[OrderViolation]):
     in input order, by a and then by b. Reading the first k pairs scans
     about 2k entries at most, with one O(n) comparison each, so a short
     prefix stays cheap when the count is in the hundreds of millions.
-    Compares equal to any sequence holding the same violations.
     """
 
     def __init__(
@@ -176,36 +174,13 @@ class OrderViolations(Sequence[OrderViolation]):
     def __iter__(self) -> Iterator[OrderViolation]:
         return starmap(self._violation, self._pairs())
 
-    @overload
-    def __getitem__(self, key: int) -> OrderViolation: ...
-
-    @overload
-    def __getitem__(self, key: slice) -> list[OrderViolation]: ...
-
-    def __getitem__(self, key: int | slice) -> OrderViolation | list[OrderViolation]:
-        if isinstance(key, slice):
-            wanted = range(*key.indices(self._count))
-            stop = max(wanted, default=-1) + 1
-            chosen = [
-                self._violation(*pair)
-                for i, pair in enumerate(islice(self._pairs(), stop))
-                if i in wanted
-            ]
-            return chosen if wanted.step > 0 else chosen[::-1]
-        i = operator.index(key)
-        if i < 0:
-            i += self._count
-        if not 0 <= i < self._count:
-            raise IndexError("order violation index out of range")
-        return self._violation(*next(islice(self._pairs(), i, None)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"OrderViolations(count={self._count}, first={self[:3]!r})"
+    def _items(self, positions: range) -> list[OrderViolation]:
+        if not positions:
+            return []
+        ahead = positions if positions.step > 0 else positions[::-1]
+        pairs = islice(self._pairs(), ahead.start, ahead.stop, ahead.step)
+        chosen = list(starmap(self._violation, pairs))
+        return chosen if positions.step > 0 else chosen[::-1]
 
 
 class _Pairing(NamedTuple):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsReport, _pair
 from .errors import RebalanceError
-from .weights import Universe, WeightVector, normalize
+from .weights import Universe, WeightVector
 
 SCHEMA_VERSION = 1
 
@@ -166,35 +166,40 @@ class _ColumnCheckFailed(Exception):
     """Some row fails a check; ``_explain`` says which and why."""
 
 
+def _pieces(text: str) -> Iterator[str]:
+    """``text`` in pieces of about ``_BLOCK_CHARS`` characters, each cut
+    just after a newline but the last, so that joined they give ``text``."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
 def _blocks(text: str) -> Iterator[_Block]:
     """The rows of a CSV text in blocks of a few thousand, so that a large
     file is never held as fields all at once.
 
-    Text is split at newlines and commas, up to the first block holding a
-    quote, a NUL or a field longer than
-    ``csv.field_size_limit()``; ``csv.reader`` splits the rest. Splitting
-    needs no copy of the text at four bytes a character, as a ``StringIO``
-    for ``csv.reader`` does: at n=50,000, leaving all text to
-    ``csv.reader`` made a CLI ``solve`` peak 4.5 MB higher and take about
-    a sixth longer on a 2-vCPU Xeon.
+    Each piece of the text is split at newlines and commas, up to the
+    first piece holding a quote, a NUL or a field longer than
+    ``csv.field_size_limit()``; ``csv.reader`` splits that piece and the
+    rest. Splitting is the faster: at n=50,000, leaving all text to
+    ``csv.reader`` made a CLI ``solve`` take about a sixth longer on a
+    2-vCPU Xeon.
     """
     limit = csv.field_size_limit()
-    pos, row = 0, 1
-    while pos < len(text):
-        end = text.find("\n", pos + _BLOCK_CHARS)
-        if end < 0:
-            # The last newline ends the last row, as in csv.reader, and
-            # starts no blank one.
-            end = len(text) - text.endswith("\n")
-        chunk = text[pos:end]
+    pieces, row = _pieces(text), 1
+    for piece in pieces:
+        # The last newline ends the last row, as in csv.reader, and starts
+        # no blank one.
+        chunk = piece.removesuffix("\n")
         fields = chunk.replace("\n", ",").split(",")
         if (
             '"' in chunk or "\0" in chunk
             or len(chunk) > limit and max(map(len, fields)) > limit
         ):
-            yield from _reader_blocks(text[pos:], row)
+            yield from _reader_blocks(chain([piece], pieces), row)
             return
-        pos = end + 1
         # Field k of the block is followed by separator k: a newline ends
         # its row. Neither separator is a byte of a longer UTF-8 sequence.
         raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
@@ -205,11 +210,15 @@ def _blocks(text: str) -> Iterator[_Block]:
         row += len(counts)
 
 
-def _reader_blocks(rest: str, row: int) -> Iterator[_Block]:
-    """``_blocks`` of ``rest``, whose first row is file row ``row``, as
-    ``csv.reader`` splits it. At a row that ``csv.reader`` refuses, the
-    rows before it make the last block, and the error is raised when the
-    next block is asked for."""
+def _reader_blocks(pieces: Iterable[str], row: int) -> Iterator[_Block]:
+    """``_blocks`` of the text that ``pieces`` make, whose first row is file
+    row ``row``, as ``csv.reader`` splits it. At a row that ``csv.reader``
+    refuses, the rows before it make the last block, and the error is
+    raised when the next block is asked for.
+
+    ``csv.reader`` reads one ``StringIO`` per piece: a ``StringIO`` holds
+    its text at four bytes a character, and one over all the text raised a
+    CLI ``solve`` on a quoted file of 1e6 rows from 151 to 251 MB."""
 
     def block(rows: list[list[str]]) -> _Block:
         counts = np.fromiter(map(len, rows), np.intp, len(rows))
@@ -217,7 +226,7 @@ def _reader_blocks(rest: str, row: int) -> Iterator[_Block]:
 
     rows: list[list[str]] = []
     try:
-        for cells in csv.reader(io.StringIO(rest)):
+        for cells in csv.reader(chain.from_iterable(map(io.StringIO, pieces))):
             rows.append(cells)
             if len(rows) == _BLOCK_ROWS:
                 yield block(rows)
@@ -356,15 +365,6 @@ def parse_universe(source: str | Path | IO[str]) -> Universe:
     return Universe._checked(tuple(ids), prices * shares, prices, shares)
 
 
-def _fmt(value: Any) -> str:
-    """Full-precision rendering for file output."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def report_payload(
     method: str,
     params: dict[str, float],
@@ -441,18 +441,19 @@ def render_report_json(payload: dict[str, Any], out: IO[str]) -> None:
 
 def render_report_csv(payload: dict[str, Any], out: IO[str]) -> None:
     """Write ``payload``, as built by ``report_payload``, to ``out`` as
-    ``# key=value`` comments, then a ``REPORT_HEADER`` table."""
+    ``# key=value`` comments, each number as the JSON head writes it, then
+    a ``REPORT_HEADER`` table."""
     out.write(f"# schema_version={payload['schema_version']}\n")
     out.write(f"# method={payload['method']}\n")
     for key, value in payload["params"].items():
-        out.write(f"# {key}={_fmt(value)}\n")
+        out.write(f"# {key}={json.dumps(value)}\n")
     for key, value in payload["summary"].items():
         if key == "top_k_sums":
             for k, (before, after) in value.items():
-                out.write(f"# top{k}_before={_fmt(before)}\n")
-                out.write(f"# top{k}_after={_fmt(after)}\n")
+                out.write(f"# top{k}_before={json.dumps(before)}\n")
+                out.write(f"# top{k}_after={json.dumps(after)}\n")
         else:
-            out.write(f"# {key}={_fmt(value)}\n")
+            out.write(f"# {key}={json.dumps(value)}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(REPORT_HEADER)
     for rows in _report_rows(payload):
@@ -524,4 +525,4 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
             f"weights sum to {total!r}; more than {RENORMALIZE_WINDOW} from 1, "
             "refusing to renormalize"
         )
-    return WeightVector._of_unique(tuple(ids), normalize(values))
+    return WeightVector._scaled(tuple(ids), values)

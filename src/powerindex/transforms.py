@@ -115,7 +115,7 @@ def _power_curve(mu: WeightVector, p: float, knot: float) -> WeightVector:
     if below.any():
         slope = float(np.exp((p - 1.0) * np.log(knot)))
         out[below] = slope * w[below]
-    return mu.reweighted(out)
+    return WeightVector._scaled(mu.identifiers, out)
 
 
 def power_rebalance(mu: WeightVector, rule: PowerRule | float) -> WeightVector:
@@ -156,7 +156,7 @@ def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector
     w = mu.weights
     capped = w > rule.threshold
     if not capped.any():
-        return mu.reweighted(w)
+        return WeightVector._scaled(mu.identifiers, w)
     s = float(w[capped].sum())
     if not (w[~capped] > 0.0).any() or (1.0 - s) <= 0.0:
         raise RebalanceError(
@@ -166,7 +166,7 @@ def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector
     out = np.empty_like(w)
     out[capped] = w[capped] * (rule.target_aggregate / s)
     out[~capped] = w[~capped] * ((1.0 - rule.target_aggregate) / (1.0 - s))
-    return mu.reweighted(out)
+    return WeightVector._scaled(mu.identifiers, out)
 
 
 def apply_rule(mu: WeightVector, rule: RebalanceRule) -> WeightVector:

@@ -11,13 +11,15 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import overload
+from typing import TypeVar, overload
 
 import numpy as np
 
 from .errors import RebalanceError
 
 SUM_TOL = 1e-12
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -116,14 +118,15 @@ class WeightVector:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def _of_unique(
-        cls, identifiers: tuple[str, ...], weights: np.ndarray
-    ) -> WeightVector:
-        """A vector over identifiers already checked to be unique strings,
-        as a parsed file's are: only the weights are checked. ``weights``
-        must be a new float array; the vector keeps it, read-only."""
-        w = np.asarray(weights, dtype=float)
-        _check_lengths(identifiers, w)
+    def _scaled(cls, identifiers: tuple[str, ...], raw: np.ndarray) -> WeightVector:
+        """A vector over ``identifiers`` whose weights are ``raw`` scaled to
+        sum to one, for values a reader or a transform has checked: the
+        identifiers are unique strings, and ``raw`` is finite and
+        nonnegative. Only the scaled weights are checked, as the
+        constructor checks them."""
+        raw = np.asarray(raw, dtype=float)
+        _check_lengths(identifiers, raw)
+        w = scale_to_one(raw)
         _check_weights(w)
         w.setflags(write=False)
         out = object.__new__(cls)
@@ -141,19 +144,6 @@ class WeightVector:
     def __getstate__(self) -> dict[str, object]:
         # The fields only: the memo of concentration_metrics is not pickled.
         return {"identifiers": self.identifiers, "weights": self.weights}
-
-    def reweighted(self, raw: np.ndarray) -> WeightVector:
-        """A vector over the same identifiers whose weights are ``raw``
-        scaled to sum to one.
-
-        For the output of a transform: the identifiers were checked when
-        this vector was built and are shared as they are, and the scaled
-        weights are checked once, as the constructor checks them.
-        """
-        raw = np.asarray(raw, dtype=float)
-        if raw.shape != self.weights.shape:
-            raise ValueError("identifiers and weights must match in length")
-        return self._of_unique(self.identifiers, scale_to_one(raw))
 
     @property
     def n(self) -> int:
@@ -205,15 +195,46 @@ def scale_to_one(arr: np.ndarray) -> np.ndarray:
     return arr / total
 
 
-class Universe(Sequence[Constituent]):
+class _LazySequence(Sequence[_T]):
+    """A read-only sequence whose items are built only as they are read.
+
+    A subclass gives ``__len__`` and ``_items(positions)``, the items at
+    ``positions``, a range of valid indices in either direction. Compares
+    equal to any sequence holding the same items.
+    """
+
+    def _items(self, positions: range) -> list[_T]:
+        raise NotImplementedError
+
+    @overload
+    def __getitem__(self, key: int) -> _T: ...
+
+    @overload
+    def __getitem__(self, key: slice) -> list[_T]: ...
+
+    def __getitem__(self, key: int | slice) -> _T | list[_T]:
+        picked = range(len(self))[key]
+        if isinstance(picked, range):
+            return self._items(picked)
+        return self._items(range(picked, picked + 1))[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={len(self)}, first={self[:3]!r})"
+
+
+class Universe(_LazySequence[Constituent]):
     """Constituents held as columns, as ``parse_universe`` reads them.
 
     A read-only sequence over the identifiers and market caps, plus the
     prices and shares when the source gave those instead of caps. A
     ``Constituent`` is built only when an item is read, so a large
     universe costs a few arrays rather than one object per row, and
-    ``weights_from_market_caps`` reads the cap column directly. Compares
-    equal to any sequence holding the same constituents.
+    ``weights_from_market_caps`` reads the cap column directly.
     """
 
     def __init__(
@@ -238,45 +259,27 @@ class Universe(Sequence[Constituent]):
         shares: np.ndarray | None = None,
     ) -> Universe:
         """A universe whose identifiers are known to be unique, nonempty
-        strings, as ``parse_universe`` checks them, so that
-        ``weights_from_market_caps`` does not check them again."""
+        strings and whose caps are finite and nonnegative, as
+        ``parse_universe`` checks them, so that ``weights_from_market_caps``
+        does not check them again."""
         out = cls(identifiers, market_caps, prices, shares)
         out._checked_ids = identifiers
         return out
 
-    def _constituent(self, i: int) -> Constituent:
-        if self._prices is None or self._shares is None:
-            return Constituent(
-                self.identifiers[i], market_cap=float(self.market_caps[i])
-            )
-        return Constituent(
-            self.identifiers[i],
-            price=float(self._prices[i]),
-            shares_outstanding=float(self._shares[i]),
-        )
-
     def __len__(self) -> int:
         return len(self.identifiers)
 
-    @overload
-    def __getitem__(self, key: int) -> Constituent: ...
-
-    @overload
-    def __getitem__(self, key: slice) -> list[Constituent]: ...
-
-    def __getitem__(self, key: int | slice) -> Constituent | list[Constituent]:
-        picked = range(len(self))[key]
-        if isinstance(picked, range):
-            return [self._constituent(i) for i in picked]
-        return self._constituent(picked)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"Universe(n={len(self)}, first={self[:3]!r})"
+    def _items(self, positions: range) -> list[Constituent]:
+        ids, prices, shares = self.identifiers, self._prices, self._shares
+        if prices is None or shares is None:
+            caps = self.market_caps
+            return [Constituent(ids[i], market_cap=float(caps[i])) for i in positions]
+        return [
+            Constituent(
+                ids[i], price=float(prices[i]), shares_outstanding=float(shares[i])
+            )
+            for i in positions
+        ]
 
 
 def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
@@ -285,8 +288,9 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
     Zero-cap constituents are kept with weight zero so positions stay
     index-aligned. Order matches the input order. A ``Universe`` is read
     by its columns; any other sequence of constituents, item by item. The
-    identifiers of a parsed ``Universe`` were checked by the parse and are
-    not checked again; all others get the full ``WeightVector`` checks.
+    identifiers and caps of a parsed ``Universe`` were checked by the parse
+    and are scaled without checking them again; all others get the checks
+    of ``normalize`` and the ``WeightVector`` constructor.
     """
     if not universe:
         raise RebalanceError("universe is empty")
@@ -305,5 +309,5 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
     if not (caps > 0.0).any():
         raise RebalanceError("all market caps are zero")
     if checked:
-        return WeightVector._of_unique(ids, normalize(caps))
+        return WeightVector._scaled(ids, caps)
     return WeightVector(ids, normalize(caps))

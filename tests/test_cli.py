@@ -322,6 +322,16 @@ class TestSolveCommand:
         )
         assert code == EXIT_USAGE
         assert "--k" in capsys.readouterr().err
+        code = run_cli(
+            [
+                "solve", "--input", str(two_stock_csv),
+                "--target", "max", "--k", "2", "--bound", "0.5",
+            ]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: k only applies to top_k_sum targets\n"
+        assert captured.out == ""
 
     def test_top_k_solve(self, tmp_path, capsys):
         universe = tmp_path / "u.csv"
@@ -347,6 +357,15 @@ class TestSolveCommand:
             ]
         )
         assert code == EXIT_USAGE
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "solve", "--input", str(two_stock_csv),
+                "--target", "max", "--bound", "0.6", "--tol", "0",
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: tol must be positive, got 0.0\n"
 
 
 class TestDiagnoseCommand:

@@ -349,6 +349,17 @@ class TestReportRendering:
         total = sum(float(r[2]) for r in rows)
         assert abs(total - 1.0) <= 1e-9
 
+    def test_heads_write_a_numpy_parameter_alike(self):
+        mu = WeightVector(("AAA", "BBB"), np.array([0.7, 0.3]))
+        rule = PowerRule(np.float64(0.5))
+        eta = power_rebalance(mu, rule)
+        report = diagnostics_report(mu, eta)
+        payload = report_payload("power", {"p": rule.p}, mu, eta, report)
+        assert "\n# p=0.5\n" in rendered(render_report_csv, payload)
+        assert '\n  "params": {\n    "p": 0.5\n  },\n' in rendered(
+            render_report_json, payload
+        )
+
     def test_write_report_rejects_unknown_format(self, tmp_path):
         payload, _, _ = two_stock_payload()
         with pytest.raises(ValueError, match="format"):
@@ -608,6 +619,8 @@ def reference_weight_columns(text):
 @settings(max_examples=400, deadline=None)
 # A repeat after a block that holds only a comment row.
 @example("id,market_cap", "\n", "AAA,1\n# c\nAAA,2", 1, 1, csv.field_size_limit())
+# A quoted newline where the text is cut into pieces for csv.reader.
+@example("id,market_cap", "\n", '"A\nB",1\nC,2', 1, 3, csv.field_size_limit())
 @given(
     header=st.sampled_from(HEADERS),
     line_end=st.sampled_from(["\n", "\r\n", "\r"]),

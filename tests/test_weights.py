@@ -1,14 +1,25 @@
+import io
 import pickle
 
 import numpy as np
 import pytest
 
+import powerindex.io as pio
 from powerindex import (
+    CapRule,
     Constituent,
+    LinearizedPowerRule,
+    PowerRule,
     RebalanceError,
     WeightVector,
+    apply_rule,
     concentration_metrics,
+    diagnostics,
+    find_order_violations,
     normalize,
+    parse_universe,
+    read_weight_file,
+    weights,
     weights_from_market_caps,
 )
 
@@ -210,3 +221,88 @@ class TestWeightVector:
                 for ties in (False, True):
                     v = wv(random_simplex(rng, n, zeros=zeros, ties=ties))
                     assert abs(v.weights.sum() - 1.0) <= 1e-12
+
+
+def test_parsed_values_are_checked_once_by_the_reader(monkeypatch):
+    """A parsed universe, a read weight file and a transform's output are
+    scaled to one without ``normalize``'s checks, with the same bits."""
+    caps = [70.0, 0.0, 30.0, 12.5]
+    ids = ("AAA", "BBB", "CCC", "DDD")
+    text = "id,market_cap\n" + "".join(f"{i},{c!r}\n" for i, c in zip(ids, caps))
+    rules = (PowerRule(0.5), LinearizedPowerRule(0.5, knot=0.2), CapRule(0.2, 0.3))
+    mu = weights_from_market_caps([Constituent(i, c) for i, c in zip(ids, caps)])
+    expected = [mu, *(apply_rule(mu, rule) for rule in rules)]
+
+    def refuse(raw):
+        raise AssertionError("normalize ran on values already checked")
+
+    monkeypatch.setattr(weights, "normalize", refuse)
+    monkeypatch.setattr(pio, "normalize", refuse, raising=False)
+    parsed = weights_from_market_caps(parse_universe(io.StringIO(text)))
+    assert [parsed, *(apply_rule(parsed, rule) for rule in rules)] == expected
+    weight_text = "id,weight\n" + "".join(f"{i},{w!r}\n" for i, w in mu.entries)
+    assert read_weight_file(io.StringIO(weight_text)) == mu
+
+
+def market_cap_universe():
+    rows = "".join(f"S{i:02d},{i % 7}\n" for i in range(30))
+    return parse_universe(io.StringIO("id,market_cap\n" + rows))
+
+
+def price_share_universe():
+    rows = "".join(f"P{i:02d},{i + 1}.5,{i % 4 + 1}\n" for i in range(25))
+    return parse_universe(io.StringIO("id,price,shares\n" + rows))
+
+
+def cap_violations():
+    """The order violations of a cap rebalance of 40 near-equal weights."""
+    rng = np.random.default_rng(5)
+    mu = wv(normalize(1.0 + 1e-3 * rng.random(40)))
+    return find_order_violations(mu, apply_rule(mu, CapRule(1.0 / 40, 0.3)))
+
+
+SEQUENCE_KEYS = (
+    0, 3, -1, -21, slice(None, 20), slice(2, 9, 3), slice(-5, None),
+    slice(None, None, -1), slice(-2, 1, -3), slice(5, 5), slice(5, 5, -1),
+)
+
+
+@pytest.mark.parametrize(
+    "build", [market_cap_universe, price_share_universe, cap_violations]
+)
+def test_lazy_sequence_protocol(build):
+    """``Universe`` and ``OrderViolations`` index, compare and print as the
+    list of their items does."""
+    seq = build()
+    items = list(seq)
+    n = len(seq)
+    assert n == len(items) > 21
+    for key in SEQUENCE_KEYS:
+        assert seq[key] == items[key], key
+    for key in (n, -n - 1):
+        with pytest.raises(IndexError):
+            seq[key]
+    assert seq == items and seq == tuple(items) and items == seq
+    assert seq != items[:-1] and seq != items[::-1]
+    assert seq.__eq__(5) is NotImplemented and seq != 5
+    assert repr(seq) == f"{type(seq).__name__}(n={n}, first={items[:3]!r})"
+
+
+def test_order_violations_build_only_what_is_read(monkeypatch):
+    violations = cap_violations()
+    built = []
+
+    def counted(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    real = diagnostics.OrderViolation
+    monkeypatch.setattr(diagnostics, "OrderViolation", counted)
+    for key, count in ((slice(None, 20), 20), (slice(-1, -20, -9), 3), (7, 1), (-1, 1)):
+        built.clear()
+        out = violations[key]
+        assert len(built) == count, key
+        if isinstance(key, slice):
+            assert len(out) == count
+        else:
+            assert out == real(**built[0])
