@@ -48,6 +48,8 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
+        # argparse quotes some arguments raw; keep the error on one line.
+        message = message.replace("\r", "\\r").replace("\n", "\\n")
         raise _UsageError(f"{self.format_usage()}error: {message}")
 
 

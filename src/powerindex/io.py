@@ -506,7 +506,7 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
     if name.endswith(".json") or text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise RebalanceError(f"not valid report JSON: {exc}") from exc
         rows = payload.get("rows") if isinstance(payload, dict) else None
         if not isinstance(rows, list) or not rows:
@@ -519,7 +519,7 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
         ids, (values,) = _csv_columns(text, WEIGHT_HEADERS, "weight-file header")
     if not ids:
         raise RebalanceError("weight file carries no rows")
-    total = sum(values.tolist())
+    total = float(np.cumsum(values)[-1])  # added in file order
     if abs(total - 1.0) >= RENORMALIZE_WINDOW:
         raise RebalanceError(
             f"weights sum to {total!r}; more than {RENORMALIZE_WINDOW} from 1, "

@@ -39,6 +39,8 @@ class PowerRule:
     p: float
 
     def __post_init__(self) -> None:
+        # Builtin floats, so that a numpy scalar is checked and reported alike.
+        object.__setattr__(self, "p", float(self.p))
         _check_p(self.p)
 
 
@@ -54,6 +56,8 @@ class LinearizedPowerRule:
     knot: float = 0.01
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "knot", float(self.knot))
         _check_p(self.p)
         if not 0.0 < self.knot < 1.0:
             raise ValueError(f"knot must be in (0, 1), got {self.knot!r}")
@@ -68,6 +72,8 @@ class CapRule:
     target_aggregate: float = 0.40
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "target_aggregate", float(self.target_aggregate))
         if not 0.0 < self.threshold < self.target_aggregate < 1.0:
             raise ValueError(
                 "need 0 < threshold < target_aggregate < 1, got "
@@ -126,7 +132,7 @@ def power_rebalance(mu: WeightVector, rule: PowerRule | float) -> WeightVector:
     ``PowerRule(p)``.
     """
     if not isinstance(rule, PowerRule):
-        rule = PowerRule(float(rule))
+        rule = PowerRule(rule)
     return _power_curve(mu, rule.p, 0.0)
 
 

@@ -65,7 +65,9 @@ class Constituent:
         object.__setattr__(self, "market_cap", cap)
 
 
-def _check_unique(identifiers: Sequence[str]) -> None:
+def _check_ids(identifiers: Sequence[str]) -> None:
+    if not all(identifiers):
+        raise ValueError("constituent identifier must be nonempty")
     if len(set(identifiers)) == len(identifiers):
         return
     seen: set[str] = set()
@@ -111,7 +113,7 @@ class WeightVector:
         ids = tuple(map(str, self.identifiers))
         w = np.array(self.weights, dtype=float)
         _check_lengths(ids, w)
-        _check_unique(ids)
+        _check_ids(ids)
         _check_weights(w)
         w.setflags(write=False)
         object.__setattr__(self, "identifiers", ids)
@@ -120,8 +122,8 @@ class WeightVector:
     @classmethod
     def _scaled(cls, identifiers: tuple[str, ...], raw: np.ndarray) -> WeightVector:
         """A vector over ``identifiers`` whose weights are ``raw`` scaled to
-        sum to one, for values a reader or a transform has checked: the
-        identifiers are unique strings, and ``raw`` is finite and
+        sum to one, for values a reader, a ``Universe`` or a transform has
+        checked: the identifiers are unique strings, and ``raw`` is finite and
         nonnegative. Only the scaled weights are checked, as the
         constructor checks them."""
         raw = np.asarray(raw, dtype=float)
@@ -228,27 +230,34 @@ class _LazySequence(Sequence[_T]):
 
 
 class Universe(_LazySequence[Constituent]):
-    """Constituents held as columns, as ``parse_universe`` reads them.
+    """Constituents held as columns: identifiers and market caps, plus the
+    prices and shares when ``parse_universe`` read those instead.
 
-    A read-only sequence over the identifiers and market caps, plus the
-    prices and shares when the source gave those instead of caps. A
-    ``Constituent`` is built only when an item is read, so a large
-    universe costs a few arrays rather than one object per row, and
-    ``weights_from_market_caps`` reads the cap column directly.
+    A read-only sequence that builds a ``Constituent`` only when an item
+    is read, so a large universe costs a few arrays rather than one object
+    per row, and ``weights_from_market_caps`` reads the cap column
+    directly. The constructor checks as the parse does: identifiers become
+    strings, nonempty and unique, and caps must be finite and nonnegative,
+    the first bad one named as its ``Constituent`` names it.
     """
 
+    _prices: np.ndarray | None = None
+    _shares: np.ndarray | None = None
+
     def __init__(
-        self,
-        identifiers: tuple[str, ...],
-        market_caps: np.ndarray,
-        prices: np.ndarray | None = None,
-        shares: np.ndarray | None = None,
+        self, identifiers: Iterable[object], market_caps: Iterable[float]
     ) -> None:
-        self.identifiers = identifiers
-        self.market_caps = market_caps
-        self._prices = prices
-        self._shares = shares
-        self._checked_ids: tuple[str, ...] | None = None
+        ids = tuple(map(str, identifiers))
+        caps = np.array(market_caps, dtype=float)
+        if caps.ndim != 1 or len(ids) != caps.size:
+            raise ValueError("identifiers and market caps must match in length")
+        _check_ids(ids)
+        bad = ~(caps >= 0.0) | np.isinf(caps)
+        if bad.any():
+            i = int(bad.argmax())
+            Constituent(ids[i], market_cap=float(caps[i]))  # raises its message
+        self.identifiers = ids
+        self.market_caps = caps
 
     @classmethod
     def _checked(
@@ -258,12 +267,12 @@ class Universe(_LazySequence[Constituent]):
         prices: np.ndarray | None = None,
         shares: np.ndarray | None = None,
     ) -> Universe:
-        """A universe whose identifiers are known to be unique, nonempty
-        strings and whose caps are finite and nonnegative, as
-        ``parse_universe`` checks them, so that ``weights_from_market_caps``
-        does not check them again."""
-        out = cls(identifiers, market_caps, prices, shares)
-        out._checked_ids = identifiers
+        """A universe over columns that ``parse_universe`` has checked as
+        the constructor checks them, with the prices and shares the file
+        gave in place of caps."""
+        out = object.__new__(cls)
+        out.identifiers, out.market_caps = identifiers, market_caps
+        out._prices, out._shares = prices, shares
         return out
 
     def __len__(self) -> int:
@@ -286,28 +295,17 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
     """Market-cap weights: each constituent's share of the aggregate cap.
 
     Zero-cap constituents are kept with weight zero so positions stay
-    index-aligned. Order matches the input order. A ``Universe`` is read
-    by its columns; any other sequence of constituents, item by item. The
-    identifiers and caps of a parsed ``Universe`` were checked by the parse
-    and are scaled without checking them again; all others get the checks
-    of ``normalize`` and the ``WeightVector`` constructor.
+    index-aligned. Order matches the input order. Any sequence of
+    constituents other than a ``Universe`` is first made into one, whose
+    constructor checks it; a ``Universe`` was checked when it was built,
+    so its caps are only scaled to one.
     """
     if not universe:
         raise RebalanceError("universe is empty")
-    checked = False
-    if isinstance(universe, Universe):
-        ids, caps = universe.identifiers, universe.market_caps
-        checked = universe._checked_ids is ids
-    else:
-        ids = tuple(c.identifier for c in universe)
-        caps = np.array([c.market_cap for c in universe], dtype=float)
-    if (caps < 0.0).any():
-        idx = int(np.argmin(caps))
-        raise RebalanceError(
-            f"{ids[idx]}: market_cap {caps[idx]!r} is negative"
+    if not isinstance(universe, Universe):
+        universe = Universe(
+            [c.identifier for c in universe], [c.market_cap for c in universe]
         )
-    if not (caps > 0.0).any():
+    if not (universe.market_caps > 0.0).any():
         raise RebalanceError("all market caps are zero")
-    if checked:
-        return WeightVector._scaled(ids, caps)
-    return WeightVector(ids, normalize(caps))
+    return WeightVector._scaled(universe.identifiers, universe.market_caps)

@@ -1,11 +1,17 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from powerindex import (
     CalibrationTarget,
@@ -562,3 +568,187 @@ class TestDeterminism:
         loaded = read_weight_file(out)
         assert loaded.identifiers == eta.identifiers
         assert np.max(np.abs(loaded.weights - eta.weights)) <= 1e-12
+
+
+# -- In-process fuzz of run_cli over generated files and argument lists.
+# Each draw is mostly valid, so that every command runs to its end, and
+# now and then one value is swapped for a bad one.
+
+
+def sometimes(valid, invalid) -> st.SearchStrategy:
+    """One of ``valid``, or about one time in six one of ``invalid``."""
+    return st.integers(0, 5).flatmap(
+        lambda i: st.sampled_from(valid if i < 5 else invalid)
+    )
+
+
+FUZZ_IDS = ("AAA", "BBB", "CCC", "A,B", 'Q"X', " D ", "é", "F\nG")
+BAD_IDS = ("", "#E", "AAA", "\x00")
+BAD_NUMBERS = ("-1", "0", "nan", "inf", "abc", "", "1e308", "1_000", " 7 ")
+BAD_JSON_NUMBERS = ("-1", "NaN", "1e400", "null", "true", '"0.5"', "[1]")
+
+
+@st.composite
+def fuzz_rows(draw, width: int, bad_numbers) -> list[list[str]]:
+    """Rows of ``width`` fields: distinct ids and positive numbers, the
+    last column scaled to sum to one, with now and then one field or row
+    spoiled."""
+    ids = draw(st.permutations(FUZZ_IDS)) if draw(st.booleans()) else FUZZ_IDS
+    ids = ids[: draw(sometimes([2, 3, 5, 6], [0, 1]))]
+    numbers = [
+        draw(st.lists(st.floats(0.01, 100.0), min_size=width - 1, max_size=width - 1))
+        for _ in ids
+    ]
+    total = sum(row[-1] for row in numbers if row)
+    rows = [
+        [i, *map(repr, row[:-1]), repr(row[-1] / total)] if row else [i]
+        for i, row in zip(ids, numbers)
+    ]
+    if rows and draw(st.integers(0, 2)) == 0:
+        row = draw(st.sampled_from(rows))
+        spoil = draw(st.sampled_from(["id", "number", "drop", "add", "repeat"]))
+        if spoil == "id":
+            row[0] = draw(st.sampled_from(BAD_IDS))
+        elif spoil == "number" and len(row) > 1:
+            row[-1] = draw(st.sampled_from(bad_numbers))
+        elif spoil == "drop":
+            row.pop()
+        elif spoil == "add":
+            row.append("1")
+        else:
+            rows.append(list(row))
+    return rows
+
+
+@st.composite
+def fuzz_csv(draw, headers) -> str:
+    """A CSV text under one of ``headers``, or now and then another."""
+    header = draw(sometimes(headers, ("id,market_cap", "id,weight", "id", "", "x,y")))
+    rows = draw(fuzz_rows(len(header.split(",")), BAD_NUMBERS))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerows([header.split(","), *rows])
+    return out.getvalue() + draw(sometimes(["", "# note\n"], ['"open\n', "\x00\n"]))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def fuzz_json(draw) -> str:
+    """A JSON report whose rows are those of a weight file, or now and
+    then any JSON value or any text."""
+    kind = draw(sometimes(["report"], ["value", "text"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "text":
+        return draw(st.text(max_size=20))
+    rows = []
+    for row in draw(fuzz_rows(2, BAD_JSON_NUMBERS)):
+        fields = [f'"id": {json.dumps(row[0])}']
+        fields += [f'"weight_after": {w}' for w in row[1:2]]
+        rows.append("{" + ", ".join(fields) + "}")
+    return '{"rows": [' + ", ".join(rows) + "]}"
+
+
+# Argument tokens; {name} stands for a path in the example's directory.
+INPUT = sometimes(["{universe}"], ["{before}", "{report}", "{missing}", "{dir}"])
+WEIGHTS = sometimes(["{before}", "{after}", "{report}"], ["{universe}", "{missing}"])
+BAD_VALUES = ["0", "1", "-1", "2", "nan", "inf", "abc", "1e-300"]
+P = sometimes(["0", "0.3", "0.9", "1"], BAD_VALUES)
+KNOT = sometimes(["0.1", "0.3"], BAD_VALUES)
+THRESHOLD = sometimes(["0.05", "0.2"], BAD_VALUES)
+TARGET = sometimes(["0.4", "0.9"], BAD_VALUES)
+BOUND = sometimes(["0.05", "0.3", "0.6", "0.9"], BAD_VALUES)
+TOL = sometimes(["1e-9"], BAD_VALUES)
+RULE_PARAMS = {
+    "power": {"--p": P}, "linpower": {"--p": P, "--knot": KNOT},
+    "cap": {"--threshold": THRESHOLD, "--target-aggregate": TARGET},
+}
+METHODS = sometimes(
+    ["power:p=0.5,linpower:p=0.5:knot=0.01,cap", "cap", "power:p=0.2",
+     "cap:target=0.5:threshold=0.1"],
+    ["power", "power:p=x", "power:p=0.5:p=0.6", ",", "bogus:q=1", "linpower:p=2",
+     "power:p", "cap:p=0.5"],
+)
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    """A subcommand and its options, mostly well formed."""
+    command = draw(st.sampled_from(["rebalance", "solve", "diagnose", "compare"]))
+    if command == "rebalance":
+        method = draw(sometimes(list(RULE_PARAMS), ["none"]))
+        argv = ["--input", draw(INPUT), "--method", method]
+        for flag, values in RULE_PARAMS.get(method, {"--p": P}).items():
+            argv += [flag, draw(values)]
+        argv += ["--output", draw(sometimes(["{out}"], ["{dir}", "{missing}/r"]))]
+        argv += ["--format", draw(sometimes(["csv", "json"], ["xml"]))]
+    elif command == "solve":
+        target = draw(sometimes(["max", "top-k"], ["min"]))
+        argv = ["--input", draw(INPUT), "--target", target, "--bound", draw(BOUND)]
+        if target == "top-k":
+            argv += ["--k", draw(sometimes(["1", "2", "3"], ["0", "-1", "9", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--tol", draw(TOL)]
+    elif command == "diagnose":
+        argv = ["--before", draw(WEIGHTS), "--after", draw(WEIGHTS)]
+    else:
+        argv = ["--input", draw(INPUT), "--methods", draw(METHODS)]
+    argv = [command, *argv]
+    spoil = draw(sometimes(["none"], ["drop", "junk"]))
+    if spoil == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif spoil == "junk":
+        argv.insert(
+            draw(st.integers(0, len(argv))),
+            draw(st.sampled_from(["--k", "--p", "0.5", "--bogus", "-h", "x\ny"])),
+        )
+    return argv
+
+
+DEEP = 200_000
+# The files of an example: the first four hold the drawn texts.
+FUZZ_FILES = (
+    "universe.csv", "before.csv", "after.csv", "report.json", "out", "missing"
+)
+UNIVERSE_HEADERS = ["id,market_cap", "id,price,shares"]
+WEIGHT_HEADERS = ["id,weight", "id,weight_before,weight_after,delta"]
+
+
+@settings(max_examples=300, deadline=None)
+# A JSON weight file nested deeper than the interpreter's recursion limit.
+@example(
+    "id,market_cap\nAAA,1\n", "id,weight\nAAA,1\n", "id,weight\nAAA,1\n",
+    '{"rows": ' + "[" * DEEP + "]" * DEEP + "}",
+    ["diagnose", "--before", "{before}", "--after", "{report}"],
+)
+@given(
+    fuzz_csv(UNIVERSE_HEADERS), fuzz_csv(WEIGHT_HEADERS), fuzz_csv(WEIGHT_HEADERS),
+    fuzz_json(), fuzz_argv(),
+)
+def test_run_cli_fuzz(universe, before, after, report, argv):
+    """Whatever the files and arguments, ``run_cli`` returns a documented
+    exit code and raises nothing. An input error or an infeasible solve is
+    one line on stderr, and a usage error ends with its ``error:`` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name.partition(".")[0]: Path(tmp, name) for name in FUZZ_FILES}
+        for path, text in zip(paths.values(), (universe, before, after, report)):
+            path.write_text(text, encoding="utf-8")
+        args = [arg.format(dir=tmp, **paths) for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(args)
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_INFEASIBLE, EXIT_PATHOLOGY)
+    if code in (EXIT_OK, EXIT_PATHOLOGY):
+        assert err == ""
+    if code in (EXIT_INPUT, EXIT_INFEASIBLE):
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    if code == EXIT_USAGE:
+        assert err.endswith("\n") and err.splitlines()[-1].startswith("error:"), err

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from unittest import mock
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 import powerindex.io as pio
 from helpers import reference_parse_universe, reference_read_weight_csv, whole
 from powerindex import (
+    CapRule,
     Constituent,
+    LinearizedPowerRule,
     PowerRule,
     RebalanceError,
     WeightVector,
+    apply_rule,
     diagnostics_report,
     parse_universe,
     power_rebalance,
@@ -350,15 +354,34 @@ class TestReportRendering:
         assert abs(total - 1.0) <= 1e-9
 
     def test_heads_write_a_numpy_parameter_alike(self):
-        mu = WeightVector(("AAA", "BBB"), np.array([0.7, 0.3]))
-        rule = PowerRule(np.float64(0.5))
-        eta = power_rebalance(mu, rule)
-        report = diagnostics_report(mu, eta)
-        payload = report_payload("power", {"p": rule.p}, mu, eta, report)
-        assert "\n# p=0.5\n" in rendered(render_report_csv, payload)
-        assert '\n  "params": {\n    "p": 0.5\n  },\n' in rendered(
-            render_report_json, payload
-        )
+        """A rule built from numpy scalars writes, in either format, the
+        report of the rule built from the floats they stand for."""
+        mu = WeightVector(("AAA", "BBB", "CCC"), np.array([0.6, 0.3, 0.1]))
+        cases = [
+            ("power", PowerRule(np.float64(0.5)), PowerRule(0.5)),
+            ("power", PowerRule(np.int64(1)), PowerRule(1.0)),
+            ("linpower", LinearizedPowerRule(np.float32(0.5), knot=np.float32(0.25)),
+             LinearizedPowerRule(0.5, knot=0.25)),
+            ("cap", CapRule(np.float32(0.3), np.float64(0.5)),
+             CapRule(float(np.float32(0.3)), 0.5)),
+        ]
+        for method, numpy_rule, float_rule in cases:
+            texts = []
+            for rule in (numpy_rule, float_rule):
+                params = dataclasses.asdict(rule)
+                assert [type(v) for v in params.values()] == [float] * len(params)
+                eta = apply_rule(mu, rule)
+                payload = report_payload(
+                    method, params, mu, eta, diagnostics_report(mu, eta)
+                )
+                texts.append(
+                    [rendered(render_report_csv, payload),
+                     rendered(render_report_json, payload)]
+                )
+            assert texts[0] == texts[1], numpy_rule
+        csv_text, json_text = texts[0]
+        assert "\n# threshold=0.30000001192092896\n" in csv_text
+        assert '\n  "params": {\n    "threshold": 0.30000001192092896,\n' in json_text
 
     def test_write_report_rejects_unknown_format(self, tmp_path):
         payload, _, _ = two_stock_payload()

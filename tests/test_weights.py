@@ -11,6 +11,7 @@ from powerindex import (
     LinearizedPowerRule,
     PowerRule,
     RebalanceError,
+    Universe,
     WeightVector,
     apply_rule,
     concentration_metrics,
@@ -189,6 +190,11 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="length"):
             WeightVector(("A",), np.array([0.5, 0.5]))
 
+    def test_rejects_empty_identifier(self):
+        message = "constituent identifier must be nonempty"
+        with pytest.raises(ValueError, match=whole(message)):
+            WeightVector(("", "B"), [0.5, 0.5])
+
     def test_rejects_empty(self):
         with pytest.raises(RebalanceError, match=whole("weight vector has no entries")):
             WeightVector((), np.array([]))
@@ -242,6 +248,54 @@ def test_parsed_values_are_checked_once_by_the_reader(monkeypatch):
     assert [parsed, *(apply_rule(parsed, rule) for rule in rules)] == expected
     weight_text = "id,weight\n" + "".join(f"{i},{w!r}\n" for i, w in mu.entries)
     assert read_weight_file(io.StringIO(weight_text)) == mu
+
+
+# Universes built by hand: identifiers, caps, and the class and message
+# of the error, or None where the universe is valid.
+NAN, INF = float("nan"), float("inf")
+HAND_BUILT = {
+    "list caps": (("A", "B", "C", "D"), [70.0, 0.0, 30.0, 12.5], None, None),
+    "int ids": ((1, 2, 3), [3.0, 1.0, 2.0], None, None),
+    "nan cap": (("A", "B"), [1.0, NAN], ValueError, "B: market_cap must be finite"),
+    "inf cap": (("A", "B"), [INF, 1.0], ValueError, "A: market_cap must be finite"),
+    "negative cap": (
+        ("A", "B", "C"), [1.0, -1.0, -2.0], RebalanceError,
+        "B: market_cap -1.0 is negative",
+    ),
+    "length mismatch": (
+        ("A", "B"), [1.0], ValueError, "identifiers and market caps must match in length"
+    ),
+    "duplicate id": (
+        ("A", "B", "A"), [1.0, 2.0, 3.0], RebalanceError, "duplicate identifiers: ['A']"
+    ),
+    "empty id": (
+        ("", "B"), [1.0, 2.0], ValueError, "constituent identifier must be nonempty"
+    ),
+    "empty universe": ((), [], RebalanceError, "universe is empty"),
+}
+
+
+@pytest.mark.parametrize(
+    "ids, caps, error, message", HAND_BUILT.values(), ids=list(HAND_BUILT)
+)
+def test_hand_built_universe_is_checked_where_it_is_built(ids, caps, error, message):
+    """``Universe(...)`` checks its columns as the parse checks a file's;
+    only an empty universe is left for ``weights_from_market_caps`` to
+    reject. A valid one weighs to the bits of the same file parsed."""
+    if error is not None:
+        with pytest.raises(error, match=whole(message)):
+            u = Universe(ids, caps)
+            if not ids:
+                weights_from_market_caps(u)
+        return
+    u = Universe(ids, caps)
+    mu = weights_from_market_caps(u)
+    for i in range(len(u)):
+        assert u[i].identifier == mu.identifiers[i]
+    text = "id,market_cap\n" + "".join(f"{i},{c!r}\n" for i, c in zip(ids, caps))
+    parsed = weights_from_market_caps(parse_universe(io.StringIO(text)))
+    assert mu.identifiers == parsed.identifiers
+    assert mu.weights.tobytes() == parsed.weights.tobytes()
 
 
 def market_cap_universe():
