@@ -75,18 +75,29 @@ def top_k_sum(weights: np.ndarray, k: int) -> float:
     """Sum of the k largest values in ascending order, the bits of
     ``float(np.sort(weights)[-k:].sum())`` whatever order the CPU's
     partition leaves; for k >= size, of all values in input order."""
-    return _top_k_sums(weights, (k,))[int(k)]
+    ks = _positive_ks((k,))
+    return _top_k_sums(weights, ks)[ks[0]]
 
 
-def _top_k_sums(weights: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
-    """``top_k_sum`` for each k, from one partition and one sorted tail."""
-    ks, n = [int(k) for k in ks], weights.size
+def _positive_ks(ks: Sequence[int]) -> tuple[int, ...]:
+    """``ks`` as ints; a ``ValueError`` names the first that is not positive."""
+    ks = tuple(int(k) for k in ks)
     for k in ks:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k!r}")
+    return ks
+
+
+def _top_k_sums(weights: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
+    """``top_k_sum`` for each of ``ks``, positive ints, from one partition
+    and one sorted tail."""
+    n = weights.size
     kmax = max([k for k in ks if k < n], default=0)
-    tail = np.sort(np.partition(weights, -kmax)[-kmax:]) if kmax else weights
-    return {k: float(tail[-k:].sum() if k < n else weights.sum()) for k in ks}
+    tail = weights
+    if kmax:
+        tail = np.partition(weights, -kmax)[-kmax:]  # a fresh array
+        tail.sort()
+    return {k: float(np.add.reduce(tail[-k:] if k < n else weights)) for k in ks}
 
 
 def _check_k(target: CalibrationTarget, n: int) -> None:
@@ -98,8 +109,8 @@ def _check_k(target: CalibrationTarget, n: int) -> None:
 
 def _statistic(weights: np.ndarray, target: CalibrationTarget) -> float:
     if target.kind == "max_weight":
-        return float(weights.max())
-    return top_k_sum(weights, target.k)
+        return float(np.maximum.reduce(weights))
+    return _top_k_sums(weights, (target.k,))[target.k]
 
 
 def concentration_statistic(mu: WeightVector, target: CalibrationTarget) -> float:
@@ -122,8 +133,9 @@ def solve_exponent(
     Newton on log statistic(p) - log bound from the last point tried; a
     step that leaves the bracket, or a slope that is not positive, gives
     way to the bracket's midpoint. It stops when the bracket is narrower
-    than ``tol`` and returns the feasible endpoint, so ``achieved <=
-    bound`` holds exactly and p_star + tol breaches the bound.
+    than ``tol``, or holds no float between its ends, and returns the
+    feasible endpoint, so ``achieved <= bound`` holds exactly and p_star +
+    tol breaches the bound.
     Deterministic for fixed inputs.
 
     Each step works on arrays: the logs of the positive weights and the
@@ -160,10 +172,14 @@ def solve_exponent(
         v = scale_to_one(power_curve(w, positive, log_positive, p))
         on_top, on_all = v[top_positive], (v if all_positive else v[positive])
         slope = float(
-            log_top @ on_top / on_top.sum() - log_positive @ on_all / on_all.sum()
+            log_top @ on_top / np.add.reduce(on_top)
+            - log_positive @ on_all / np.add.reduce(on_all)
         )
-        stat = float(np.sort(v[top]).sum()) if sum_top else _statistic(v, target)
-        return stat, slope
+        if not sum_top:
+            return _statistic(v, target), slope
+        held = v[top]  # a fresh array
+        held.sort()
+        return float(np.add.reduce(held)), slope
 
     floor, _ = evaluate(0.0)
     if floor > target.bound:
@@ -179,7 +195,7 @@ def solve_exponent(
     lo, hi = 0.0, 1.0
     p, achieved = 1.0, floor
     iterations = 0
-    while hi - lo >= tol:
+    while hi - lo >= tol and math.nextafter(lo, hi) < hi:
         iterations += 1
         if iterations > MAX_ITERATIONS:
             raise RebalanceError(
@@ -188,12 +204,13 @@ def solve_exponent(
             )
         # A slope that is not positive gives NaN, which takes the midpoint.
         step = p - (math.log(value) - log_bound) / slope if slope > 0.0 else math.nan
-        if lo <= step <= hi:
-            # Keep half a tolerance from either end, so that a step that
-            # would land within tol of the root from one side lands on
-            # the other and closes the bracket.
-            p = min(max(step, lo + 0.5 * tol), hi - 0.5 * tol)
-        else:
+        # Keep half a tolerance from either end, so that a step that would
+        # land within tol of the root from one side lands on the other and
+        # closes the bracket.
+        p = min(max(step, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not (lo <= step <= hi and lo < p < hi):
+            # Out of the bracket, or left on an end by a tol too small to
+            # move off it, where the bracket would not shrink.
             p = 0.5 * (lo + hi)
         value, slope = evaluate(p)
         if value > target.bound:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import _top_k_sums
+from .calibration import _positive_ks, _top_k_sums
 from .errors import RebalanceError
 from .transforms import RebalanceRule, apply_rule
 from .weights import WeightVector, _LazySequence
@@ -90,7 +90,7 @@ def _count_inversions(values: np.ndarray) -> int:
     total, width = 0, 1
     while width < n:
         merged = np.argsort(pos // (2 * width) * n + ranks, kind="stable")
-        total += int(np.maximum(merged - pos, 0).sum())
+        total += int(np.add.reduce(np.maximum(merged - pos, 0)))
         ranks = ranks[merged]
         width *= 2
     return total
@@ -117,7 +117,9 @@ def _rows_with_partner(
     below_max = np.concatenate(([-np.inf], below_max[:-1]))
     above_min = np.concatenate((above_min[::-1][1:], [np.inf]))
     partnered = (eta_s < below_max[group]) | (eta_s > above_min[group])
-    return np.sort(order[partnered])
+    rows = order[partnered]  # a fresh array
+    rows.sort()
+    return rows
 
 
 class OrderViolations(_LazySequence[OrderViolation]):
@@ -141,7 +143,7 @@ class OrderViolations(_LazySequence[OrderViolation]):
         # inversion of eta: ties in mu are sorted ascending in eta.
         order = np.lexsort((eta_w, mu_w))
         eta_s = eta_w[order]
-        if (eta_s[1:] >= eta_s[:-1]).all():
+        if np.logical_and.reduce(eta_s[1:] >= eta_s[:-1]):
             self._count, self._rows = 0, order[:0]
         else:
             self._count = _count_inversions(eta_s)
@@ -227,8 +229,11 @@ def _turnover(mu_w: np.ndarray, after: np.ndarray, only_eta: np.ndarray) -> floa
     """Half the L1 distance, from mu's weights and a pairing's ``after`` and
     ``only_eta``, added in that order by a cumulative sum: the bits of a plain
     loop, which neither np.sum nor builtin sum (from Python 3.12) gives."""
-    moves = np.abs(np.concatenate((after - mu_w, only_eta)))
-    return 0.5 * float(np.cumsum(moves, out=moves)[-1])
+    moves = after - mu_w
+    if only_eta.size:
+        moves = np.concatenate((moves, only_eta))
+    np.abs(moves, out=moves)
+    return 0.5 * float(np.add.accumulate(moves, out=moves)[-1])
 
 
 def find_order_violations(mu: WeightVector, eta: WeightVector) -> OrderViolations:
@@ -278,10 +283,12 @@ def concentration_metrics(
     key = (reporting_p, tuple(top_ks))
     if key not in memo:
         arr = w.weights
+        # The module's own default needs no check.
+        ks = top_ks if top_ks is DEFAULT_TOP_KS else _positive_ks(top_ks)
         memo[key] = ConcentrationMetrics(
-            float((arr * arr).sum()),
-            _top_k_sums(arr, top_ks),
-            float((arr**reporting_p).sum() ** (1.0 / reporting_p)),
+            float(np.add.reduce(arr * arr)),
+            _top_k_sums(arr, ks),
+            float(np.add.reduce(arr**reporting_p) ** (1.0 / reporting_p)),
         )
     return memo[key]
 
@@ -297,8 +304,8 @@ def diagnostics_report(mu: WeightVector, eta: WeightVector) -> DiagnosticsReport
     pairing = _pair(mu, eta)
     before = concentration_metrics(mu)
     after = concentration_metrics(eta)
-    max_before = float(mu.weights.max())
-    max_after = float(eta.weights.max())
+    max_before = float(np.maximum.reduce(mu.weights))
+    max_after = float(np.maximum.reduce(eta.weights))
     return DiagnosticsReport(
         order_violations=OrderViolations(pairing.ids, pairing.mu_w, pairing.eta_w),
         max_before=max_before,

@@ -118,7 +118,7 @@ def _power_curve(mu: WeightVector, p: float, knot: float) -> WeightVector:
     positive = w > 0.0
     out = power_curve(w, positive, np.log(w[positive]), p)
     below = w < knot
-    if below.any():
+    if np.logical_or.reduce(below):
         slope = float(np.exp((p - 1.0) * np.log(knot)))
         out[below] = slope * w[below]
     return WeightVector._scaled(mu.identifiers, out)
@@ -161,10 +161,10 @@ def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector
         rule = CapRule()
     w = mu.weights
     capped = w > rule.threshold
-    if not capped.any():
+    if not np.logical_or.reduce(capped):
         return WeightVector._scaled(mu.identifiers, w)
-    s = float(w[capped].sum())
-    if not (w[~capped] > 0.0).any() or (1.0 - s) <= 0.0:
+    s = float(np.add.reduce(w[capped]))
+    if not np.logical_or.reduce(w[~capped] > 0.0) or (1.0 - s) <= 0.0:
         raise RebalanceError(
             f"weights above threshold sum to {s!r}; no positive complement "
             "is left to absorb the redistributed mass"

@@ -8,6 +8,7 @@ before/after comparisons.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -56,7 +57,7 @@ class Constituent:
             if self.market_cap is not None
             else float(self.price) * float(self.shares_outstanding)
         )
-        if not np.isfinite(cap):
+        if not math.isfinite(cap):
             raise ValueError(f"{self.identifier}: market_cap must be finite")
         if cap < 0:
             raise RebalanceError(
@@ -88,12 +89,12 @@ def _check_lengths(identifiers: tuple[str, ...], w: np.ndarray) -> None:
 
 def _check_weights(w: np.ndarray) -> None:
     # NaN fails both comparisons; the checks below only pick the message.
-    if not (0.0 <= w.min() and w.max() <= 1.0):
+    if not (0.0 <= np.minimum.reduce(w) and np.maximum.reduce(w) <= 1.0):
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         if (w < 0.0).any() or (w > 1.0).any():
             raise ValueError("weights must lie in [0, 1]")
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
 
@@ -123,9 +124,9 @@ class WeightVector:
     def _scaled(cls, identifiers: tuple[str, ...], raw: np.ndarray) -> WeightVector:
         """A vector over ``identifiers`` whose weights are ``raw`` scaled to
         sum to one, for values a reader, a ``Universe`` or a transform has
-        checked: the identifiers are unique strings, and ``raw`` is finite and
-        nonnegative. Only the scaled weights are checked, as the
-        constructor checks them."""
+        checked: the identifiers are unique strings, and ``raw`` is finite,
+        nonnegative and summable (see ``scale_to_one``). Only the scaled
+        weights are checked, as the constructor checks them."""
         raw = np.asarray(raw, dtype=float)
         _check_lengths(identifiers, raw)
         w = scale_to_one(raw)
@@ -179,22 +180,28 @@ def normalize(raw: Iterable[float] | np.ndarray) -> np.ndarray:
     if (arr < 0.0).any():
         idx = int(np.argmin(arr))
         raise RebalanceError(f"entry {idx} is negative: {arr[idx]!r}")
-    return scale_to_one(arr)
-
-
-def scale_to_one(arr: np.ndarray) -> np.ndarray:
-    """``arr`` divided by its sum, for values already known to be finite
-    and nonnegative; ``normalize`` is the checked entry point."""
-    with np.errstate(over="ignore"):
-        total = float(arr.sum())
-    if not np.isfinite(total):
-        # The sum overflowed: scale by the largest entry first. Only then,
-        # so that finite sums keep their exact quotients.
-        arr = arr / arr.max()
-        total = float(arr.sum())
+    arr = _summable(arr)
+    total = float(np.add.reduce(arr))
     if total <= 0.0:
         raise RebalanceError("entries sum to zero; nothing to normalize")
     return arr / total
+
+
+def _summable(arr: np.ndarray) -> np.ndarray:
+    """Finite nonnegative ``arr`` as it is when its sum is finite, and
+    otherwise, as for two caps of 1e308, over its largest entry: only then,
+    so that finite sums keep their exact quotients."""
+    with np.errstate(over="ignore"):
+        total = float(np.add.reduce(arr))
+    return arr if math.isfinite(total) else arr / np.maximum.reduce(arr)
+
+
+def scale_to_one(arr: np.ndarray) -> np.ndarray:
+    """``arr`` divided by its sum, for finite nonnegative values whose sum
+    is positive and cannot overflow: a transform's output, whose entries
+    are at most one; weight-file values, which ``read_weight_file`` has
+    found to sum to about one; and what ``_summable`` returns."""
+    return arr / float(np.add.reduce(arr))
 
 
 class _LazySequence(Sequence[_T]):
@@ -252,9 +259,11 @@ class Universe(_LazySequence[Constituent]):
         if caps.ndim != 1 or len(ids) != caps.size:
             raise ValueError("identifiers and market caps must match in length")
         _check_ids(ids)
-        bad = ~(caps >= 0.0) | np.isinf(caps)
-        if bad.any():
-            i = int(bad.argmax())
+        # NaN fails both comparisons; the first bad cap is sought only then.
+        if caps.size and not (
+            0.0 <= np.minimum.reduce(caps) and np.maximum.reduce(caps) < math.inf
+        ):
+            i = int((~(caps >= 0.0) | np.isinf(caps)).argmax())
             Constituent(ids[i], market_cap=float(caps[i]))  # raises its message
         self.identifiers = ids
         self.market_caps = caps
@@ -306,6 +315,7 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
         universe = Universe(
             [c.identifier for c in universe], [c.market_cap for c in universe]
         )
-    if not (universe.market_caps > 0.0).any():
+    caps = universe.market_caps
+    if not np.maximum.reduce(caps) > 0.0:
         raise RebalanceError("all market caps are zero")
-    return WeightVector._scaled(universe.identifiers, universe.market_caps)
+    return WeightVector._scaled(universe.identifiers, _summable(caps))

@@ -249,6 +249,20 @@ class TestSolveCommand:
         assert "converged=true" in out
         assert "achieved=0.6" in out
 
+    def test_tol_below_the_float_spacing(self, tmp_path, capsys):
+        # The bracket stops one ulp wide, short of any tol below that.
+        universe = tmp_path / "u.csv"
+        universe.write_text("id,market_cap\nA,3\nB,2\nC,1\n")
+        code = run_cli(
+            [
+                "solve", "--input", str(universe),
+                "--target", "max", "--bound", "0.4", "--tol", "1e-300",
+            ]
+        )
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "converged=true" in out and "achieved=0.4 " in out
+
     def test_printed_p_star_meets_bound_in_rebalance(self, tmp_path, capsys):
         # Rounded to 6 digits, p_star could round up and breach the bound.
         rng = np.random.default_rng(404)

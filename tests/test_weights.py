@@ -87,6 +87,11 @@ class TestWeightsFromMarketCaps:
         with pytest.raises(RebalanceError, match=whole("universe is empty")):
             weights_from_market_caps([])
 
+    def test_caps_whose_sum_overflows(self):
+        # Warnings are errors here, so this also shows the guard leaks none.
+        out = weights_from_market_caps(Universe(("A", "B"), [1e308, 1e308]))
+        assert out.weights.tolist() == [0.5, 0.5]
+
     def test_all_zero_caps(self):
         with pytest.raises(RebalanceError, match=whole("all market caps are zero")):
             weights_from_market_caps([Constituent("A", 0.0), Constituent("B", 0.0)])
