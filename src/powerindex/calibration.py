@@ -100,23 +100,21 @@ def _top_k_sums(weights: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
     return {k: float(np.add.reduce(tail[-k:] if k < n else weights)) for k in ks}
 
 
-def _check_k(target: CalibrationTarget, n: int) -> None:
-    if target.kind == "top_k_sum" and target.k > n:
-        raise RebalanceError(
-            f"k={target.k} exceeds the {n} available constituents"
-        )
+def _k(target: CalibrationTarget) -> int:
+    return 1 if target.kind == "max_weight" else target.k  # the top-1 sum
 
 
-def _statistic(weights: np.ndarray, target: CalibrationTarget) -> float:
-    if target.kind == "max_weight":
-        return float(np.maximum.reduce(weights))
-    return _top_k_sums(weights, (target.k,))[target.k]
+def _check_k(target: CalibrationTarget, n: int) -> int:
+    k = _k(target)
+    if k > n:
+        raise RebalanceError(f"k={k} exceeds the {n} available constituents")
+    return k
 
 
 def concentration_statistic(mu: WeightVector, target: CalibrationTarget) -> float:
     """Evaluate the target's statistic on a weight vector."""
-    _check_k(target, mu.n)
-    return _statistic(mu.weights, target)
+    k = _check_k(target, mu.n)
+    return _top_k_sums(mu.weights, (k,))[k]
 
 
 def solve_exponent(
@@ -145,24 +143,20 @@ def solve_exponent(
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    _check_k(target, mu.n)
+    k = _check_k(target, mu.n)
     w = mu.weights
     positive = w > 0.0
     log_positive = np.log(w[positive])
     # The transform preserves order, so the entries that hold the
     # statistic are the same for every p. Ties at the k-th place do not
     # matter: tied weights stay equal for every p.
-    if target.kind == "max_weight":
-        top = np.array([w.argmax()])
-    else:
-        top = np.argpartition(w, -target.k)[-target.k :]
+    top = np.argpartition(w, -k)[-k:]
     # Zero weights in the top set, when k exceeds the number of positive
     # ones, add nothing to the slope but stay in the sorted sum, which is
     # top_k_sum's for k < n (at k = n it adds in input order).
     top_positive = top[w[top] > 0.0]
     log_top = np.log(w[top_positive])
     log_bound = math.log(target.bound)
-    sum_top = target.kind == "top_k_sum" and target.k < mu.n
     all_positive = log_positive.size == w.size
 
     def evaluate(p: float) -> tuple[float, float]:
@@ -175,8 +169,8 @@ def solve_exponent(
             log_top @ on_top / np.add.reduce(on_top)
             - log_positive @ on_all / np.add.reduce(on_all)
         )
-        if not sum_top:
-            return _statistic(v, target), slope
+        if k == w.size:
+            return float(np.add.reduce(v)), slope
         held = v[top]  # a fresh array
         held.sort()
         return float(np.add.reduce(held)), slope
@@ -193,7 +187,7 @@ def solve_exponent(
 
     # Invariant: residual(lo) <= 0 < residual(hi).
     lo, hi = 0.0, 1.0
-    p, achieved = 1.0, floor
+    p, achieved, stalls = 1.0, floor, 0
     iterations = 0
     while hi - lo >= tol and math.nextafter(lo, hi) < hi:
         iterations += 1
@@ -204,17 +198,22 @@ def solve_exponent(
             )
         # A slope that is not positive gives NaN, which takes the midpoint.
         step = p - (math.log(value) - log_bound) / slope if slope > 0.0 else math.nan
-        # Keep half a tolerance from either end, so that a step that would
-        # land within tol of the root from one side lands on the other and
-        # closes the bracket.
-        p = min(max(step, lo + 0.5 * tol), hi - 0.5 * tol)
+        # Keep a nudge from either end, so that a step within tol of the
+        # root lands past it and closes the bracket. A step that still lands
+        # on the end's side has stalled. One or two stalls are the usual
+        # close beside the root; each stall in a row after those doubles the
+        # nudge, so a statistic flat to rounding is crossed in few steps.
+        nudge = 0.5 * tol * 2.0 ** max(stalls - 2, 0)
+        p = min(max(step, lo + nudge), hi - nudge)
         if not (lo <= step <= hi and lo < p < hi):
             # Out of the bracket, or left on an end by a tol too small to
             # move off it, where the bracket would not shrink.
-            p = 0.5 * (lo + hi)
+            p = step = 0.5 * (lo + hi)
         value, slope = evaluate(p)
         if value > target.bound:
             hi = p
         else:
             lo, achieved = p, value
+        # Nudged off an end, yet still on its side: a stall (a midpoint is not).
+        stalls = stalls + 1 if step < p == lo or step > p == hi else 0
     return CalibrationResult(float(lo), achieved, iterations, True, (lo, hi))

@@ -203,7 +203,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"converged={'true' if result.converged else 'false'} "
         f"iterations={result.iterations} bracket_width={_g(hi - lo)}"
     )
-    return EXIT_OK if result.converged else EXIT_INPUT
+    return EXIT_OK
 
 
 def _print_report(report: DiagnosticsReport) -> None:
@@ -268,26 +268,18 @@ _COMMANDS = {
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, run one subcommand, return the exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except RebalanceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (RebalanceError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
 

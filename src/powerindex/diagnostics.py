@@ -96,27 +96,16 @@ def _count_inversions(values: np.ndarray) -> int:
     return total
 
 
-def _rows_with_partner(
-    mu_s: np.ndarray, eta_s: np.ndarray, order: np.ndarray
-) -> np.ndarray:
+def _rows_with_partner(eta_s: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Input positions, ascending, of the entries in at least one flipped
-    pair; ``mu_s`` and ``eta_s`` are the weights in ``order``, which sorts
-    by mu and then eta.
+    pair; ``order`` sorts by mu and then eta, and ``eta_s`` is eta in it.
 
-    An entry is the heavier side of a flip exactly when some strictly
-    lighter tie group of mu holds a larger after weight, and the lighter
-    side when some strictly heavier group holds a smaller one.
+    An entry is the heavier side of a flip exactly when an earlier entry
+    holds a larger eta, and the lighter side when a later one holds a
+    smaller eta: ties in mu are sorted ascending in eta.
     """
-    new_group = np.empty(mu_s.size, dtype=bool)
-    new_group[:1] = True
-    np.not_equal(mu_s[1:], mu_s[:-1], out=new_group[1:])
-    starts = np.flatnonzero(new_group)
-    group = np.cumsum(new_group) - 1
-    below_max = np.maximum.accumulate(np.maximum.reduceat(eta_s, starts))
-    above_min = np.minimum.accumulate(np.minimum.reduceat(eta_s, starts)[::-1])
-    below_max = np.concatenate(([-np.inf], below_max[:-1]))
-    above_min = np.concatenate((above_min[::-1][1:], [np.inf]))
-    partnered = (eta_s < below_max[group]) | (eta_s > above_min[group])
+    later_min = np.minimum.accumulate(eta_s[::-1])[::-1]
+    partnered = (eta_s < np.maximum.accumulate(eta_s)) | (eta_s > later_min)
     rows = order[partnered]  # a fresh array
     rows.sort()
     return rows
@@ -147,7 +136,7 @@ class OrderViolations(_LazySequence[OrderViolation]):
             self._count, self._rows = 0, order[:0]
         else:
             self._count = _count_inversions(eta_s)
-            self._rows = _rows_with_partner(mu_w[order], eta_s, order)
+            self._rows = _rows_with_partner(eta_s, order)
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """(lo, hi) positions of each flipped pair, in sequence order."""

@@ -519,7 +519,8 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
         ids, (values,) = _csv_columns(text, WEIGHT_HEADERS, "weight-file header")
     if not ids:
         raise RebalanceError("weight file carries no rows")
-    total = float(np.cumsum(values)[-1])  # added in file order
+    with np.errstate(over="ignore"):  # an overflow sums to inf, refused below
+        total = float(np.cumsum(values)[-1])  # added in file order
     if abs(total - 1.0) >= RENORMALIZE_WINDOW:
         raise RebalanceError(
             f"weights sum to {total!r}; more than {RENORMALIZE_WINDOW} from 1, "

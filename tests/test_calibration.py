@@ -7,6 +7,7 @@ from powerindex import (
     CalibrationTarget,
     InfeasibleError,
     RebalanceError,
+    WeightVector,
     calibration,
     concentration_statistic,
     power_rebalance,
@@ -130,6 +131,19 @@ class TestSolveExponent:
         message = r"^solver exceeded 1 iterations \(bracket \[0\.3935596636\d*, 1\.0\]\)$"
         with pytest.raises(RebalanceError, match=message):
             solve_exponent(wv([0.7, 0.3]), CalibrationTarget("max_weight", 0.60))
+
+    def test_stalled_steps_double_the_nudge(self):
+        # One ulp above the equal-weight floor the statistic is flat, each
+        # clamped step stays feasible, and a fixed nudge of tol / 2 needed
+        # more than 200 steps to cross the root near 1.7e-15.
+        mu = WeightVector(("a", "b"), [0.42628487023756373, 0.5737151297624362])
+        target = CalibrationTarget("max_weight", 0.5000000000000001)
+        result = solve_exponent(mu, target, tol=1e-17)
+        lo, hi = result.bracket
+        assert result.p_star == lo and hi - lo < 1e-17
+        assert result.achieved <= target.bound
+        assert concentration_statistic(power_rebalance(mu, hi), target) > target.bound
+        assert result.iterations <= 50
 
     def test_infeasible_bound(self):
         with pytest.raises(InfeasibleError):

@@ -429,6 +429,17 @@ class TestDiagnoseCommand:
         code = run_cli(["diagnose", "--before", str(before), "--after", str(after)])
         assert code == EXIT_INPUT
 
+    def test_weights_whose_sum_overflows(self, tmp_path, capsys):
+        # Warnings are errors here, so an overflow warning fails the test.
+        before = write_weights(tmp_path / "b.csv", [0.5, 0.5])
+        after = tmp_path / "a.csv"
+        after.write_text("id,weight\nA,1e308\nB,1e308\n")
+        code = run_cli(["diagnose", "--before", str(before), "--after", str(after)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "weights sum to inf; more than 0.001 from 1, refusing to renormalize\n"
+        )
+
     def test_malformed_json_row_is_input_error(self, tmp_path):
         before = write_weights(tmp_path / "b.csv", [0.5, 0.5])
         after = tmp_path / "a.json"
