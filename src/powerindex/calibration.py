@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InfeasibleError, RebalanceError
 from .transforms import power_curve
-from .weights import WeightVector, scale_to_one
+from .weights import WeightVector
 
 MAX_ITERATIONS = 200
 DEFAULT_TOL = 1e-10
@@ -48,9 +48,9 @@ class CalibrationTarget:
         if not 0.0 < self.bound < 1.0:
             raise ValueError(f"bound must be in (0, 1), got {self.bound!r}")
         if self.kind == "top_k_sum":
-            if self.k is None or int(self.k) < 1:
+            if self.k is None:
                 raise ValueError("top_k_sum targets need k >= 1")
-            object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, "k", _positive_k(self.k))
         elif self.k is not None:
             raise ValueError("k only applies to top_k_sum targets")
 
@@ -75,37 +75,38 @@ def top_k_sum(weights: np.ndarray, k: int) -> float:
     """Sum of the k largest values in ascending order, the bits of
     ``float(np.sort(weights)[-k:].sum())`` whatever order the CPU's
     partition leaves; for k >= size, of all values in input order."""
-    ks = _positive_ks((k,))
-    return _top_k_sums(weights, ks)[ks[0]]
+    k = _positive_k(k)
+    return _top_k_sums(weights, (k,))[k]
 
 
-def _positive_ks(ks: Sequence[int]) -> tuple[int, ...]:
-    """``ks`` as ints; a ``ValueError`` names the first that is not positive."""
-    ks = tuple(int(k) for k in ks)
-    for k in ks:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k!r}")
-    return ks
+def _positive_k(k: object) -> int:
+    """``k`` as an int, for a positive integral number that is not a bool,
+    such as 6, 6.0 or ``np.int64(6)``; a ``ValueError`` names any other."""
+    try:
+        if not isinstance(k, (bool, np.bool_)) and k == int(k) > 0:
+            return int(k)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, "x"
+        pass
+    raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
 def _top_k_sums(weights: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
     """``top_k_sum`` for each of ``ks``, positive ints, from one partition
-    and one sorted tail."""
+    and one sorted tail; the top-1 sum is the tail's last value, the max."""
     n = weights.size
     kmax = max([k for k in ks if k < n], default=0)
     tail = weights
     if kmax:
         tail = np.partition(weights, -kmax)[-kmax:]  # a fresh array
         tail.sort()
-    return {k: float(np.add.reduce(tail[-k:] if k < n else weights)) for k in ks}
-
-
-def _k(target: CalibrationTarget) -> int:
-    return 1 if target.kind == "max_weight" else target.k  # the top-1 sum
+    return {
+        k: float(tail[-1] if k == 1 else np.add.reduce(tail[-k:] if k < n else weights))
+        for k in ks
+    }
 
 
 def _check_k(target: CalibrationTarget, n: int) -> int:
-    k = _k(target)
+    k = 1 if target.kind == "max_weight" else target.k  # the top-1 sum
     if k > n:
         raise RebalanceError(f"k={k} exceeds the {n} available constituents")
     return k
@@ -124,8 +125,10 @@ def solve_exponent(
 ) -> CalibrationResult:
     """Largest exponent p whose power-rebalanced statistic meets the bound.
 
-    Checks feasibility at p=0 first (the equal-weight floor) and raises
-    ``InfeasibleError`` below it. Returns p=1 immediately when the input
+    Raises ``InfeasibleError`` when the top k hold every positive weight,
+    where the statistic is 1 for every p, and when the bound lies below
+    the equal-weight floor, the statistic at p=0: k copies of 1/m summed,
+    over m positive weights. Returns p=1 immediately when the input
     already satisfies the bound. Otherwise keeps a bracket [lo, hi] of
     [0, 1] with statistic(lo) <= bound < statistic(hi), and steps by
     Newton on log statistic(p) - log bound from the last point tried; a
@@ -147,35 +150,36 @@ def solve_exponent(
     w = mu.weights
     positive = w > 0.0
     log_positive = np.log(w[positive])
+    m = log_positive.size
+    if k >= m:
+        raise InfeasibleError(
+            f"the top {k} weights hold all {m} positive ones, so the "
+            f"statistic is 1 for every p, above the bound {target.bound!r}"
+        )
     # The transform preserves order, so the entries that hold the
-    # statistic are the same for every p. Ties at the k-th place do not
-    # matter: tied weights stay equal for every p.
+    # statistic are the same for every p, and all positive. Ties at the
+    # k-th place do not matter: tied weights stay equal for every p.
     top = np.argpartition(w, -k)[-k:]
-    # Zero weights in the top set, when k exceeds the number of positive
-    # ones, add nothing to the slope but stay in the sorted sum, which is
-    # top_k_sum's for k < n (at k = n it adds in input order).
-    top_positive = top[w[top] > 0.0]
-    log_top = np.log(w[top_positive])
+    log_top = np.log(w[top])
     log_bound = math.log(target.bound)
-    all_positive = log_positive.size == w.size
+    all_positive = m == w.size
 
     def evaluate(p: float) -> tuple[float, float]:
         """The statistic at p, and the slope of its log: the w**p-tilted
         mean of log w over the top entries minus that over all positive
         ones."""
-        v = scale_to_one(power_curve(w, positive, log_positive, p))
-        on_top, on_all = v[top_positive], (v if all_positive else v[positive])
+        v = power_curve(w, positive, log_positive, p)  # a fresh array
+        v /= float(np.add.reduce(v))
+        held, on_all = v[top], (v if all_positive else v[positive])
         slope = float(
-            log_top @ on_top / np.add.reduce(on_top)
+            log_top @ held / np.add.reduce(held)
             - log_positive @ on_all / np.add.reduce(on_all)
         )
-        if k == w.size:
-            return float(np.add.reduce(v)), slope
-        held = v[top]  # a fresh array
         held.sort()
         return float(np.add.reduce(held)), slope
 
-    floor, _ = evaluate(0.0)
+    # At p = 0 each positive weight is exactly 1/m: the bits of evaluate(0.0).
+    floor = float(np.add.reduce(np.full(k, 1.0 / m)))
     if floor > target.bound:
         raise InfeasibleError(
             f"bound {target.bound!r} lies below the fully diversified "

@@ -16,13 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import _positive_ks, _top_k_sums
+from .calibration import _top_k_sums
 from .errors import RebalanceError
 from .transforms import RebalanceRule, apply_rule
 from .weights import WeightVector, _LazySequence
 
 MAX_INCREASE_TOL = 1e-12
-DEFAULT_TOP_KS = (1, 5, 6, 10)
+DEFAULT_TOP_KS = (1, 5, 6, 10)  # holds 1: a report's max is its top-1 sum
 DEFAULT_REPORTING_P = 0.5
 
 
@@ -249,37 +249,26 @@ def turnover(mu: WeightVector, eta: WeightVector) -> float:
     return _turnover(mu.weights, pairing.after, pairing.only_eta)
 
 
-def concentration_metrics(
-    w: WeightVector,
-    reporting_p: float = DEFAULT_REPORTING_P,
-    top_ks: Sequence[int] = DEFAULT_TOP_KS,
-) -> ConcentrationMetrics:
+def concentration_metrics(w: WeightVector) -> ConcentrationMetrics:
     """HHI, top-k aggregates, and the diversity measure of one vector.
 
     The diversity measure is (sum w_i**p)**(1/p) for the reporting
-    exponent p in (0, 1); it is at least 1, with equality exactly when a
-    single weight carries everything. Top-k sums are ``top_k_sum``'s, all
-    taken from one sorted tail; requested k values larger than the
-    universe clamp to the full sum. The result is memoized on the vector
-    per (reporting_p, top_ks), outside its fields, and is shared by later
-    calls: treat it as read-only.
+    exponent p = ``DEFAULT_REPORTING_P``; it is at least 1, with equality
+    exactly when a single weight carries everything. The top-k sums, for
+    each k of ``DEFAULT_TOP_KS``, are ``top_k_sum``'s, all taken from one
+    sorted tail; a k larger than the universe clamps to the full sum. The
+    result is memoized on the vector, outside its fields, and is shared
+    by later calls: treat it as read-only.
     """
-    if not 0.0 < reporting_p < 1.0:
-        raise ValueError(
-            f"reporting_p must be in (0, 1), got {reporting_p!r}"
-        )
-    memo = vars(w).setdefault("_metrics", {})
-    key = (reporting_p, tuple(top_ks))
-    if key not in memo:
-        arr = w.weights
-        # The module's own default needs no check.
-        ks = top_ks if top_ks is DEFAULT_TOP_KS else _positive_ks(top_ks)
-        memo[key] = ConcentrationMetrics(
+    metrics = vars(w).get("_metrics")
+    if metrics is None:
+        arr, p = w.weights, DEFAULT_REPORTING_P
+        metrics = vars(w)["_metrics"] = ConcentrationMetrics(
             float(np.add.reduce(arr * arr)),
-            _top_k_sums(arr, ks),
-            float(np.add.reduce(arr**reporting_p) ** (1.0 / reporting_p)),
+            _top_k_sums(arr, DEFAULT_TOP_KS),
+            float(np.add.reduce(arr**p) ** (1.0 / p)),
         )
-    return memo[key]
+    return metrics
 
 
 def diagnostics_report(mu: WeightVector, eta: WeightVector) -> DiagnosticsReport:
@@ -287,14 +276,13 @@ def diagnostics_report(mu: WeightVector, eta: WeightVector) -> DiagnosticsReport
 
     Order violations are evaluated over identifiers common to both
     vectors; turnover uses the union, as ``turnover`` computes it; the
-    per-vector metrics (max, HHI, top-k, diversity) describe each full
-    vector, with ``concentration_metrics``' defaults.
+    per-vector metrics (HHI, top-k, diversity, and the max as the top-1
+    sum) are each full vector's ``concentration_metrics``.
     """
     pairing = _pair(mu, eta)
     before = concentration_metrics(mu)
     after = concentration_metrics(eta)
-    max_before = float(np.maximum.reduce(mu.weights))
-    max_after = float(np.maximum.reduce(eta.weights))
+    max_before, max_after = before.top_k_sums[1], after.top_k_sums[1]
     return DiagnosticsReport(
         order_violations=OrderViolations(pairing.ids, pairing.mu_w, pairing.eta_w),
         max_before=max_before,

@@ -191,9 +191,12 @@ def _summable(arr: np.ndarray) -> np.ndarray:
     """Finite nonnegative ``arr`` as it is when its sum is finite, and
     otherwise, as for two caps of 1e308, over its largest entry: only then,
     so that finite sums keep their exact quotients."""
+    peak = float(np.maximum.reduce(arr, initial=0.0))
+    if peak * arr.size < 1e300:  # no rounding carries such a sum past 1.8e308
+        return arr
     with np.errstate(over="ignore"):
         total = float(np.add.reduce(arr))
-    return arr if math.isfinite(total) else arr / np.maximum.reduce(arr)
+    return arr if math.isfinite(total) else arr / peak
 
 
 def scale_to_one(arr: np.ndarray) -> np.ndarray:

@@ -40,6 +40,15 @@ class TestCalibrationTarget:
         with pytest.raises(ValueError, match="kind"):
             CalibrationTarget("median", 0.5)
 
+    def test_k_must_be_a_positive_integer(self):
+        for k in (2.7, True, False, 0, -3, float("nan"), float("inf"), "3"):
+            message = f"k must be a positive integer, got {k!r}"
+            with pytest.raises(ValueError, match=whole(message)):
+                CalibrationTarget("top_k_sum", 0.5, k=k)
+        for k in (6, 6.0, np.int64(6), np.float64(6.0)):
+            target = CalibrationTarget("top_k_sum", 0.5, k=k)
+            assert target.k == 6 and type(target.k) is int
+
 
 class TestConcentrationStatistic:
     def test_max_weight(self):
@@ -78,6 +87,14 @@ class TestConcentrationStatistic:
     def test_top_k_sum_helper_validates_k(self):
         with pytest.raises(ValueError):
             top_k_sum(np.array([0.5, 0.5]), 0)
+
+    def test_top_k_sum_rejects_a_k_that_is_not_integral(self):
+        w = np.array([0.5, 0.3, 0.2])
+        for k in (1.9, True, np.bool_(True), 0.5):
+            message = f"k must be a positive integer, got {k!r}"
+            with pytest.raises(ValueError, match=whole(message)):
+                top_k_sum(w, k)
+        assert top_k_sum(w, 2.0) == top_k_sum(w, np.int32(2)) == top_k_sum(w, 2)
 
     def test_top_k_sum_adds_the_sorted_tail(self):
         # The k largest in ascending order, whatever order the CPU's
@@ -157,8 +174,9 @@ class TestSolveExponent:
             )
 
     def test_infeasible_floor_is_the_statistic_with_zeros_in_the_top_set(self):
-        # With k at or above the number of positive weights, zeros join
-        # the top set; the floor the error names is the statistic's value.
+        # With k at or above the number m of positive weights, zeros join
+        # the top set and the statistic is 1 for every p; the error names
+        # k and m.
         rng = np.random.default_rng(71)
         for _ in range(40):
             n = int(rng.integers(12, 200))
@@ -166,10 +184,55 @@ class TestSolveExponent:
             m = int(np.count_nonzero(mu.weights))
             k = int(rng.integers(m, n))
             target = CalibrationTarget("top_k_sum", 0.5, k=k)
-            floor = concentration_statistic(power_rebalance(mu, 0.0), target)
-            message = f"bound 0.5 lies below the fully diversified floor {floor!r}"
+            message = (
+                f"the top {k} weights hold all {m} positive ones, so the "
+                "statistic is 1 for every p, above the bound 0.5"
+            )
             with pytest.raises(InfeasibleError, match=whole(message)):
                 solve_exponent(mu, target)
+
+    def test_top_set_holding_every_positive_weight_is_infeasible(self):
+        # Rounding puts that statistic at 1 - 2**-53, 1 or 1 + 2**-52, so a
+        # bound one ulp below 1 once passed the floor check and bisected to
+        # an arbitrary p.
+        rng = np.random.default_rng(72)
+        bound = 0.9999999999999999
+        for _ in range(30):
+            n = int(rng.integers(12, 250))
+            mu = wv(random_simplex(rng, n, zeros=True))
+            m = int(np.count_nonzero(mu.weights))
+            for k in range(m, n + 1):
+                target = CalibrationTarget("top_k_sum", bound, k=k)
+                with pytest.raises(InfeasibleError):
+                    solve_exponent(mu, target, tol=1e-14)
+        only = wv([0.0, 1.0, 0.0])
+        with pytest.raises(InfeasibleError, match="^the top 1 weights hold all 1"):
+            solve_exponent(only, CalibrationTarget("max_weight", bound))
+
+    def test_floor_is_the_statistic_at_zero(self):
+        # The solver's closed-form floor, k copies of 1/m summed, has the
+        # bits of the statistic of power_rebalance(mu, 0): the error for a
+        # bound one ulp below it names it, and the floor itself is feasible.
+        rng = np.random.default_rng(73)
+        checked = 0
+        for case in range(120):
+            n = int(rng.integers(2, 300))
+            w = random_simplex(rng, n, zeros=case % 2 == 0, ties=case % 3 == 0)
+            mu = wv(w)
+            m = int(np.count_nonzero(w))
+            for k in {1, 2, 5, 6, m // 2, m - 1} - {0}:
+                if k >= m:
+                    continue
+                probe = CalibrationTarget("top_k_sum", 0.5, k=k)
+                floor = concentration_statistic(power_rebalance(mu, 0.0), probe)
+                below = math.nextafter(floor, 0.0)
+                message = f"bound {below!r} lies below the fully diversified floor {floor!r}"
+                with pytest.raises(InfeasibleError, match=whole(message)):
+                    solve_exponent(mu, CalibrationTarget("top_k_sum", below, k=k))
+                result = solve_exponent(mu, CalibrationTarget("top_k_sum", floor, k=k))
+                assert result.achieved <= floor
+                checked += 1
+        assert checked > 400
 
     def test_bound_at_floor_is_feasible(self):
         result = solve_exponent(wv([0.7, 0.3]), CalibrationTarget("max_weight", 0.5))

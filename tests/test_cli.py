@@ -333,6 +333,23 @@ class TestSolveCommand:
         assert code == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    def test_top_k_over_every_positive_name_is_infeasible(self, tmp_path, capsys):
+        universe = tmp_path / "u.csv"
+        universe.write_text("id,market_cap\nA,3\nB,2\nC,1\nD,0\nE,0\n")
+        code = run_cli(
+            [
+                "solve", "--input", str(universe),
+                "--target", "top-k", "--k", "3", "--bound", "0.9999999999999999",
+            ]
+        )
+        assert code == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "infeasible: the top 3 weights hold all 3 positive ones, so the "
+            "statistic is 1 for every p, above the bound 0.9999999999999999\n"
+        )
+        assert captured.out == ""
+
     def test_top_k_requires_k(self, two_stock_csv, capsys):
         code = run_cli(
             [

@@ -20,6 +20,7 @@ from powerindex import (
     find_order_violations,
     normalize,
     power_rebalance,
+    top_k_sum,
     turnover,
     WeightVector,
 )
@@ -213,7 +214,7 @@ class TestConcentrationMetrics:
         assert metrics.diversity == pytest.approx(1.0, abs=1e-12)
 
     def test_two_stock_diversity(self):
-        metrics = concentration_metrics(wv([0.7, 0.3]), reporting_p=0.5)
+        metrics = concentration_metrics(wv([0.7, 0.3]))
         assert metrics.diversity == pytest.approx(1.9165151389911679, abs=1e-12)
 
     def test_top_k_clamps_to_n(self):
@@ -229,31 +230,27 @@ class TestConcentrationMetrics:
             )
             assert metrics.diversity >= 1.0
 
-    def test_rejects_reporting_p_outside_unit_interval(self):
-        for p in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError, match="reporting_p"):
-                concentration_metrics(wv([0.7, 0.3]), reporting_p=p)
-
     def test_top_k_sums_add_the_sorted_tail(self):
         rng = np.random.default_rng(103)
         for case in range(40):
             n = int(rng.integers(2, 300))
             w = random_simplex(rng, n, zeros=case % 2 == 0, ties=case % 3 == 0)
             ks = sorted({1, 5, 6, 10, n // 2, n - 1, n, n + 3} - {0})
-            metrics = concentration_metrics(wv(w), top_ks=ks)
+            metrics = concentration_metrics(wv(w))
             for k in ks:
                 expected = w.sum() if k >= n else np.sort(w)[-k:].sum()
-                assert metrics.top_k_sums[k] == float(expected)
+                assert top_k_sum(w, k) == float(expected)
+                if k in metrics.top_k_sums:
+                    assert metrics.top_k_sums[k] == float(expected)
 
-    def test_memo_is_per_arguments(self):
+    def test_memo_holds_one_value(self):
         w = random_simplex(np.random.default_rng(107), 30, ties=True)
         mu = wv(w)
         first = concentration_metrics(mu)
         assert concentration_metrics(mu) is first
-        for kwargs in ({"reporting_p": 0.25}, {"top_ks": (2, 3)}):
-            again = concentration_metrics(mu, **kwargs)
-            assert again == concentration_metrics(wv(w), **kwargs)
-            assert again != first
+        assert vars(mu)["_metrics"] is first
+        # A fresh vector with the same weights computes the same value.
+        assert concentration_metrics(wv(w)) == first
         # Transform outputs are built without __init__ and memoize too.
         eta = power_rebalance(mu, 0.5)
         assert concentration_metrics(eta) is concentration_metrics(eta)
@@ -272,12 +269,12 @@ class TestConcentrationMetrics:
         assert concentration_metrics(back) == metrics
 
     def test_rejects_nonpositive_k(self):
-        mu = wv([0.7, 0.3])
-        for ks in ((0,), (5, -1)):
-            message = f"k must be positive, got {ks[-1]}"
+        w = np.array([0.7, 0.3])
+        for k in (0, -1):
+            message = f"k must be a positive integer, got {k}"
             with pytest.raises(ValueError, match=whole(message)):
-                concentration_metrics(mu, top_ks=ks)
-        assert concentration_metrics(mu, top_ks=(1,)).top_k_sums == {1: 0.7}
+                top_k_sum(w, k)
+        assert top_k_sum(w, 1) == 0.7
 
     def test_hhi_weakly_decreases_under_power(self):
         rng = np.random.default_rng(97)
@@ -322,6 +319,21 @@ class TestDiagnosticsReport:
         eta_within = wv([0.5 + 5e-13, 0.5 - 5e-13])
         assert diagnostics_report(mu, eta_above).max_increased
         assert not diagnostics_report(mu, eta_within).max_increased
+
+    def test_max_is_the_largest_weight(self):
+        # The report reads the max from its top-1 sums; with zeros, ties
+        # and a single name it is still w.max() bit for bit.
+        rng = np.random.default_rng(113)
+        cases = [np.array([1.0]), np.array([0.5, 0.5]), np.array([0.0, 1.0, 0.0])]
+        for case in range(60):
+            n = int(rng.integers(2, 300))
+            cases.append(random_simplex(rng, n, zeros=case % 2 == 0, ties=True))
+        for w in cases:
+            mu = wv(w)
+            for eta in (power_rebalance(mu, 0.0), power_rebalance(mu, 0.3), mu):
+                report = diagnostics_report(mu, eta)
+                assert report.max_before == float(w.max())
+                assert report.max_after == float(eta.weights.max())
 
     def test_top_k_pairs(self):
         mu = wv(CAP1_MU)
