@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, RebalanceError
-from .transforms import power_curve
+from .transforms import power_weights
 from .weights import WeightVector
 
 MAX_ITERATIONS = 200
@@ -140,9 +140,10 @@ def solve_exponent(
     Deterministic for fixed inputs.
 
     Each step works on arrays: the logs of the positive weights and the
-    top-k index set are taken once, and the statistic is evaluated with
-    the same arithmetic as ``power_rebalance`` and
-    ``concentration_statistic``, without building a ``WeightVector``.
+    top-k index set are taken once, the weights at p come from
+    ``power_weights`` as ``power_rebalance``'s do, and the statistic is
+    summed as ``concentration_statistic`` sums it, without building a
+    ``WeightVector``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -168,8 +169,7 @@ def solve_exponent(
         """The statistic at p, and the slope of its log: the w**p-tilted
         mean of log w over the top entries minus that over all positive
         ones."""
-        v = power_curve(w, positive, log_positive, p)  # a fresh array
-        v /= float(np.add.reduce(v))
+        v = power_weights(w, p, logs=log_positive)  # a fresh array
         held, on_all = v[top], (v if all_positive else v[positive])
         slope = float(
             log_top @ held / np.add.reduce(held)

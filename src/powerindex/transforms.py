@@ -93,35 +93,32 @@ RULES: dict[str, type] = {
 }
 
 
-def power_curve(
-    w: np.ndarray, positive: np.ndarray, log_positive: np.ndarray, p: float
+def power_weights(
+    w: np.ndarray, p: float, knot: float = 0.0, logs: np.ndarray | None = None
 ) -> np.ndarray:
-    """w**p before renormalizing: exp(p * log(w)) on the ``positive``
-    entries, whose logs are ``log_positive``; zeros stay zero for every p,
-    so no platform pow edge case at 0 is involved. The solver passes the
-    logs it took once; the transforms take them per call.
+    """f(w) / sum f(w), a fresh array, where f(x) = x**p at and above
+    ``knot`` and the chord knot**(p-1) * x below it; with knot = 0 no
+    weight is below the knot and f is the plain power. Both power rules
+    and the solver reweight through this one function.
+
+    x**p is exp(p * log(x)) on the positive entries, whose logs are
+    ``logs``, taken here unless the caller took them once, as the solver
+    does; zeros stay zero for every p, so no platform pow edge case at 0
+    is involved.
     """
-    if log_positive.size == w.size:
-        return np.exp(p * log_positive)
-    out = np.zeros_like(w)
-    out[positive] = np.exp(p * log_positive)
-    return out
-
-
-def _power_curve(mu: WeightVector, p: float, knot: float) -> WeightVector:
-    """Reweight to f(mu_i) / sum_j f(mu_j), where f(x) = x**p at and above
-    ``knot`` and the chord knot**(p-1) * x below it.
-
-    With knot = 0 no weight is below the knot and f is the plain power.
-    """
-    w = mu.weights
-    positive = w > 0.0
-    out = power_curve(w, positive, np.log(w[positive]), p)
+    if logs is None:
+        logs = np.log(w[w > 0.0])
+    if logs.size == w.size:
+        out = np.exp(p * logs)
+    else:
+        out = np.zeros_like(w)
+        out[w > 0.0] = np.exp(p * logs)
     below = w < knot
     if np.logical_or.reduce(below):
         slope = float(np.exp((p - 1.0) * np.log(knot)))
         out[below] = slope * w[below]
-    return WeightVector._scaled(mu.identifiers, out)
+    out /= float(np.add.reduce(out))
+    return out
 
 
 def power_rebalance(mu: WeightVector, rule: PowerRule | float) -> WeightVector:
@@ -133,7 +130,7 @@ def power_rebalance(mu: WeightVector, rule: PowerRule | float) -> WeightVector:
     """
     if not isinstance(rule, PowerRule):
         rule = PowerRule(rule)
-    return _power_curve(mu, rule.p, 0.0)
+    return WeightVector._wrap(mu.identifiers, power_weights(mu.weights, rule.p))
 
 
 def linearized_power_rebalance(
@@ -145,7 +142,8 @@ def linearized_power_rebalance(
     weights are scaled by the constant chord slope, so any two weights
     under the knot keep their ratio.
     """
-    return _power_curve(mu, rule.p, rule.knot)
+    out = power_weights(mu.weights, rule.p, rule.knot)
+    return WeightVector._wrap(mu.identifiers, out)
 
 
 def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector:

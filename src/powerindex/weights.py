@@ -80,13 +80,6 @@ def _check_ids(identifiers: Sequence[str]) -> None:
     raise RebalanceError(f"duplicate identifiers: {sorted(dupes)}")
 
 
-def _check_lengths(identifiers: tuple[str, ...], w: np.ndarray) -> None:
-    if w.ndim != 1 or len(identifiers) != w.size:
-        raise ValueError("identifiers and weights must match in length")
-    if w.size == 0:
-        raise RebalanceError("weight vector has no entries")
-
-
 def _check_weights(w: np.ndarray) -> None:
     # NaN fails both comparisons; the checks below only pick the message.
     if not (0.0 <= np.minimum.reduce(w) and np.maximum.reduce(w) <= 1.0):
@@ -113,7 +106,10 @@ class WeightVector:
     def __post_init__(self) -> None:
         ids = tuple(map(str, self.identifiers))
         w = np.array(self.weights, dtype=float)
-        _check_lengths(ids, w)
+        if w.ndim != 1 or len(ids) != w.size:
+            raise ValueError("identifiers and weights must match in length")
+        if w.size == 0:
+            raise RebalanceError("weight vector has no entries")
         _check_ids(ids)
         _check_weights(w)
         w.setflags(write=False)
@@ -121,21 +117,25 @@ class WeightVector:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def _scaled(cls, identifiers: tuple[str, ...], raw: np.ndarray) -> WeightVector:
-        """A vector over ``identifiers`` whose weights are ``raw`` scaled to
-        sum to one, for values a reader, a ``Universe`` or a transform has
-        checked: the identifiers are unique strings, and ``raw`` is finite,
-        nonnegative and summable (see ``scale_to_one``). Only the scaled
-        weights are checked, as the constructor checks them."""
-        raw = np.asarray(raw, dtype=float)
-        _check_lengths(identifiers, raw)
-        w = scale_to_one(raw)
-        _check_weights(w)
+    def _wrap(cls, identifiers: tuple[str, ...], w: np.ndarray) -> WeightVector:
+        """A vector holding ``w``, made read-only and not checked: for
+        weights derived from input checked where it entered (``_scaled``)."""
         w.setflags(write=False)
         out = object.__new__(cls)
         object.__setattr__(out, "identifiers", identifiers)
         object.__setattr__(out, "weights", w)
         return out
+
+    @classmethod
+    def _scaled(cls, identifiers: tuple[str, ...], raw: np.ndarray) -> WeightVector:
+        """``_wrap`` of ``raw`` over its sum, for identifiers checked as the
+        constructor checks them and one finite nonnegative ``raw`` value for
+        each, with a positive sum that cannot overflow: a transform's output,
+        weight-file values found to sum to about one, or what ``_summable``
+        returns. The quotients then lie in [0, 1] and sum to one within
+        rounding, so none is checked; tests/test_weights.py holds each
+        caller to that."""
+        return cls._wrap(identifiers, raw / float(np.add.reduce(raw)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightVector):
@@ -197,14 +197,6 @@ def _summable(arr: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         total = float(np.add.reduce(arr))
     return arr if math.isfinite(total) else arr / peak
-
-
-def scale_to_one(arr: np.ndarray) -> np.ndarray:
-    """``arr`` divided by its sum, for finite nonnegative values whose sum
-    is positive and cannot overflow: a transform's output, whose entries
-    are at most one; weight-file values, which ``read_weight_file`` has
-    found to sum to about one; and what ``_summable`` returns."""
-    return arr / float(np.add.reduce(arr))
 
 
 class _LazySequence(Sequence[_T]):

@@ -28,6 +28,18 @@ def wv(values, ids=None) -> WeightVector:
     return WeightVector(make_ids(arr.size) if ids is None else tuple(ids), arr)
 
 
+def reference_scale(arr: np.ndarray) -> np.ndarray:
+    return arr / float(arr.sum())
+
+
+def reference_power(w: np.ndarray, p: float) -> np.ndarray:
+    """The power rule by the plain formula: exp(p * log x) on the positive
+    entries and zero elsewhere, over its sum."""
+    raw = np.zeros_like(w)
+    raw[w > 0.0] = np.exp(p * np.log(w[w > 0.0]))
+    return reference_scale(raw)
+
+
 def random_simplex(
     rng: np.random.Generator,
     n: int,

@@ -17,9 +17,9 @@ from powerindex import (
     top_k_sum,
 )
 from powerindex.diagnostics import MAX_INCREASE_TOL
-from powerindex.transforms import power_curve
+from powerindex.transforms import power_weights
 
-from helpers import random_simplex, whole, wv
+from helpers import random_simplex, reference_power, whole, wv
 
 # Frozen from an independent script: sqrt/pow entrywise, divide by the sum.
 TWO_STOCK_HALF = (0.60435607626104, 0.39564392373895996)
@@ -99,13 +99,12 @@ def test_power_guarantees_on_hard_vectors(w, p, linearized):
     if w.size <= 50:
         assert no_strict_inversions(w, eta.weights)
     # One more name at weight zero: with no zero in w, the curve takes its
-    # all-positive path on w and the masked path on w0, and every other
-    # entry must come out bit-identical. The transform's weights may
-    # differ only in rounding, because the total adds one more term.
+    # all-positive path on w and the masked path on w0, and each must give
+    # the plain formula bit for bit. The transform's weights may differ
+    # only in rounding, because the total adds one more term.
     w0 = np.append(w, 0.0)
-    raw = power_curve(w, w > 0.0, np.log(w[w > 0.0]), p)
-    raw0 = power_curve(w0, w0 > 0.0, np.log(w0[w0 > 0.0]), p)
-    assert raw0[:-1].tobytes() == raw.tobytes() and raw0[-1] == 0.0
+    for v in (w, w0):
+        assert power_weights(v, p).tobytes() == reference_power(v, p).tobytes()
     eta0 = rebalance(WeightVector(ids + ("ZERO",), w0))
     assert eta0.weights[-1] == 0.0
     np.testing.assert_allclose(eta0.weights[:-1], eta.weights, rtol=1e-14, atol=1e-321)
