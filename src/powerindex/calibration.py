@@ -128,15 +128,15 @@ def solve_exponent(
     Raises ``InfeasibleError`` when the top k hold every positive weight,
     where the statistic is 1 for every p, and when the bound lies below
     the equal-weight floor, the statistic at p=0: k copies of 1/m summed,
-    over m positive weights. Returns p=1 immediately when the input
-    already satisfies the bound. Otherwise keeps a bracket [lo, hi] of
-    [0, 1] with statistic(lo) <= bound < statistic(hi), and steps by
-    Newton on log statistic(p) - log bound from the last point tried; a
-    step that leaves the bracket, or a slope that is not positive, gives
-    way to the bracket's midpoint. It stops when the bracket is narrower
-    than ``tol``, or holds no float between its ends, and returns the
-    feasible endpoint, so ``achieved <= bound`` holds exactly and p_star +
-    tol breaches the bound.
+    over m positive weights, unless 1/m is above the max. Returns p=1
+    immediately when the input already satisfies the bound. Otherwise
+    keeps a bracket [lo, hi] of [0, 1] with statistic(lo) <= bound <
+    statistic(hi), and steps by Newton on log statistic(p) - log bound
+    from the last point tried; a step that leaves the bracket, or a slope
+    that is not positive, gives way to the bracket's midpoint. It stops
+    when the bracket is narrower than ``tol``, or holds no float between
+    its ends, and returns the feasible endpoint, so ``achieved <= bound``
+    holds exactly and p_star + tol breaches the bound.
     Deterministic for fixed inputs.
 
     Each step works on arrays: the logs of the positive weights and the
@@ -178,8 +178,10 @@ def solve_exponent(
         held.sort()
         return float(np.add.reduce(held)), slope
 
-    # At p = 0 each positive weight is exactly 1/m: the bits of evaluate(0.0).
-    floor = float(np.add.reduce(np.full(k, 1.0 / m)))
+    # At p = 0 each positive weight is exactly 1/m, the bits of evaluate(0.0),
+    # unless 1/m is above the max, which power_weights does not let grow.
+    at_zero = np.full(k, 1.0 / m)
+    floor = evaluate(0.0)[0] if 1.0 / m > w.max() else float(np.add.reduce(at_zero))
     if floor > target.bound:
         raise InfeasibleError(
             f"bound {target.bound!r} lies below the fully diversified "

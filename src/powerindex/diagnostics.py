@@ -21,6 +21,7 @@ from .errors import RebalanceError
 from .transforms import RebalanceRule, apply_rule
 from .weights import WeightVector, _LazySequence
 
+# Power rules keep the max exactly; this slack is for diagnose on any files.
 MAX_INCREASE_TOL = 1e-12
 DEFAULT_TOP_KS = (1, 5, 6, 10)  # holds 1: a report's max is its top-1 sum
 DEFAULT_REPORTING_P = 0.5

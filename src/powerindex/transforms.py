@@ -2,12 +2,12 @@
 
 ``power_rebalance`` raises every weight to an exponent p in [0, 1] and
 renormalizes. It interpolates between the unchanged cap-weighted index
-(p=1) and the equal-weighted index over positive entries (p=0), preserves
-strict weight ordering, and never increases the maximum weight.
+(p=1) and the equal-weighted index over positive entries (p=0).
 
-``linearized_power_rebalance`` applies the same power curve above a knot
-and the chord of that curve through the origin below it, so genuinely
-small weights keep their pairwise ratios instead of being inflated.
+``linearized_power_rebalance`` applies the same curve above a knot and its
+chord f(knot) * (w / knot) below it, so small weights keep their ratios
+instead of being inflated. Both rules reweight with ``power_weights``, and
+both keep the weight order, and the maximum from growing, exactly.
 
 ``cap_rebalance`` is the cap-and-redistribute procedure used as the
 baseline for comparison: weights above a threshold are scaled to a fixed
@@ -48,8 +48,8 @@ class PowerRule:
 class LinearizedPowerRule:
     """Power curve above ``knot``, linear through the origin below it.
 
-    The linear piece is the chord of x**p from the origin to the knot
-    (slope knot**(p-1)), which keeps f(0) = 0 and f strictly increasing.
+    The linear piece is the chord of x**p from the origin to the knot,
+    f(knot) * (x / knot), which keeps f(0) = 0 and f strictly increasing.
     """
 
     p: float
@@ -97,27 +97,37 @@ def power_weights(
     w: np.ndarray, p: float, knot: float = 0.0, logs: np.ndarray | None = None
 ) -> np.ndarray:
     """f(w) / sum f(w), a fresh array, where f(x) = x**p at and above
-    ``knot`` and the chord knot**(p-1) * x below it; with knot = 0 no
-    weight is below the knot and f is the plain power. Both power rules
-    and the solver reweight through this one function.
+    ``knot`` and the chord f(knot) * (x / knot) below it (with knot = 0,
+    the plain power): both power rules and the solver reweight here.
 
-    x**p is exp(p * log(x)) on the positive entries, whose logs are
-    ``logs``, taken here unless the caller took them once, as the solver
-    does; zeros stay zero for every p, so no platform pow edge case at 0
-    is involved.
+    x**p is exp(p * log(x)) on the positive entries, whose logs the solver
+    passes as ``logs``; zeros stay zero, with no pow edge case at 0. Both
+    guarantees hold in floating point. The order: f(knot) comes from the
+    exp call of the entries above it, and exp, log and rounding are
+    monotone, so below the knot x / knot rounds to at most 1 and f(x) to
+    at most f(knot). The max: where it would grow, as at p = 1 on weights
+    summing a few ulps below one, the divisor is f(top) / top, raised float
+    by float until it does not, and the weights sum to about the input's.
     """
     if logs is None:
         logs = np.log(w[w > 0.0])
+    chord = knot > 0.0 and np.minimum.reduce(w) < knot
+    curve = np.exp(p * (np.append(logs, np.log(knot)) if chord else logs))
     if logs.size == w.size:
-        out = np.exp(p * logs)
+        out = curve[: w.size]  # f(knot) is not a weight
     else:
         out = np.zeros_like(w)
-        out[w > 0.0] = np.exp(p * logs)
-    below = w < knot
-    if np.logical_or.reduce(below):
-        slope = float(np.exp((p - 1.0) * np.log(knot)))
-        out[below] = slope * w[below]
-    out /= float(np.add.reduce(out))
+        out[w > 0.0] = curve[: logs.size]
+    if chord:
+        below = w < knot
+        out[below] = curve[-1] * (w[below] / knot)
+    top = w.argmax()
+    total = float(np.add.reduce(out))
+    if out[top] / total > w[top]:
+        total = out[top] / w[top]
+        while out[top] / total > w[top]:
+            total = np.nextafter(total, np.inf)
+    out /= total
     return out
 
 
@@ -139,8 +149,8 @@ def linearized_power_rebalance(
     """Apply the knotted transform entrywise, then renormalize.
 
     Above the knot this matches ``power_rebalance`` exactly; below it,
-    weights are scaled by the constant chord slope, so any two weights
-    under the knot keep their ratio.
+    each weight's share of the knot scales f(knot), so any two weights
+    under the knot keep their ratio to rounding.
     """
     out = power_weights(mu.weights, rule.p, rule.knot)
     return WeightVector._wrap(mu.identifiers, out)
@@ -167,10 +177,9 @@ def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector
             f"weights above threshold sum to {s!r}; no positive complement "
             "is left to absorb the redistributed mass"
         )
-    out = np.empty_like(w)
-    out[capped] = w[capped] * (rule.target_aggregate / s)
-    out[~capped] = w[~capped] * ((1.0 - rule.target_aggregate) / (1.0 - s))
-    return WeightVector._scaled(mu.identifiers, out)
+    t = rule.target_aggregate
+    scale = np.where(capped, t / s, (1.0 - t) / (1.0 - s))
+    return WeightVector._scaled(mu.identifiers, w * scale)
 
 
 def apply_rule(mu: WeightVector, rule: RebalanceRule) -> WeightVector:

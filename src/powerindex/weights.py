@@ -118,8 +118,7 @@ class WeightVector:
 
     @classmethod
     def _wrap(cls, identifiers: tuple[str, ...], w: np.ndarray) -> WeightVector:
-        """A vector holding ``w``, made read-only and not checked: for
-        weights derived from input checked where it entered (``_scaled``)."""
+        """``w`` itself as a vector, read-only and unchecked (see ``_scaled``)."""
         w.setflags(write=False)
         out = object.__new__(cls)
         object.__setattr__(out, "identifiers", identifiers)
@@ -128,13 +127,11 @@ class WeightVector:
 
     @classmethod
     def _scaled(cls, identifiers: tuple[str, ...], raw: np.ndarray) -> WeightVector:
-        """``_wrap`` of ``raw`` over its sum, for identifiers checked as the
-        constructor checks them and one finite nonnegative ``raw`` value for
-        each, with a positive sum that cannot overflow: a transform's output,
-        weight-file values found to sum to about one, or what ``_summable``
-        returns. The quotients then lie in [0, 1] and sum to one within
-        rounding, so none is checked; tests/test_weights.py holds each
-        caller to that."""
+        """``_wrap`` of ``raw`` over its sum. The caller has checked the ids
+        as the constructor does and gives finite nonnegative ``raw``, such
+        as caps, weight-file values or the cap rule's output, with a positive
+        sum that cannot overflow. So the quotients lie in [0, 1] and sum to
+        one within rounding; tests/test_weights.py checks each caller."""
         return cls._wrap(identifiers, raw / float(np.add.reduce(raw)))
 
     def __eq__(self, other: object) -> bool:

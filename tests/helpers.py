@@ -9,6 +9,7 @@ import math
 import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from powerindex import RebalanceError, WeightVector, normalize
 
@@ -28,16 +29,29 @@ def wv(values, ids=None) -> WeightVector:
     return WeightVector(make_ids(arr.size) if ids is None else tuple(ids), arr)
 
 
-def reference_scale(arr: np.ndarray) -> np.ndarray:
-    return arr / float(arr.sum())
+def reference_scale(arr: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """``arr`` over its sum. Given the input ``w`` of a power rule, whose
+    max must not grow, over the divisor rule of ``power_weights``: when
+    the largest quotient would exceed w's largest entry, the divisor is
+    their ratio, raised to the next float until it no longer does."""
+    total = float(arr.sum())
+    if w is not None and arr.max() / total > w.max():
+        total = float(arr.max() / w.max())
+        while arr.max() / total > w.max():
+            total = math.nextafter(total, math.inf)
+    return arr / total
 
 
-def reference_power(w: np.ndarray, p: float) -> np.ndarray:
-    """The power rule by the plain formula: exp(p * log x) on the positive
-    entries and zero elsewhere, over its sum."""
+def reference_power(w: np.ndarray, p: float, knot: float = 0.0) -> np.ndarray:
+    """A power rule by the plain formula: exp(p * log x) on the positive
+    entries at or above ``knot``, f(knot) * (x / knot) below it, and zero
+    at zero, over ``reference_scale``."""
     raw = np.zeros_like(w)
     raw[w > 0.0] = np.exp(p * np.log(w[w > 0.0]))
-    return reference_scale(raw)
+    below = w < knot
+    if below.any():
+        raw[below] = np.exp(p * np.log(knot)) * (w[below] / knot)
+    return reference_scale(raw, w)
 
 
 def random_simplex(
@@ -56,6 +70,33 @@ def random_simplex(
         k = max(1, n // 10)
         w[rng.choice(n - 1, size=min(k, n - 1), replace=False) + 1] = 0.0
     return w / w.sum()
+
+
+@st.composite
+def hard_weights(draw):
+    """A knot, and weights on the simplex built from runs: ties, zeros,
+    runs of adjacent floats (up or down), values near and in the subnormal
+    range, and runs from the knot. One last entry takes the rest of the
+    mass, so that the runs keep their exact values; order is shuffled."""
+    knot = draw(st.one_of(st.just(0.01), st.floats(1e-3, 0.1)))
+    values: list[float] = []
+    for _ in range(draw(st.integers(1, 8))):
+        x = draw(
+            st.one_of(
+                st.floats(1e-4, 0.012),
+                st.floats(5e-324, 1e-300),
+                st.sampled_from([0.0, knot, float(np.finfo(float).tiny)]),
+            )
+        )
+        toward = draw(st.sampled_from([None, 0.0, 1.0]))
+        for _ in range(draw(st.integers(1, 10))):
+            if sum(values) + x > 0.9:  # leave the last entry its mass
+                break
+            values.append(x)
+            if toward is not None:
+                x = float(np.nextafter(x, toward))
+    values.append(1.0 - sum(values))
+    return np.array(draw(st.permutations(values))), knot
 
 
 # -- a row-by-row CSV reader, kept as the reference for io's column pass:

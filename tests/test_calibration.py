@@ -234,6 +234,20 @@ class TestSolveExponent:
                 checked += 1
         assert checked > 400
 
+    def test_floor_of_equal_weights_summing_below_one(self):
+        # Three equal weights two ulps below 1/3: at every p the max stays
+        # at the input's, below 1/3, so the floor is the statistic at p = 0
+        # and a bound at the input's max is met at p = 1.
+        x = 0.3333333333333332
+        mu = wv([x, x, x])
+        floor = float(power_rebalance(mu, 0.0).weights.max())
+        assert floor <= x < 1.0 / 3.0
+        assert solve_exponent(mu, CalibrationTarget("max_weight", x)).p_star == 1.0
+        below = math.nextafter(floor, 0.0)
+        message = f"bound {below!r} lies below the fully diversified floor {floor!r}"
+        with pytest.raises(InfeasibleError, match=whole(message)):
+            solve_exponent(mu, CalibrationTarget("max_weight", below))
+
     def test_bound_at_floor_is_feasible(self):
         result = solve_exponent(wv([0.7, 0.3]), CalibrationTarget("max_weight", 0.5))
         assert result.converged

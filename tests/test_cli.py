@@ -478,6 +478,29 @@ class TestDiagnoseCommand:
             assert proc.stderr.startswith("report row 2: ")
             assert proc.stderr.count("\n") == 1
 
+    def test_json_row_without_weight_after_is_input_error(self, tmp_path, capsys):
+        before = write_weights(tmp_path / "b.csv", [0.5, 0.5])
+        after = tmp_path / "a.json"
+        after.write_text('{"rows": [{"id": "S000", "weight_after": 0.5}, {"id": "S001"}]}')
+        code = run_cli(["diagnose", "--before", str(before), "--after", str(after)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "report row 2: expected a 'weight_after' field\n"
+
+    def test_lists_twenty_flips_then_counts_the_rest(self, tmp_path, capsys):
+        # Eight names in reverse order: all 28 pairs flip.
+        ranks = np.arange(1.0, 9.0) / 36.0
+        before = write_weights(tmp_path / "b.csv", ranks)
+        after = write_weights(tmp_path / "a.csv", ranks[::-1])
+        code = run_cli(["diagnose", "--before", str(before), "--after", str(after)])
+        assert code == EXIT_PATHOLOGY
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("order_violations=28")
+        listed = lines[at + 1 : at + 21]
+        assert all(" now above " in line for line in listed)
+        assert len(set(listed)) == 20
+        assert lines[at + 21] == "  ... 8 more"
+        assert lines[at + 22].startswith("hhi_before=")
+
     def test_non_utf8_weight_file_is_input_error(self, tmp_path):
         before = write_weights(tmp_path / "b.csv", [0.5, 0.5])
         after = tmp_path / "a.csv"
@@ -550,6 +573,27 @@ class TestCompareCommand:
                 ["compare", "--input", str(two_stock_csv), "--methods", spec]
             )
             assert code == EXIT_USAGE
+
+    def test_empty_or_unparsable_spec_is_usage_error(self, two_stock_csv, capsys):
+        for spec, message in (
+            (",", "error: --methods names no rules\n"),
+            ("power:p=abc", "error: 'abc' is not a number in 'power:p=abc'\n"),
+        ):
+            code = run_cli(["compare", "--input", str(two_stock_csv), "--methods", spec])
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == message
+
+    def test_linpower_keeps_order_one_ulp_below_the_knot(self, tmp_path, capsys):
+        # B sits at the knot and A one ulp below it; a chord slope rounded
+        # on its own once put A above B.
+        universe = tmp_path / "u.csv"
+        universe.write_text("id,market_cap\nA,0.049999999999999996\nB,0.05\nC,0.9\n")
+        method = "linpower:p=0.895448239414126:knot=0.05"
+        code = run_cli(["compare", "--input", str(universe), "--methods", method])
+        assert code == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[3] == "violations"
+        assert row.split()[0] == method and row.split()[3] == "0"
 
     def test_target_alias_in_spec(self):
         (_, short), = parse_methods_spec("cap:target=0.3")

@@ -1,8 +1,12 @@
 import io
 import pickle
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powerindex.io as pio
 from powerindex import (
@@ -23,8 +27,10 @@ from powerindex import (
     weights,
     weights_from_market_caps,
 )
+from powerindex.io import RENORMALIZE_WINDOW
+from powerindex.weights import SUM_TOL
 
-from helpers import make_ids, random_simplex, whole, wv
+from helpers import hard_weights, make_ids, random_simplex, whole, wv
 
 
 class TestConstituent:
@@ -186,6 +192,10 @@ class TestWeightVector:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             wv([1.2, -0.2])
+
+    def test_rejects_nonfinite_weight(self):
+        with pytest.raises(ValueError, match=whole("weights must be finite")):
+            WeightVector(("A", "B"), [float("nan"), 1.0])
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(RebalanceError, match=whole("duplicate identifiers: ['A']")):
@@ -365,3 +375,53 @@ def test_order_violations_build_only_what_is_read(monkeypatch):
             assert len(out) == count
         else:
             assert out == real(**built[0])
+
+
+def assert_derived(eta: WeightVector, ids: tuple[str, ...], *inputs: np.ndarray) -> None:
+    """What the constructor would check of a vector the package derived,
+    and that its weights are its own."""
+    w = eta.weights
+    assert eta.identifiers == ids and w.shape == (len(ids),) and w.dtype == float
+    assert np.isfinite(w).all() and (w >= 0.0).all() and (w <= 1.0).all()
+    assert abs(float(w.sum()) - 1.0) <= SUM_TOL
+    assert not w.flags.writeable
+    assert not any(np.shares_memory(w, x) for x in inputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=hard_weights(),
+    p=st.floats(0.0, 1.0),
+    scale=st.sampled_from([1.0, 1e-300, 1e300, "overflow"]),
+    drift=st.floats(-0.9 * RENORMALIZE_WINDOW, 0.9 * RENORMALIZE_WINDOW),
+    as_json=st.booleans(),
+)
+def test_derived_vectors_need_no_check(case, p, scale, drift, as_json):
+    """Vectors derived from checked input skip the constructor's checks:
+    each transform's output, cap weights (zeros, ties, runs at a knot, caps
+    whose sum overflows) and a weight file that drifts inside the
+    renormalize window all hold what those checks would ask."""
+    w, knot = case
+    ids = make_ids(w.size)
+    mu = WeightVector(ids, w)
+    rules = (PowerRule(p), LinearizedPowerRule(p, knot), CapRule(knot, 0.4))
+    for rule in rules:
+        try:
+            assert_derived(apply_rule(mu, rule), ids, mu.weights)
+        except RebalanceError:  # the cap rule, with nothing left to absorb
+            assert isinstance(rule, CapRule)
+    # The largest cap near the largest float: caps sum past it unless it
+    # holds nine tenths of the weight.
+    if scale == "overflow":
+        caps = w / w.max() * (0.9 * np.finfo(float).max)
+    else:
+        caps = w * scale
+    universe = Universe(ids, caps)
+    assert_derived(weights_from_market_caps(universe), ids, universe.market_caps)
+    values = (w * (1.0 + drift)).tolist()
+    if as_json:
+        rows = [{"id": i, "weight_after": v} for i, v in zip(ids, values)]
+        text = json.dumps({"rows": rows})
+    else:
+        text = "id,weight\n" + "".join(f"{i},{v!r}\n" for i, v in zip(ids, values))
+    assert_derived(read_weight_file(io.StringIO(text)), ids)
