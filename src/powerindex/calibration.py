@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError, RebalanceError
 from .transforms import power_weights
-from .weights import WeightVector
+from .weights import WeightVector, _Record, _setattr
 
 MAX_ITERATIONS = 200
 DEFAULT_TOL = 1e-10
@@ -27,8 +26,7 @@ DEFAULT_TOL = 1e-10
 TARGET_KINDS = ("max_weight", "top_k_sum")
 
 
-@dataclass(frozen=True)
-class CalibrationTarget:
+class CalibrationTarget(_Record):
     """A cap on a concentration statistic.
 
     ``kind`` is "max_weight" (largest single weight) or "top_k_sum"
@@ -38,25 +36,25 @@ class CalibrationTarget:
 
     kind: str
     bound: float
-    k: int | None = None
+    k: int | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in TARGET_KINDS:
-            raise ValueError(
-                f"kind must be one of {TARGET_KINDS}, got {self.kind!r}"
-            )
-        if not 0.0 < self.bound < 1.0:
-            raise ValueError(f"bound must be in (0, 1), got {self.bound!r}")
-        if self.kind == "top_k_sum":
-            if self.k is None:
+    def __init__(self, kind: str, bound: float, k: int | None = None) -> None:
+        if kind not in TARGET_KINDS:
+            raise ValueError(f"kind must be one of {TARGET_KINDS}, got {kind!r}")
+        if not 0.0 < bound < 1.0:
+            raise ValueError(f"bound must be in (0, 1), got {bound!r}")
+        if kind == "top_k_sum":
+            if k is None:
                 raise ValueError("top_k_sum targets need k >= 1")
-            object.__setattr__(self, "k", _positive_k(self.k))
-        elif self.k is not None:
+            k = _positive_k(k)
+        elif k is not None:
             raise ValueError("k only applies to top_k_sum targets")
+        _setattr(self, "kind", kind)
+        _setattr(self, "bound", bound)
+        _setattr(self, "k", k)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(_Record):
     """The solved exponent and how the solver got there.
 
     ``achieved`` is the statistic of ``power_rebalance(mu, p_star)``, bit
@@ -69,6 +67,20 @@ class CalibrationResult:
     iterations: int
     converged: bool
     bracket: tuple[float, float]
+
+    def __init__(
+        self,
+        p_star: float,
+        achieved: float,
+        iterations: int,
+        converged: bool,
+        bracket: tuple[float, float],
+    ) -> None:
+        _setattr(self, "p_star", p_star)
+        _setattr(self, "achieved", achieved)
+        _setattr(self, "iterations", iterations)
+        _setattr(self, "converged", converged)
+        _setattr(self, "bracket", bracket)
 
 
 def top_k_sum(weights: np.ndarray, k: int) -> float:

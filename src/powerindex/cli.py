@@ -15,7 +15,6 @@ files carry full precision.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Callable, Sequence
 
@@ -35,9 +34,7 @@ EXIT_PATHOLOGY = 4
 MAX_VIOLATIONS_LISTED = 20
 
 # Every rule parameter, in the order the rules declare them.
-_RULE_PARAMS = list(
-    dict.fromkeys(f.name for rule in RULES.values() for f in dataclasses.fields(rule))
-)
+_RULE_PARAMS = list(dict.fromkeys(n for rule in RULES.values() for n in rule._fields))
 # Shorter spellings accepted in a --methods entry.
 _SPEC_ALIASES = {"target": "target_aggregate"}
 
@@ -117,24 +114,25 @@ def _make_rule(
     spell: Callable[[str], str],
 ) -> RebalanceRule:
     """Build ``RULES[method]`` from the given parameters; the others take
-    the dataclass defaults. ``label`` names the rule in messages, and
-    ``spell`` writes a parameter the way the user does: ``--p`` as a flag,
-    ``p=`` in a --methods entry.
+    the defaults of the rule's constructor. ``label`` names the rule in
+    messages, and ``spell`` writes a parameter the way the user does:
+    ``--p`` as a flag, ``p=`` in a --methods entry.
     """
     rule = RULES.get(method)
     if rule is None:
         raise _UsageError(f"error: unknown method {method!r}")
-    fields = dataclasses.fields(rule)
-    names = [field.name for field in fields]
+    names = rule._fields
     unknown = [key for key in given if key not in names]
     if unknown:
         raise _UsageError(
             f"error: {label} takes no {spell(unknown[0])}; "
             f"it takes {', '.join(map(spell, names))}"
         )
-    for field in fields:
-        if field.default is dataclasses.MISSING and field.name not in given:
-            raise _UsageError(f"error: {label} requires {spell(field.name)}")
+    # The constructor takes the fields in order; the last ones have defaults.
+    required = names[: len(names) - len(rule.__init__.__defaults__ or ())]
+    for name in required:
+        if name not in given:
+            raise _UsageError(f"error: {label} requires {spell(name)}")
     try:
         return rule(**given)
     except ValueError as exc:
@@ -180,7 +178,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     mu = weights_from_market_caps(parse_universe(args.input))
     eta = apply_rule(mu, rule)
     report = diagnostics_report(mu, eta)
-    payload = report_payload(args.method, dataclasses.asdict(rule), mu, eta, report)
+    payload = report_payload(args.method, rule._asdict(), mu, eta, report)
     write_report(args.output, payload, args.format)
     return EXIT_OK
 

@@ -10,7 +10,6 @@ turnover and concentration metrics for the before/after pair.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import compress, islice, starmap
 from typing import NamedTuple
 
@@ -19,7 +18,7 @@ import numpy as np
 from .calibration import _top_k_sums
 from .errors import RebalanceError
 from .transforms import RebalanceRule, apply_rule
-from .weights import WeightVector, _LazySequence
+from .weights import WeightVector, _LazySequence, _Record, _setattr
 
 # Power rules keep the max exactly; this slack is for diagnose on any files.
 MAX_INCREASE_TOL = 1e-12
@@ -27,8 +26,7 @@ DEFAULT_TOP_KS = (1, 5, 6, 10)  # holds 1: a report's max is its top-1 sum
 DEFAULT_REPORTING_P = 0.5
 
 
-@dataclass(frozen=True)
-class OrderViolation:
+class OrderViolation(_Record):
     """A pair whose ordering flipped: strictly lighter before, strictly
     heavier after."""
 
@@ -39,11 +37,25 @@ class OrderViolation:
     eta_low: float
     eta_high: float
 
-    def __post_init__(self) -> None:
-        if not (self.mu_low < self.mu_high and self.eta_low > self.eta_high):
+    def __init__(
+        self,
+        identifier_low: str,
+        identifier_high: str,
+        mu_low: float,
+        mu_high: float,
+        eta_low: float,
+        eta_high: float,
+    ) -> None:
+        if not (mu_low < mu_high and eta_low > eta_high):
             raise ValueError(
                 "violation requires mu_low < mu_high and eta_low > eta_high"
             )
+        _setattr(self, "identifier_low", identifier_low)
+        _setattr(self, "identifier_high", identifier_high)
+        _setattr(self, "mu_low", mu_low)
+        _setattr(self, "mu_high", mu_high)
+        _setattr(self, "eta_low", eta_low)
+        _setattr(self, "eta_high", eta_high)
 
 
 class ConcentrationMetrics(NamedTuple):
@@ -52,8 +64,7 @@ class ConcentrationMetrics(NamedTuple):
     diversity: float
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(_Record):
     """Pathology findings plus turnover and concentration metrics for a
     (before, after) weight pair."""
 
@@ -67,6 +78,30 @@ class DiagnosticsReport:
     top_k_sums: dict[int, tuple[float, float]]
     diversity_before: float
     diversity_after: float
+
+    def __init__(
+        self,
+        order_violations: Sequence[OrderViolation],
+        max_before: float,
+        max_after: float,
+        max_increased: bool,
+        turnover: float,
+        hhi_before: float,
+        hhi_after: float,
+        top_k_sums: dict[int, tuple[float, float]],
+        diversity_before: float,
+        diversity_after: float,
+    ) -> None:
+        _setattr(self, "order_violations", order_violations)
+        _setattr(self, "max_before", max_before)
+        _setattr(self, "max_after", max_after)
+        _setattr(self, "max_increased", max_increased)
+        _setattr(self, "turnover", turnover)
+        _setattr(self, "hhi_before", hhi_before)
+        _setattr(self, "hhi_after", hhi_after)
+        _setattr(self, "top_k_sums", top_k_sums)
+        _setattr(self, "diversity_before", diversity_before)
+        _setattr(self, "diversity_after", diversity_after)
 
     @property
     def has_pathology(self) -> bool:

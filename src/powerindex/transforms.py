@@ -18,13 +18,12 @@ exists to demonstrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import RebalanceError
-from .weights import WeightVector
+from .weights import WeightVector, _Record, _setattr
 
 
 def _check_p(p: float) -> None:
@@ -32,20 +31,19 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be in [0, 1], got {p!r}")
 
 
-@dataclass(frozen=True)
-class PowerRule:
+class PowerRule(_Record):
     """Raise each weight to ``p`` and renormalize."""
 
     p: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: float) -> None:
         # Builtin floats, so that a numpy scalar is checked and reported alike.
-        object.__setattr__(self, "p", float(self.p))
-        _check_p(self.p)
+        p = float(p)
+        _check_p(p)
+        _setattr(self, "p", p)
 
 
-@dataclass(frozen=True)
-class LinearizedPowerRule:
+class LinearizedPowerRule(_Record):
     """Power curve above ``knot``, linear through the origin below it.
 
     The linear piece is the chord of x**p from the origin to the knot,
@@ -53,40 +51,42 @@ class LinearizedPowerRule:
     """
 
     p: float
-    knot: float = 0.01
+    knot: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "knot", float(self.knot))
-        _check_p(self.p)
-        if not 0.0 < self.knot < 1.0:
-            raise ValueError(f"knot must be in (0, 1), got {self.knot!r}")
+    def __init__(self, p: float, knot: float = 0.01) -> None:
+        p, knot = float(p), float(knot)
+        _check_p(p)
+        if not 0.0 < knot < 1.0:
+            raise ValueError(f"knot must be in (0, 1), got {knot!r}")
+        _setattr(self, "p", p)
+        _setattr(self, "knot", knot)
 
 
-@dataclass(frozen=True)
-class CapRule:
+class CapRule(_Record):
     """Scale weights above ``threshold`` to ``target_aggregate`` in total,
     redistributing the remainder proportionally over the others."""
 
-    threshold: float = 0.045
-    target_aggregate: float = 0.40
+    threshold: float
+    target_aggregate: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold", float(self.threshold))
-        object.__setattr__(self, "target_aggregate", float(self.target_aggregate))
-        if not 0.0 < self.threshold < self.target_aggregate < 1.0:
+    def __init__(
+        self, threshold: float = 0.045, target_aggregate: float = 0.40
+    ) -> None:
+        threshold, target_aggregate = float(threshold), float(target_aggregate)
+        if not 0.0 < threshold < target_aggregate < 1.0:
             raise ValueError(
                 "need 0 < threshold < target_aggregate < 1, got "
-                f"threshold={self.threshold!r}, "
-                f"target_aggregate={self.target_aggregate!r}"
+                f"threshold={threshold!r}, target_aggregate={target_aggregate!r}"
             )
+        _setattr(self, "threshold", threshold)
+        _setattr(self, "target_aggregate", target_aggregate)
 
 
 RebalanceRule = Union[PowerRule, LinearizedPowerRule, CapRule]
 
-# The rules by the name the CLI and reports use. Each dataclass's fields
-# are the rule's parameters, and the field defaults are its defaults.
-RULES: dict[str, type] = {
+# The rules by the name the CLI and reports use. A rule's ``_fields`` are
+# its parameters, and the defaults of its constructor are their defaults.
+RULES: dict[str, type[RebalanceRule]] = {
     "power": PowerRule,
     "linpower": LinearizedPowerRule,
     "cap": CapRule,
@@ -112,7 +112,7 @@ def power_weights(
     if logs is None:
         logs = np.log(w[w > 0.0])
     chord = knot > 0.0 and np.minimum.reduce(w) < knot
-    curve = np.exp(p * (np.append(logs, np.log(knot)) if chord else logs))
+    curve = np.exp(p * (np.concatenate((logs, [np.log(knot)])) if chord else logs))
     if logs.size == w.size:
         out = curve[: w.size]  # f(knot) is not a weight
     else:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from typing import TypeVar, overload
+from typing import Any, TypeVar, overload
 
 import numpy as np
 
@@ -23,8 +22,57 @@ SUM_TOL = 1e-12
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class Constituent:
+# Writes a record's field past its frozen ``__setattr__``. Unlike a write
+# through ``__dict__``, it adds no dict object to the instance.
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the package's frozen records.
+
+    A record declares its fields as class annotations, in order. Its
+    ``__init__`` takes them as parameters, with their defaults, checks
+    them and writes each with ``_setattr``. The base gives the field
+    names as ``_fields`` (and as ``__match_args__``, for positional
+    ``match`` patterns), the values by name from ``_asdict()``, a
+    ``repr`` of the fields, ``==`` between records of one class whose
+    fields are equal, a hash of the field values, and fields that cannot
+    be assigned or deleted.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        own = tuple(vars(cls).get("__annotations__", ()))
+        cls._fields = cls.__match_args__ = cls._fields + own
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _asdict(self) -> dict[str, Any]:
+        """The fields by name, in order."""
+        return dict(zip(self._fields, self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Constituent(_Record):
     """A named index member with its market-capitalization inputs.
 
     ``market_cap`` can be supplied directly or left as ``None``, in which
@@ -33,37 +81,42 @@ class Constituent:
     """
 
     identifier: str
-    market_cap: float | None = None
-    price: float | None = None
-    shares_outstanding: float | None = None
+    market_cap: float
+    price: float | None
+    shares_outstanding: float | None
 
-    def __post_init__(self) -> None:
-        if not self.identifier:
+    def __init__(
+        self,
+        identifier: str,
+        market_cap: float | None = None,
+        price: float | None = None,
+        shares_outstanding: float | None = None,
+    ) -> None:
+        if not identifier:
             raise ValueError("constituent identifier must be nonempty")
-        if self.market_cap is None:
-            if self.price is None or self.shares_outstanding is None:
+        if market_cap is None:
+            if price is None or shares_outstanding is None:
                 raise ValueError(
-                    f"{self.identifier}: supply market_cap or both price "
+                    f"{identifier}: supply market_cap or both price "
                     "and shares_outstanding"
                 )
-        if self.price is not None and not self.price > 0:
-            raise ValueError(f"{self.identifier}: price must be positive")
-        if self.shares_outstanding is not None and not self.shares_outstanding > 0:
-            raise ValueError(
-                f"{self.identifier}: shares_outstanding must be positive"
-            )
+        if price is not None and not price > 0:
+            raise ValueError(f"{identifier}: price must be positive")
+        if shares_outstanding is not None and not shares_outstanding > 0:
+            raise ValueError(f"{identifier}: shares_outstanding must be positive")
         cap = (
-            float(self.market_cap)
-            if self.market_cap is not None
-            else float(self.price) * float(self.shares_outstanding)
+            float(market_cap)
+            if market_cap is not None
+            else float(price) * float(shares_outstanding)  # type: ignore[arg-type]
         )
         if not math.isfinite(cap):
-            raise ValueError(f"{self.identifier}: market_cap must be finite")
+            raise ValueError(f"{identifier}: market_cap must be finite")
         if cap < 0:
-            raise RebalanceError(
-                f"{self.identifier}: market_cap {cap!r} is negative"
-            )
-        object.__setattr__(self, "market_cap", cap)
+            raise RebalanceError(f"{identifier}: market_cap {cap!r} is negative")
+        _setattr(self, "identifier", identifier)
+        _setattr(self, "market_cap", cap)
+        _setattr(self, "price", price)
+        _setattr(self, "shares_outstanding", shares_outstanding)
 
 
 def _check_ids(identifiers: Sequence[str]) -> None:
@@ -92,8 +145,7 @@ def _check_weights(w: np.ndarray) -> None:
         raise ValueError(f"weights sum to {total!r}, not 1")
 
 
-@dataclass(frozen=True, eq=False)
-class WeightVector:
+class WeightVector(_Record):
     """Nonnegative weights summing to one, keyed by identifier.
 
     Entry order is stable (input order is preserved) and identifiers are
@@ -103,7 +155,14 @@ class WeightVector:
     identifiers: tuple[str, ...]
     weights: np.ndarray
 
+    def __init__(self, identifiers: Iterable[str], weights: Iterable[float]) -> None:
+        _setattr(self, "identifiers", identifiers)
+        _setattr(self, "weights", weights)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        """The constructor's checks, a method of their own so that
+        ``perfbench/tracing.py`` can time them."""
         ids = tuple(map(str, self.identifiers))
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or len(ids) != w.size:
@@ -113,16 +172,16 @@ class WeightVector:
         _check_ids(ids)
         _check_weights(w)
         w.setflags(write=False)
-        object.__setattr__(self, "identifiers", ids)
-        object.__setattr__(self, "weights", w)
+        _setattr(self, "identifiers", ids)
+        _setattr(self, "weights", w)
 
     @classmethod
     def _wrap(cls, identifiers: tuple[str, ...], w: np.ndarray) -> WeightVector:
         """``w`` itself as a vector, read-only and unchecked (see ``_scaled``)."""
         w.setflags(write=False)
         out = object.__new__(cls)
-        object.__setattr__(out, "identifiers", identifiers)
-        object.__setattr__(out, "weights", w)
+        _setattr(out, "identifiers", identifiers)
+        _setattr(out, "weights", w)
         return out
 
     @classmethod

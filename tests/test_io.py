@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 from unittest import mock
@@ -368,7 +367,7 @@ class TestReportRendering:
         for method, numpy_rule, float_rule in cases:
             texts = []
             for rule in (numpy_rule, float_rule):
-                params = dataclasses.asdict(rule)
+                params = rule._asdict()
                 assert [type(v) for v in params.values()] == [float] * len(params)
                 eta = apply_rule(mu, rule)
                 payload = report_payload(
