@@ -283,6 +283,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # An identifier may hold a lone surrogate, which no encoding can print:
+    # the console shows it escaped. On UTF-8, no other character changes.
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(run_cli(sys.argv[1:]))
 
 

@@ -9,20 +9,24 @@ All file-bound numbers are rendered at full precision so reports
 round-trip exactly; rounding to 6 significant digits is a console
 concern only.
 
-Input files are read as columns, from one split of the text into fields,
-with line ends read as text mode reads them, from a path or a stream: in
-blocks of rows, at newlines and commas, or by ``csv.reader`` from the
-first block that holds a quote or a NUL, so that the fields are always
-those ``csv.reader`` gives. Blank and ``#`` comment rows are dropped,
-each block's columns are checked as a whole (field counts, nonempty ids,
-numbers as ``float()`` reads them, finite and signed as the column
-needs), and the ids are checked for repeats at the end. A JSON report's
-rows get the same checks on the columns pulled out of them. The column
-checks say only that some row fails. The row checks (``_explain``,
-``_parse_number``) hold every message: they run over the rows of the
-block that failed, against the ids before it, and raise the error of the
-first row that fails, named by its 1-based row in the file, or in the
-JSON ``rows`` list.
+Input files are read from one split of the text into fields, with line
+ends read as text mode reads them, from a path or a stream: in blocks of
+rows, at newlines and commas, or by ``csv.reader`` from the first block
+that holds a quote or a NUL, so that the fields are always those
+``csv.reader`` gives. Blank and ``#`` comment rows are dropped.
+
+The row checks (``_row_columns``, ``_parse_number``) are the reader of
+record. Row by row, in file order, they check the field count, a
+nonempty id that no row before repeats, and numbers as ``float()`` reads
+them, finite and signed as the column needs. They return the ids and the
+numeric columns, or raise the error of the first row that fails, named
+by its 1-based row in the file, or in the JSON ``rows`` list. The column
+pass (``_block_columns``, ``_json_columns``) is a fast path that may only
+decline: it takes a whole block of rows that all have the header's
+width, a nonempty id and no leading ``#``, and whose numbers pass as a
+column, and leaves any other block to the row checks. The ids of a CSV
+file are checked for repeats once, at the end, and a repeat is reported
+before the error of any later row.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,8 +100,8 @@ def _read_text(source: str | Path | IO[str]) -> str:
     return text
 
 
-# -- The row checks: one row at a time, in file order. They hold every
-# -- message, and run only to explain a failed column check.
+# -- The row checks: one row at a time, in file order. They read every
+# -- block that the column pass declines, and hold every message.
 
 
 def _parse_number(field: Any, where: str, column: str, positive: bool = False) -> float:
@@ -116,17 +120,22 @@ def _parse_number(field: Any, where: str, column: str, positive: bool = False) -
     return value
 
 
-def _explain(
-    rows: Iterable[tuple[str, Sequence[Any]]],
+def _row_columns(
+    rows: Iterable[tuple[int, Sequence[Any]]],
+    label: str,
     width: int,
     numbers: tuple[_Number, ...],
     seen: set[str],
-) -> NoReturn:
-    """Run the row checks in file order and raise the error of the first
-    row that fails, for rows whose column checks failed. Each row must
-    have ``width`` fields and lead with a nonempty identifier that is not
-    in ``seen``, the identifiers of the rows before them."""
-    for where, row in rows:
+) -> tuple[list[str], list[np.ndarray]]:
+    """The identifiers and the numeric columns (none, for no rows) of
+    ``rows``, pairs of a row's number and its fields, or the error of the
+    first row that fails, which names it as ``label`` and its number. Each
+    row must have ``width`` fields and lead with a nonempty identifier that
+    is not in ``seen``, the identifiers of the rows before it."""
+    ids: list[str] = []
+    table: list[list[float]] = []
+    for num, row in rows:
+        where = f"{label} {num}"
         if len(row) != width:
             raise RebalanceError(f"{where}: expected {width} fields, got {len(row)}")
         ident = row[0].strip()
@@ -144,7 +153,9 @@ def _explain(
             raise RebalanceError(
                 f"{where}: market cap {values[0]!r} * {values[1]!r} is not finite"
             )
-    raise AssertionError("a column check failed on rows that pass the row checks")
+        ids.append(ident)
+        table.append(values)
+    return ids, [np.array(column, dtype=float) for column in zip(*table)]
 
 
 def _block_rows(block: _Block) -> Iterator[tuple[int, list[str]]]:
@@ -159,11 +170,11 @@ def _block_rows(block: _Block) -> Iterator[tuple[int, list[str]]]:
             yield num, cells
 
 
-# -- The column checks: a block of rows at once, without a message.
+# -- The column pass: a block of rows at once, without a message.
 
 
-class _ColumnCheckFailed(Exception):
-    """Some row fails a check; ``_explain`` says which and why."""
+class _Declined(Exception):
+    """The column pass leaves a block to the row checks."""
 
 
 def _pieces(text: str) -> Iterator[str]:
@@ -261,10 +272,10 @@ def _numbers(fields: Sequence[Any], positive: bool) -> np.ndarray:
     try:
         values = np.fromiter(map(float, fields), float, len(fields))
     except (TypeError, ValueError, OverflowError):
-        raise _ColumnCheckFailed from None
+        raise _Declined from None
     signed = values > 0.0 if positive else values >= 0.0
     if not (np.isfinite(values).all() and signed.all()):
-        raise _ColumnCheckFailed
+        raise _Declined
     return values
 
 
@@ -287,27 +298,21 @@ def _repeat_at(ids: list[str]) -> int | None:
 
 def _block_columns(
     block: _Block, width: int, numbers: tuple[_Number, ...]
-) -> tuple[list[str], Sequence[int], list[np.ndarray]]:
-    """The identifiers, their file rows and the checked numeric columns
-    of the rows of a block that are not blank or a comment."""
-    row, fields, counts, comments = block
-    rows: Sequence[int] = range(row, row + len(counts))
+) -> tuple[list[str], list[np.ndarray]]:
+    """The identifiers and the checked numeric columns of a block whose
+    rows all have ``width`` fields, a nonempty identifier and no leading
+    ``#``. Any other block is declined."""
+    _, fields, counts, comments = block
     first = list(map(str.strip, fields[0::width]))
     hashed = comments and any(map(str.startswith, first, repeat("#")))
     if not (counts == width).all() or not all(first) or hashed:
-        # A row may be blank or a comment: keep the others, row by row.
-        kept = list(_block_rows(block))
-        rows = [num for num, _ in kept]
-        fields = list(chain.from_iterable(cells for _, cells in kept))
-        first = list(map(str.strip, fields[0::width]))
-        if any(len(cells) != width for _, cells in kept) or not all(first):
-            raise _ColumnCheckFailed
+        raise _Declined
     columns = [_numbers(fields[col::width], positive) for col, _, positive in numbers]
     # Two numbers are a price and a share count.
     with np.errstate(over="ignore"):
         if len(columns) == 2 and not np.isfinite(columns[0] * columns[1]).all():
-            raise _ColumnCheckFailed
-    return first, rows, columns
+            raise _Declined
+    return first, columns
 
 
 def _csv_columns(
@@ -317,7 +322,6 @@ def _csv_columns(
     header is one of ``headers``, called ``what`` in messages."""
     ids: list[str] = []
     rows: list[Sequence[int]] = []  # the file rows of each block's ids
-    error: Exception | None = None
     try:
         header, blocks = _split_header(_blocks(text))
         numbers = headers.get(header)
@@ -329,27 +333,26 @@ def _csv_columns(
         parts: list[list[np.ndarray]] = [[] for _ in numbers]
         for block in blocks:
             try:
-                first, block_rows, columns = _block_columns(block, len(header), numbers)
-            except _ColumnCheckFailed:
-                named = [(f"row {num}", cells) for num, cells in _block_rows(block)]
+                first, columns = _block_columns(block, len(header), numbers)
+                rows.append(range(block[0], block[0] + len(first)))
+            except _Declined:
+                kept = list(_block_rows(block))
                 # Of the earlier ids, only those that this block's rows repeat:
                 # a set of them all held 2 MB at n=50,000.
-                seen = {cells[0].strip() for _, cells in named}.intersection(ids)
-                _explain(named, len(header), numbers, seen)
-            rows.append(block_rows)
+                seen = {cells[0].strip() for _, cells in kept}.intersection(ids)
+                first, columns = _row_columns(kept, "row", len(header), numbers, seen)
+                rows.append([num for num, _ in kept])
             ids.extend(first)
             for part, column in zip(parts, columns):
                 part.append(column)
-    except RebalanceError as exc:
-        error = exc
-    # Every row before one that failed has passed all but the check for
-    # repeats, and a repeat among them comes first.
-    i = _repeat_at(ids)
-    if i is not None:
-        where = f"row {next(islice(chain.from_iterable(rows), i, None))}"
-        _explain([(where, [ids[i]])], 1, (), {ids[i]})
-    if error is not None:
-        raise error
+    finally:
+        # Every row before one that failed has passed all but the check for
+        # repeats, and a repeat among them comes first: its error replaces
+        # the one in flight.
+        i = _repeat_at(ids)
+        if i is not None:
+            num = next(islice(chain.from_iterable(rows), i, None))
+            _row_columns([(num, [ids[i]])], "row", 1, (), {ids[i]})  # raises
     return ids, [np.concatenate(part) if part else np.empty(0) for part in parts]
 
 
@@ -469,27 +472,28 @@ def write_report(path: str | Path, payload: dict[str, Any], fmt: str) -> None:
         (render_report_json if fmt == "json" else render_report_csv)(payload, out)
 
 
-def _report_json_rows(rows: list[Any]) -> Iterator[tuple[str, list[Any]]]:
-    """The (id, weight_after) pair of each row of a JSON report."""
+def _report_json_rows(rows: list[Any]) -> Iterator[tuple[int, list[Any]]]:
+    """The position and the (id, weight_after) pair of each row of a JSON
+    report."""
     for pos, row in enumerate(rows, start=1):
         if not (isinstance(row, dict) and isinstance(row.get("id"), str)):
             raise RebalanceError(f"report row {pos}: expected a string 'id' field")
         if "weight_after" not in row:
-            raise RebalanceError(
-                f"report row {pos}: expected a 'weight_after' field"
-            )
-        yield f"report row {pos}", [row["id"], row["weight_after"]]
+            raise RebalanceError(f"report row {pos}: expected a 'weight_after' field")
+        yield pos, [row["id"], row["weight_after"]]
 
 
 def _json_columns(rows: list[Any]) -> tuple[list[str], np.ndarray]:
-    """The identifiers and the checked weight_after column of JSON report rows."""
+    """The identifiers and the checked weight_after column of JSON report
+    rows, if every row is an object with a nonempty, unique string id and
+    the column passes; any other rows are declined."""
     try:
         ids = list(map(str.strip, map(itemgetter("id"), rows)))
         weights = list(map(itemgetter("weight_after"), rows))
     except (KeyError, TypeError):  # not a dict, a key missing, an id not a string
-        raise _ColumnCheckFailed from None
+        raise _Declined from None
     if not all(ids) or _repeat_at(ids) is not None or bool in set(map(type, weights)):
-        raise _ColumnCheckFailed
+        raise _Declined
     return ids, _numbers(weights, positive=False)
 
 
@@ -506,21 +510,27 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
     if name.endswith(".json") or text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        # A JSONDecodeError is a ValueError, as is an integer literal over
+        # the interpreter's digit limit; a RecursionError is nesting too deep.
+        except (ValueError, RecursionError) as exc:
             raise RebalanceError(f"not valid report JSON: {exc}") from exc
         rows = payload.get("rows") if isinstance(payload, dict) else None
         if not isinstance(rows, list) or not rows:
             raise RebalanceError("report JSON carries no rows")
         try:
             ids, values = _json_columns(rows)
-        except _ColumnCheckFailed:
-            _explain(_report_json_rows(rows), 2, ((1, "weight", False),), set())
+        except _Declined:
+            ids, (values,) = _row_columns(
+                _report_json_rows(rows), "report row", 2, ((1, "weight", False),), set()
+            )
     else:
         ids, (values,) = _csv_columns(text, WEIGHT_HEADERS, "weight-file header")
     if not ids:
         raise RebalanceError("weight file carries no rows")
     with np.errstate(over="ignore"):  # an overflow sums to inf, refused below
-        total = float(np.cumsum(values)[-1])  # added in file order
+        # Added in file order from 0.0, as a plain loop adds them: weights of
+        # -0 alone sum to 0.0, not -0.0.
+        total = 0.0 + float(np.cumsum(values)[-1])
     if abs(total - 1.0) >= RENORMALIZE_WINDOW:
         raise RebalanceError(
             f"weights sum to {total!r}; more than {RENORMALIZE_WINDOW} from 1, "

@@ -134,12 +134,10 @@ def _check_ids(identifiers: Sequence[str]) -> None:
 
 
 def _check_weights(w: np.ndarray) -> None:
-    # NaN fails both comparisons; the checks below only pick the message.
-    if not (0.0 <= np.minimum.reduce(w) and np.maximum.reduce(w) <= 1.0):
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        if (w < 0.0).any() or (w > 1.0).any():
-            raise ValueError("weights must lie in [0, 1]")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if (w < 0.0).any() or (w > 1.0).any():
+        raise ValueError("weights must lie in [0, 1]")
     total = float(np.add.reduce(w))
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")

@@ -501,6 +501,19 @@ class TestDiagnoseCommand:
         assert lines[at + 21] == "  ... 8 more"
         assert lines[at + 22].startswith("hhi_before=")
 
+    def test_lone_surrogate_id_prints_escaped(self, tmp_path):
+        """A JSON id may hold a lone surrogate, which no encoding can print.
+        The console shows it escaped, as a subprocess's stdout must encode
+        it; ``StringIO`` would take it as it is."""
+        before, after = tmp_path / "b.json", tmp_path / "a.json"
+        for path, w in ((before, 0.4), (after, 0.6)):
+            rows = [{"id": "B", "weight_after": w}, {"id": "\ud800", "weight_after": 1 - w}]
+            path.write_text(json.dumps({"rows": rows}))
+        proc = run_module("diagnose", "--before", str(before), "--after", str(after))
+        assert proc.returncode == EXIT_PATHOLOGY, proc.stderr
+        assert proc.stderr == ""
+        assert "  B (0.4 -> 0.6) now above \\ud800 (0.6 -> 0.4)\n" in proc.stdout
+
     def test_non_utf8_weight_file_is_input_error(self, tmp_path):
         before = write_weights(tmp_path / "b.csv", [0.5, 0.5])
         after = tmp_path / "a.csv"
@@ -812,6 +825,12 @@ WEIGHT_HEADERS = ["id,weight", "id,weight_before,weight_after,delta"]
 @example(
     "id,market_cap\nAAA,1\n", "id,weight\nAAA,1\n", "id,weight\nAAA,1\n",
     '{"rows": ' + "[" * DEEP + "]" * DEEP + "}",
+    ["diagnose", "--before", "{before}", "--after", "{report}"],
+)
+# A JSON integer over the interpreter's limit of 4,300 digits.
+@example(
+    "id,market_cap\nAAA,1\n", "id,weight\nAAA,1\n", "id,weight\nAAA,1\n",
+    '{"rows": [{"id": "AAA", "weight_after": ' + "1" * 5000 + "}]}",
     ["diagnose", "--before", "{before}", "--after", "{report}"],
 )
 @given(

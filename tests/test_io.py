@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -603,6 +604,24 @@ csv_rows = st.lists(
 ).map(lambda rows: "\n".join(",".join(row) for row in rows))
 
 
+def readable_rows(width):
+    """Rows of ``width`` fields with distinct ids, which a header of that
+    width reads when the numbers suit it, among blank and comment rows."""
+    numbers = st.lists(
+        st.sampled_from(["0.5", " 0.5 ", "5e-1", "1", "1_0", "0", "-0"]),
+        min_size=width - 1,
+        max_size=width - 1,
+    )
+    skipped = st.sampled_from(["", " ", "# c", " #x,1"])
+    rows = st.lists(st.one_of(numbers, numbers, skipped), min_size=1)
+    return rows.map(
+        lambda rows: "\n".join(
+            row if isinstance(row, str) else ",".join([f" id{i}", *row])
+            for i, row in enumerate(rows[:8])
+        )
+    )
+
+
 def outcome(read, text):
     """What reading ``text`` gives: its columns, or its error and message."""
     try:
@@ -638,15 +657,29 @@ def reference_weight_columns(text):
     return out.identifiers, out.weights.tobytes()
 
 
+def declined(*args):
+    """A column pass that declines every block, leaving all to the row checks."""
+    raise pio._Declined
+
+
 @settings(max_examples=400, deadline=None)
 # A repeat after a block that holds only a comment row.
 @example("id,market_cap", "\n", "AAA,1\n# c\nAAA,2", 1, 1, csv.field_size_limit())
 # A quoted newline where the text is cut into pieces for csv.reader.
 @example("id,market_cap", "\n", '"A\nB",1\nC,2', 1, 3, csv.field_size_limit())
+# Blank and comment rows after the header, around rows that read.
+@example("id,price,shares", "\n", "A,2,3\n\n# c\n b ,5,0.5", 1, 1 << 12, 21)
+@example("id,weight", "\n", "A,1\n # c,1\nB,-0", 1 << 16, 1 << 12, 21)
+# Weights of -0 alone, which sum to 0.0 as a plain loop adds them.
+@example("id,weight", "\n", "A,-0", 1 << 16, 1 << 12, 21)
 @given(
     header=st.sampled_from(HEADERS),
     line_end=st.sampled_from(["\n", "\r\n", "\r"]),
-    body=st.one_of(st.text(alphabet=CSV_CHARS, max_size=60), csv_rows),
+    body=st.one_of(
+        st.text(alphabet=CSV_CHARS, max_size=60),
+        csv_rows,
+        st.integers(2, 4).flatmap(readable_rows),
+    ),
     block_chars=st.sampled_from([1, 5, 1 << 16]),
     block_rows=st.sampled_from([1, 3, 1 << 12]),
     # Above the longest header cell (weight_before), so that a data row
@@ -658,18 +691,71 @@ def test_column_readers_match_the_row_reader(
 ):
     """The column pass, over any block size and csv field-size limit,
     reads what the reference row loop reads, or fails with the same error
-    and message."""
+    and message; and so do the row checks alone, with every block
+    declined."""
     text = header + line_end + body
     old_limit = csv.field_size_limit(field_limit)
     try:
         with mock.patch.object(pio, "_BLOCK_CHARS", block_chars), mock.patch.object(
             pio, "_BLOCK_ROWS", block_rows
         ):
-            assert outcome(universe_columns, text) == outcome(
-                reference_universe_columns, text
-            )
-            assert outcome(weight_columns, text) == outcome(
-                reference_weight_columns, text
-            )
+            # The reader as it runs, then its row checks alone.
+            declining = mock.patch.object(pio, "_block_columns", declined)
+            for column_pass in (contextlib.nullcontext(), declining):
+                with column_pass:
+                    assert outcome(universe_columns, text) == outcome(
+                        reference_universe_columns, text
+                    )
+                    assert outcome(weight_columns, text) == outcome(
+                        reference_weight_columns, text
+                    )
     finally:
         csv.field_size_limit(old_limit)
+
+
+# JSON report rows: ids and weight_after values that pass, and others the
+# column pass must decline, with rows that are not objects or lack a key.
+READ_IDS = ["A", "b", " C ", "é", "\ud800"]
+JSON_IDS = st.sampled_from([*READ_IDS, "", " ", 1, None])
+JSON_WEIGHTS = st.sampled_from(
+    [0.5, 0.25, 1, 0, -0.0, "0.5", " 1_0 ", -0.1, "x", True, None, [1], float("inf"), "nan"]
+)
+json_rows = st.lists(
+    st.one_of(
+        st.fixed_dictionaries({"id": JSON_IDS, "weight_after": JSON_WEIGHTS}),
+        st.fixed_dictionaries({"id": JSON_IDS}),
+        st.sampled_from([[], "A", 0.5, {"weight_after": 0.5}]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(json_report("1.0", "NaN"))
+@example(json_report("1.0", '"abc"'))
+@example(json_report("1.0", "[1]"))
+@example(json_report("1.0", "null"))
+@example(json_report("1.0", "true"))
+@example(json_report("1.0", "0.0", second_id=""))
+@example(json_report("1.0", "0.0", second_id=None))
+@example(json_report("1.2", "-0.2"))
+@example(json_report("0.5", "0.5", second_id="AAA"))
+@example(json_report("0.5", "0.5"))
+@example(json_report("0.5", '" 0.5 "', second_id=" B "))
+@given(
+    st.one_of(
+        json_rows,
+        # Rows that read: n distinct ids of weight 1/n.
+        st.lists(st.sampled_from(READ_IDS), min_size=1, max_size=5, unique=True).map(
+            lambda ids: [{"id": i, "weight_after": 1 / len(ids)} for i in ids]
+        ),
+    ).map(lambda rows: json.dumps({"rows": rows}))
+)
+def test_json_column_reader_matches_the_row_checks(text):
+    """The JSON column pass reads the same ids and weight bits as the row
+    checks alone, with every list of rows declined, or fails with the same
+    error and message."""
+    with mock.patch.object(pio, "_json_columns", declined):
+        expected = outcome(weight_columns, text)
+    assert outcome(weight_columns, text) == expected
