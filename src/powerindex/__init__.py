@@ -7,6 +7,10 @@ leaves small weights' ratios intact, the cap-and-redistribute baseline
 (which carries neither guarantee), a calibration solver that picks the
 largest p meeting a concentration bound, and diagnostics that detect and
 quantify rebalance pathologies.
+
+``import powerindex`` loads the rules, the solver and numpy. The
+diagnostics and the file readers and writers (``powerindex.diagnostics``
+and ``powerindex.io``) load on first use of one of their names.
 """
 
 from __future__ import annotations
@@ -18,18 +22,7 @@ from .calibration import (
     solve_exponent,
     top_k_sum,
 )
-from .diagnostics import (
-    ConcentrationMetrics,
-    DiagnosticsReport,
-    OrderViolation,
-    compare_methods,
-    concentration_metrics,
-    diagnostics_report,
-    find_order_violations,
-    turnover,
-)
 from .errors import InfeasibleError, RebalanceError
-from .io import parse_universe, read_weight_file, report_payload, write_report
 from .transforms import (
     CapRule,
     LinearizedPowerRule,
@@ -84,3 +77,37 @@ __all__ = [
     "weights_from_market_caps",
     "write_report",
 ]
+
+# The public names of the modules that ``import powerindex`` leaves
+# unloaded, with the module that defines each. The first access to one
+# imports its module and binds all of that module's names here.
+_DEFERRED = {
+    "ConcentrationMetrics": "diagnostics",
+    "DiagnosticsReport": "diagnostics",
+    "OrderViolation": "diagnostics",
+    "compare_methods": "diagnostics",
+    "concentration_metrics": "diagnostics",
+    "diagnostics_report": "diagnostics",
+    "find_order_violations": "diagnostics",
+    "turnover": "diagnostics",
+    "parse_universe": "io",
+    "read_weight_file": "io",
+    "report_payload": "io",
+    "write_report": "io",
+}
+
+
+def __getattr__(name: str) -> object:
+    home = _DEFERRED.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{home}")
+    bound = {key: getattr(module, key) for key, mod in _DEFERRED.items() if mod == home}
+    globals().update(bound)
+    return bound[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

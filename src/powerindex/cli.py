@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .calibration import DEFAULT_TOL, CalibrationTarget, solve_exponent
-from .diagnostics import DiagnosticsReport, compare_methods, diagnostics_report
 from .errors import InfeasibleError, RebalanceError
-from .io import parse_universe, read_weight_file, report_payload, write_report
 from .transforms import RULES, RebalanceRule, apply_rule
 from .weights import weights_from_market_caps
+
+if TYPE_CHECKING:
+    from .diagnostics import DiagnosticsReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,6 +174,9 @@ def parse_methods_spec(spec: str) -> list[tuple[str, RebalanceRule]]:
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
+    from .diagnostics import diagnostics_report
+    from .io import parse_universe, report_payload, write_report
+
     given = {n: v for n in _RULE_PARAMS if (v := getattr(args, n)) is not None}
     rule = _make_rule(args.method, given, f"--method {args.method}", _flag)
     mu = weights_from_market_caps(parse_universe(args.input))
@@ -184,6 +188,8 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .io import parse_universe
+
     if args.target == "top-k" and args.k is None:
         raise _UsageError("error: --target top-k requires --k")
     kind = "max_weight" if args.target == "max" else "top_k_sum"
@@ -231,6 +237,9 @@ def _print_report(report: DiagnosticsReport) -> None:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    from .diagnostics import diagnostics_report
+    from .io import read_weight_file
+
     before = read_weight_file(args.before)
     after = read_weight_file(args.after)
     report = diagnostics_report(before, after)
@@ -239,6 +248,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .diagnostics import compare_methods
+    from .io import parse_universe
+
     labeled = parse_methods_spec(args.methods)
     mu = weights_from_market_caps(parse_universe(args.input))
     results = compare_methods(mu, [rule for _, rule in labeled])

@@ -33,19 +33,19 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from itertools import chain, islice, repeat
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsReport, _pair
 from .errors import RebalanceError
 from .weights import Universe, WeightVector
+
+if TYPE_CHECKING:
+    from .diagnostics import DiagnosticsReport
 
 SCHEMA_VERSION = 1
 
@@ -380,6 +380,8 @@ def report_payload(
     and ``after``, eta's weights aligned to ``ids``. The two vectors must
     cover the same identifiers, or a ``RebalanceError`` names the ones
     only one of them holds."""
+    from .diagnostics import _pair
+
     after = _pair(mu, eta).require_same_ids().after
     summary = {
         "turnover": report.turnover,
@@ -429,6 +431,9 @@ def render_report_json(payload: dict[str, Any], out: IO[str]) -> None:
     ``json.dumps(..., indent=2)`` and a newline would, its columns as a
     ``rows`` list of ``REPORT_HEADER`` objects. One template renders the
     rows, as the stdlib's pure-Python indenting encoder would be slow."""
+    import json
+    from json.encoder import encode_basestring_ascii
+
     head = {k: v for k, v in payload.items() if k not in ("ids", "before", "after")}
     out.write(json.dumps({**head, "rows": []}, indent=2).removesuffix("[]\n}") + "[\n")
     separator = ""
@@ -446,6 +451,8 @@ def render_report_csv(payload: dict[str, Any], out: IO[str]) -> None:
     """Write ``payload``, as built by ``report_payload``, to ``out`` as
     ``# key=value`` comments, each number as the JSON head writes it, then
     a ``REPORT_HEADER`` table."""
+    import json
+
     out.write(f"# schema_version={payload['schema_version']}\n")
     out.write(f"# method={payload['method']}\n")
     for key, value in payload["params"].items():
@@ -508,6 +515,8 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
     text = _read_text(source)
     name = str(source) if not hasattr(source, "read") else ""
     if name.endswith(".json") or text.lstrip().startswith("{"):
+        import json
+
         try:
             payload = json.loads(text)
         # A JSONDecodeError is a ValueError, as is an integer literal over

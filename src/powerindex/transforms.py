@@ -111,7 +111,7 @@ def power_weights(
     """
     if logs is None:
         logs = np.log(w[w > 0.0])
-    chord = knot > 0.0 and np.minimum.reduce(w) < knot
+    chord = knot > 0.0
     curve = np.exp(p * (np.concatenate((logs, [np.log(knot)])) if chord else logs))
     if logs.size == w.size:
         out = curve[: w.size]  # f(knot) is not a weight

@@ -17,6 +17,7 @@ from powerindex import (
     CapRule,
     ConcentrationMetrics,
     InfeasibleError,
+    LinearizedPowerRule,
     PowerRule,
     Universe,
     WeightVector,
@@ -25,6 +26,7 @@ from powerindex import (
     concentration_statistic,
     diagnostics_report,
     find_order_violations,
+    linearized_power_rebalance,
     power_rebalance,
     solve_exponent,
     top_k_sum,
@@ -93,6 +95,21 @@ def test_fast_paths_match_the_plain_formulas(w, p, extra_k, data):
         {k: reference_top_k(w, k) for k in DEFAULT_TOP_KS},
         float((w**DEFAULT_REPORTING_P).sum() ** (1.0 / DEFAULT_REPORTING_P)),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=simplex(), p=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0, exclude_min=True))
+@example(w=np.array([0.25, 0.75]), p=0.5, share=1.0)
+def test_linpower_with_no_weight_below_its_knot_is_the_plain_power(w, p, share):
+    """With every weight at or above the knot the chord covers no weight,
+    and the knotted rule gives the bits of the plain power formula."""
+    w = w[w > 0.0]
+    w = w / w.sum()
+    knot = float(w.min()) * share  # at most the smallest weight
+    assume(0.0 < knot < 1.0)
+    mu = WeightVector(make_ids(w.size), w)
+    eta = linearized_power_rebalance(mu, LinearizedPowerRule(p, knot))
+    assert eta.weights.tobytes() == reference_power(w, p, knot).tobytes()
 
 
 @st.composite
