@@ -24,9 +24,16 @@ by its 1-based row in the file, or in the JSON ``rows`` list. The column
 pass (``_block_columns``, ``_json_columns``) is a fast path that may only
 decline: it takes a whole block of rows that all have the header's
 width, a nonempty id and no leading ``#``, and whose numbers pass as a
-column, and leaves any other block to the row checks. The ids of a CSV
-file are checked for repeats once, at the end, and a repeat is reported
-before the error of any later row.
+column, and leaves any other block to the row checks.
+
+A CSV file is read in two passes at most. The read pass gives each block
+to the column pass, and each block it declines to the row checks with a
+fresh set of ids, so that they find repeats inside that block only; at
+the end, it checks all the ids for a repeat. If a row fails there, or an
+id repeats, the error pass reads the text again with the row checks
+alone, block by block, with one set of ids carried across blocks. So
+every message comes from one in-order pass of the row checks, and the
+reader has no repeat rule of its own.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -83,7 +90,8 @@ _Block = tuple[int, list[str], np.ndarray, bool]
 
 
 def _read_text(source: str | Path | IO[str]) -> str:
-    """The text of ``source``, with line ends read as text mode reads them."""
+    """The text of ``source``, with line ends read as text mode reads them
+    and without a leading byte-order mark."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -97,7 +105,7 @@ def _read_text(source: str | Path | IO[str]) -> str:
             ) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    return text.removeprefix("\ufeff")
 
 
 # -- The row checks: one row at a time, in file order. They read every
@@ -131,7 +139,7 @@ def _row_columns(
     ``rows``, pairs of a row's number and its fields, or the error of the
     first row that fails, which names it as ``label`` and its number. Each
     row must have ``width`` fields and lead with a nonempty identifier that
-    is not in ``seen``, the identifiers of the rows before it."""
+    is not in ``seen``, to which each row's identifier is then added."""
     ids: list[str] = []
     table: list[list[float]] = []
     for num, row in rows:
@@ -174,7 +182,8 @@ def _block_rows(block: _Block) -> Iterator[tuple[int, list[str]]]:
 
 
 class _Declined(Exception):
-    """The column pass leaves a block to the row checks."""
+    """The column pass leaves a block, or the read pass a file, to the row
+    checks."""
 
 
 def _pieces(text: str) -> Iterator[str]:
@@ -279,21 +288,15 @@ def _numbers(fields: Sequence[Any], positive: bool) -> np.ndarray:
     return values
 
 
-def _repeat_at(ids: list[str]) -> int | None:
-    """The position of the first id that repeats one before it, or None.
-    Only ids whose hash another id has can repeat, and sorted hashes find
-    them without a set of every id: on 1e6 ids, building that set every
-    time raised parse_universe's peak memory from 151 MB to 197 MB."""
-    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
-    hashes.sort()
+def _has_repeat(ids: list[str]) -> bool:
+    """Whether an id repeats one before it. Only ids whose hash another id
+    has can repeat, and sorted hashes find them without a set of every id:
+    on 1e6 ids, building that set every time raised parse_universe's peak
+    memory from 151 MB to 197 MB."""
+    hashes = np.sort(np.fromiter(map(hash, ids), np.int64, len(ids)))
     shared = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
-    seen: set[str] = set()
-    for i, ident in enumerate(ids if shared else ()):
-        if hash(ident) in shared:
-            if ident in seen:
-                return i
-            seen.add(ident)
-    return None
+    twins = [ident for ident in ids if hash(ident) in shared] if shared else []
+    return len(set(twins)) < len(twins)
 
 
 def _block_columns(
@@ -315,45 +318,56 @@ def _block_columns(
     return first, columns
 
 
+def _columns(
+    blocks: Iterable[_Block],
+    width: int,
+    numbers: tuple[_Number, ...],
+    seen: set[str] | None,
+) -> tuple[list[str], list[np.ndarray]]:
+    """The identifiers and the checked numeric columns of ``blocks``.
+
+    Without ``seen``, this is the read pass: the column pass reads each
+    block it takes, the row checks each block it declines, with a fresh
+    set that finds repeats inside that block only, and the whole file is
+    declined if any id repeats. With ``seen``, this is the error pass: the
+    row checks alone read every block, with ``seen`` carried across them."""
+    ids: list[str] = []
+    parts: list[list[np.ndarray]] = [[] for _ in numbers]
+    for block in blocks:
+        try:
+            if seen is not None:
+                raise _Declined
+            first, columns = _block_columns(block, width, numbers)
+        except _Declined:
+            rows, fresh = _block_rows(block), set() if seen is None else seen
+            first, columns = _row_columns(rows, "row", width, numbers, fresh)
+        ids.extend(first)
+        for part, column in zip(parts, columns):
+            part.append(column)
+    if seen is None and _has_repeat(ids):
+        raise _Declined
+    return ids, [np.concatenate(part) if part else np.empty(0) for part in parts]
+
+
 def _csv_columns(
     text: str, headers: dict[tuple[str, ...], tuple[_Number, ...]], what: str
 ) -> tuple[list[str], list[np.ndarray]]:
     """The identifiers and the checked numeric columns of a CSV text whose
     header is one of ``headers``, called ``what`` in messages."""
-    ids: list[str] = []
-    rows: list[Sequence[int]] = []  # the file rows of each block's ids
+    header, blocks = _split_header(_blocks(text))
+    numbers = headers.get(header)
+    if numbers is None:
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        raise RebalanceError(
+            f"unrecognized {what} {','.join(header)!r}; expected {expected}"
+        )
     try:
-        header, blocks = _split_header(_blocks(text))
-        numbers = headers.get(header)
-        if numbers is None:
-            expected = " or ".join(repr(",".join(h)) for h in headers)
-            raise RebalanceError(
-                f"unrecognized {what} {','.join(header)!r}; expected {expected}"
-            )
-        parts: list[list[np.ndarray]] = [[] for _ in numbers]
-        for block in blocks:
-            try:
-                first, columns = _block_columns(block, len(header), numbers)
-                rows.append(range(block[0], block[0] + len(first)))
-            except _Declined:
-                kept = list(_block_rows(block))
-                # Of the earlier ids, only those that this block's rows repeat:
-                # a set of them all held 2 MB at n=50,000.
-                seen = {cells[0].strip() for _, cells in kept}.intersection(ids)
-                first, columns = _row_columns(kept, "row", len(header), numbers, seen)
-                rows.append([num for num, _ in kept])
-            ids.extend(first)
-            for part, column in zip(parts, columns):
-                part.append(column)
-    finally:
-        # Every row before one that failed has passed all but the check for
-        # repeats, and a repeat among them comes first: its error replaces
-        # the one in flight.
-        i = _repeat_at(ids)
-        if i is not None:
-            num = next(islice(chain.from_iterable(rows), i, None))
-            _row_columns([(num, [ids[i]])], "row", 1, (), {ids[i]})  # raises
-    return ids, [np.concatenate(part) if part else np.empty(0) for part in parts]
+        return _columns(blocks, len(header), numbers, None)
+    except (RebalanceError, _Declined):
+        # A row failed or an id repeats: the row checks read the text
+        # again, in file order, and raise the error of its first bad row.
+        blocks = _split_header(_blocks(text))[1]
+    return _columns(blocks, len(header), numbers, set())
 
 
 def parse_universe(source: str | Path | IO[str]) -> Universe:
@@ -499,7 +513,7 @@ def _json_columns(rows: list[Any]) -> tuple[list[str], np.ndarray]:
         weights = list(map(itemgetter("weight_after"), rows))
     except (KeyError, TypeError):  # not a dict, a key missing, an id not a string
         raise _Declined from None
-    if not all(ids) or _repeat_at(ids) is not None or bool in set(map(type, weights)):
+    if not all(ids) or _has_repeat(ids) or bool in set(map(type, weights)):
         raise _Declined
     return ids, _numbers(weights, positive=False)
 

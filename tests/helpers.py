@@ -122,9 +122,9 @@ def _reference_number(field, where, column, positive=False):
 
 def _reference_records(text):
     """Each (row number, fields) that csv.reader gives, with line ends read
-    as text mode reads them; a field longer than its limit is an input
-    error at the row that holds it."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    as text mode reads them and no leading byte-order mark; a field longer
+    than its limit is an input error at the row that holds it."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text))
     for num in itertools.count(1):
         try:

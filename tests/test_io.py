@@ -476,6 +476,25 @@ class TestReadWeightFile:
         out = read_weight_file(path)
         np.testing.assert_allclose(out.weights, eta.weights, rtol=0, atol=1e-12)
 
+    def test_json_report_path_with_a_byte_order_mark(self, tmp_path):
+        payload, _, eta = two_stock_payload()
+        path = tmp_path / "report.json"
+        write_report(path, payload, "json")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out = read_weight_file(path)
+        assert out.identifiers == eta.identifiers
+        plain = read_weight_file(io.StringIO(rendered(render_report_json, payload)))
+        assert out.weights.tobytes() == plain.weights.tobytes()
+
+    def test_json_report_stream_with_a_byte_order_mark(self):
+        """A stream is read as JSON by its first character after the mark."""
+        payload, _, eta = two_stock_payload()
+        text = rendered(render_report_json, payload)
+        out = read_weight_file(io.StringIO("\ufeff" + text))
+        assert out.identifiers == eta.identifiers
+        plain = read_weight_file(io.StringIO(text))
+        assert out.weights.tobytes() == plain.weights.tobytes()
+
     def test_small_sum_drift_renormalized(self):
         out = read_weight_file(io.StringIO("id,weight\nAAA,0.7001\nBBB,0.3\n"))
         assert abs(out.weights.sum() - 1.0) <= 1e-12
@@ -538,6 +557,8 @@ class TestReadWeightFile:
                 [0.25, 0.75],
             ),
             ("id,weight\n AAA ,0.1_0\nBBB, 0.9\n", ("AAA", "BBB"), [0.1, 0.9]),
+            # A byte-order mark in front of a comment row leaves it a comment.
+            ("\ufeff# method=power\nid,weight\nA,1\n", ("A",), [1.0]),
         ],
     )
     def test_accepted_spellings(self, text, ids, weights):
@@ -582,6 +603,33 @@ class TestReadWeightFile:
     def test_json_without_rows_rejected(self):
         with pytest.raises(RebalanceError, match=whole("report JSON carries no rows")):
             read_weight_file(io.StringIO('{"schema_version": 1}'))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ids_whose_hashes_collide(monkeypatch, fmt):
+    """With ids hashed to few values, distinct ids read without a false
+    repeat, and a real repeat among them is reported at its row."""
+    hashed = []
+
+    def few_hashes(ident):
+        hashed.append(ident)
+        return len(ident) % 2
+
+    monkeypatch.setattr(pio, "hash", few_hashes, raising=False)
+
+    def weight_file(ids):
+        if fmt == "csv":
+            return io.StringIO("id,weight\n" + "".join(f"{i},0.25\n" for i in ids))
+        rows = [{"id": i, "weight_after": 0.25} for i in ids]
+        return io.StringIO(json.dumps({"rows": rows}))
+
+    ids = ("AA", "BB", "C", "D")
+    assert read_weight_file(weight_file(ids)).identifiers == ids
+    assert set(hashed) == set(ids)
+    where = "row 5" if fmt == "csv" else "report row 4"
+    message = f"{where}: duplicate identifier 'AA'"
+    with pytest.raises(RebalanceError, match=whole(message)):
+        read_weight_file(weight_file(("AA", "C", "BB", "AA")))
 
 
 # Text drawn from the characters that decide how a CSV row is split and
@@ -672,6 +720,12 @@ def declined(*args):
 @example("id,weight", "\n", "A,1\n # c,1\nB,-0", 1 << 16, 1 << 12, 21)
 # Weights of -0 alone, which sum to 0.0 as a plain loop adds them.
 @example("id,weight", "\n", "A,-0", 1 << 16, 1 << 12, 21)
+# A repeat in a block the column pass takes, then, in a later block, a
+# bad number or a field over the field-size limit; and a repeat whose two
+# rows lie in blocks that hold comment rows.
+@example("id,market_cap", "\n", "A,1\nA,2\nB,x", 5, 1 << 12, 21)
+@example("id,market_cap", "\n", "A,1\nA,2\nB,0.0000000000000000001", 5, 1 << 12, 13)
+@example("id,market_cap", "\n", "A,1\n# c\nA,2\n# d", 5, 1 << 12, 21)
 @given(
     header=st.sampled_from(HEADERS),
     line_end=st.sampled_from(["\n", "\r\n", "\r"]),
