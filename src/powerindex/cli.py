@@ -278,9 +278,11 @@ _COMMANDS = {
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, run one subcommand, return the exit status."""
+    command = "powerindex"
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        command = args.command
+        return _COMMANDS[command](args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
@@ -291,6 +293,11 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except (RebalanceError, OSError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        # A short line of strings that exist already: printing it needs no
+        # large allocation while the command's memory is still held.
+        print(f"{command}: out of memory", file=sys.stderr)
         return EXIT_INPUT
 
 

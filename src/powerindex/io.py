@@ -9,11 +9,10 @@ All file-bound numbers are rendered at full precision so reports
 round-trip exactly; rounding to 6 significant digits is a console
 concern only.
 
-Input files are read from one split of the text into fields, with line
-ends read as text mode reads them, from a path or a stream: in blocks of
-rows, at newlines and commas, or by ``csv.reader`` from the first block
-that holds a quote or a NUL, so that the fields are always those
-``csv.reader`` gives. Blank and ``#`` comment rows are dropped.
+Input files are read as text, with line ends read as text mode reads
+them, from a path or a stream. Blank and ``#`` comment rows are skipped.
+``csv.reader`` finds a CSV file's header, and both readers below start
+just after it, so that the fields are always those ``csv.reader`` gives.
 
 The row checks (``_row_columns``, ``_parse_number``) are the reader of
 record. Row by row, in file order, they check the field count, a
@@ -21,27 +20,25 @@ nonempty id that no row before repeats, and numbers as ``float()`` reads
 them, finite and signed as the column needs. They return the ids and the
 numeric columns, or raise the error of the first row that fails, named
 by its 1-based row in the file, or in the JSON ``rows`` list. The column
-pass (``_block_columns``, ``_json_columns``) is a fast path that may only
-decline: it takes a whole block of rows that all have the header's
-width, a nonempty id and no leading ``#``, and whose numbers pass as a
-column, and leaves any other block to the row checks.
+pass (``_column_pass``, ``_json_columns``) is a fast path that may only
+decline: it takes every row at once, if every row has the header's
+width and a nonempty, unique id without a leading ``#``, and the numbers
+pass as columns, and declines the whole file otherwise.
 
-A CSV file is read in two passes at most. The read pass gives each block
-to the column pass, and each block it declines to the row checks with a
-fresh set of ids, so that they find repeats inside that block only; at
-the end, it checks all the ids for a repeat. If a row fails there, or an
-id repeats, the error pass reads the text again with the row checks
-alone, block by block, with one set of ids carried across blocks. So
-every message comes from one in-order pass of the row checks, and the
-reader has no repeat rule of its own.
+So each file is read with one decision: the column pass takes it, or the
+row checks read it once, in file order, with one set of ids. Every
+message comes from that one pass, and the reader has no repeat rule of
+its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
-from itertools import chain, repeat
+from array import array
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -83,10 +80,13 @@ RENORMALIZE_WINDOW = 1e-3
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 12
 
-# A block of rows: the 1-based file row of its first row, the fields of
-# its rows in one list, the number of fields in each row, and whether a
-# row may be a comment.
-_Block = tuple[int, list[str], np.ndarray, bool]
+# A block of rows: the fields of its rows in one list, the number of
+# fields in each row, and whether a row may be a comment.
+_Block = tuple[list[str], np.ndarray, bool]
+
+# The rows of a CSV text that are not blank or a comment: each with its
+# 1-based number among the rows that csv.reader gives, and its fields.
+_Records = Iterator[tuple[int, list[str]]]
 
 
 def _read_text(source: str | Path | IO[str]) -> str:
@@ -109,7 +109,7 @@ def _read_text(source: str | Path | IO[str]) -> str:
 
 
 # -- The row checks: one row at a time, in file order. They read every
-# -- block that the column pass declines, and hold every message.
+# -- file that the column pass declines, and hold every message.
 
 
 def _parse_number(field: Any, where: str, column: str, positive: bool = False) -> float:
@@ -133,15 +133,15 @@ def _row_columns(
     label: str,
     width: int,
     numbers: tuple[_Number, ...],
-    seen: set[str],
 ) -> tuple[list[str], list[np.ndarray]]:
-    """The identifiers and the numeric columns (none, for no rows) of
-    ``rows``, pairs of a row's number and its fields, or the error of the
-    first row that fails, which names it as ``label`` and its number. Each
-    row must have ``width`` fields and lead with a nonempty identifier that
-    is not in ``seen``, to which each row's identifier is then added."""
+    """The identifiers and the numeric columns of ``rows``, pairs of a
+    row's number and its fields, or the error of the first row that fails,
+    which names it as ``label`` and its number. Each row must have
+    ``width`` fields and lead with a nonempty identifier that no row
+    before it has."""
+    seen: set[str] = set()
     ids: list[str] = []
-    table: list[list[float]] = []
+    table = array("d")  # the numbers, row by row, at 8 bytes each
     for num, row in rows:
         where = f"{label} {num}"
         if len(row) != width:
@@ -162,117 +162,124 @@ def _row_columns(
                 f"{where}: market cap {values[0]!r} * {values[1]!r} is not finite"
             )
         ids.append(ident)
-        table.append(values)
-    return ids, [np.array(column, dtype=float) for column in zip(*table)]
+        table.extend(values)
+    return ids, list(np.reshape(table, (-1, len(numbers))).T.copy())
 
 
-def _block_rows(block: _Block) -> Iterator[tuple[int, list[str]]]:
-    """The file row and the fields of each row of ``block`` that is not
-    blank or a comment, whose first field starts with ``#``."""
-    row, fields, counts, _ = block
-    start = 0
-    for num, count in enumerate(counts.tolist(), start=row):
-        cells = fields[start:start + count]
-        start += count
-        if "".join(cells).strip() and not cells[0].lstrip().startswith("#"):
-            yield num, cells
-
-
-# -- The column pass: a block of rows at once, without a message.
-
-
-class _Declined(Exception):
-    """The column pass leaves a block, or the read pass a file, to the row
-    checks."""
-
-
-def _pieces(text: str) -> Iterator[str]:
-    """``text`` in pieces of about ``_BLOCK_CHARS`` characters, each cut
-    just after a newline but the last, so that joined they give ``text``."""
-    pos = 0
+def _pieces(text: str, pos: int) -> Iterator[str]:
+    """``text`` from offset ``pos`` in pieces of about ``_BLOCK_CHARS``
+    characters, each cut just after a newline but the last, so that joined
+    they give ``text[pos:]``."""
     while pos < len(text):
         end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
         yield text[pos:end]
         pos = end
 
 
-def _blocks(text: str) -> Iterator[_Block]:
-    """The rows of a CSV text in blocks of a few thousand, so that a large
-    file is never held as fields all at once.
+def _reader(pieces: Iterable[str]) -> Iterator[list[str]]:
+    """``csv.reader`` over the text that ``pieces`` make, one ``StringIO``
+    per piece: a ``StringIO`` holds its text at four bytes a character, and
+    one over all the text raised a CLI ``solve`` on a quoted file of 1e6
+    rows from 151 to 251 MB."""
+    return csv.reader(chain.from_iterable(map(io.StringIO, pieces)))
+
+
+def _records(reader: Iterator[list[str]]) -> _Records:
+    """The 1-based number among the rows of ``reader``, a ``csv.reader``,
+    and the fields of each row that is not blank or a comment, whose first
+    field starts with ``#``. A row that ``csv.reader`` refuses is an input
+    error at that row."""
+    num = 0
+    try:
+        for num, cells in enumerate(reader, start=1):
+            if "".join(cells).strip() and not cells[0].lstrip().startswith("#"):
+                yield num, cells
+    except csv.Error as exc:
+        # csv's own message, but for the field-size limit, named by its
+        # value. Before Python 3.11, a NUL is an error too.
+        message = str(exc)
+        if message.startswith("field larger"):
+            message = f"field longer than {csv.field_size_limit()} characters"
+        raise RebalanceError(f"row {num + 1}: {message}") from None
+
+
+def _split_header(text: str) -> tuple[tuple[str, ...], int, _Records]:
+    """The cells of the first row of a CSV text that is not blank or a
+    comment, without case, spaces or a byte-order mark; the offset in the
+    text just after that row; and the ``_records`` of the rows after it."""
+    reader = _reader(_pieces(text, 0))
+    records = _records(reader)
+    for _, cells in records:
+        # csv.reader has read the text up to the line_num-th newline.
+        pos = 0
+        for _ in range(reader.line_num):
+            pos = text.find("\n", pos) + 1 or len(text)
+        return tuple(c.strip().lstrip("\ufeff").lower() for c in cells), pos, records
+    raise RebalanceError("input is empty; expected a header row")
+
+
+# -- The column pass: every row at once, without a message.
+
+
+class _Declined(Exception):
+    """The column pass leaves a file to the row checks."""
+
+
+def _split(chunk: str) -> tuple[list[str], np.ndarray]:
+    """The fields of ``chunk`` split at newlines and commas, and the number
+    of fields in each of its lines."""
+    # Field k is followed by separator k: a newline ends its line. Neither
+    # separator is a byte of a longer UTF-8 sequence.
+    raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
+    separators = raw[(raw == 10) | (raw == 44)]
+    ends = np.flatnonzero(separators == 10)
+    counts = np.diff(ends, prepend=-1, append=len(separators))
+    return chunk.replace("\n", ",").split(","), counts
+
+
+def _blocks(text: str, pos: int) -> Iterator[_Block]:
+    """The rows of a CSV text from offset ``pos`` in blocks of a few
+    thousand, so that a large file is never held as fields all at once.
 
     Each piece of the text is split at newlines and commas, up to the
     first piece holding a quote, a NUL or a field longer than
     ``csv.field_size_limit()``; ``csv.reader`` splits that piece and the
-    rest. Splitting is the faster: at n=50,000, leaving all text to
+    rest, keeping every row, and a row that it refuses declines the file.
+    In a piece split at newlines, a row is a line: its comment rows are
+    dropped, and its blank rows if one of its lines has no comma.
+
+    Splitting is the faster: at n=50,000, leaving all text to
     ``csv.reader`` made a CLI ``solve`` take about a sixth longer on a
-    2-vCPU Xeon.
+    2-vCPU Xeon, and at 1e6 rows, quoting every id added about 1 s.
     """
     limit = csv.field_size_limit()
-    pieces, row = _pieces(text), 1
+    pieces = _pieces(text, pos)
     for piece in pieces:
         # The last newline ends the last row, as in csv.reader, and starts
         # no blank one.
         chunk = piece.removesuffix("\n")
-        fields = chunk.replace("\n", ",").split(",")
-        if (
-            '"' in chunk or "\0" in chunk
-            or len(chunk) > limit and max(map(len, fields)) > limit
+        fields, counts = _split(chunk)
+        if '"' in chunk or "\0" in chunk or (
+            len(chunk) > limit and max(map(len, fields)) > limit
         ):
-            yield from _reader_blocks(chain([piece], pieces), row)
+            rows = _reader(chain([piece], pieces))
+            try:
+                while block := list(islice(rows, _BLOCK_ROWS)):
+                    counts = np.fromiter(map(len, block), np.intp, len(block))
+                    yield list(chain.from_iterable(block)), counts, True
+            except csv.Error:
+                raise _Declined from None
             return
-        # Field k of the block is followed by separator k: a newline ends
-        # its row. Neither separator is a byte of a longer UTF-8 sequence.
-        raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
-        separators = raw[(raw == 10) | (raw == 44)]
-        ends = np.flatnonzero(separators == 10)
-        counts = np.diff(ends, prepend=-1, append=len(separators))
-        yield row, fields, counts, "#" in chunk
-        row += len(counts)
-
-
-def _reader_blocks(pieces: Iterable[str], row: int) -> Iterator[_Block]:
-    """``_blocks`` of the text that ``pieces`` make, whose first row is file
-    row ``row``, as ``csv.reader`` splits it. At a row that ``csv.reader``
-    refuses, the rows before it make the last block, and the error is
-    raised when the next block is asked for.
-
-    ``csv.reader`` reads one ``StringIO`` per piece: a ``StringIO`` holds
-    its text at four bytes a character, and one over all the text raised a
-    CLI ``solve`` on a quoted file of 1e6 rows from 151 to 251 MB."""
-
-    def block(rows: list[list[str]]) -> _Block:
-        counts = np.fromiter(map(len, rows), np.intp, len(rows))
-        return row, list(chain.from_iterable(rows)), counts, True
-
-    rows: list[list[str]] = []
-    try:
-        for cells in csv.reader(chain.from_iterable(map(io.StringIO, pieces))):
-            rows.append(cells)
-            if len(rows) == _BLOCK_ROWS:
-                yield block(rows)
-                row, rows = row + len(rows), []
-    except csv.Error:
-        yield block(rows)
-        # The field-size limit is csv's one error here: ``_read_text``
-        # leaves no carriage return to make the other.
-        limit = csv.field_size_limit()
-        raise RebalanceError(
-            f"row {row + len(rows)}: field longer than {limit} characters"
-        ) from None
-    yield block(rows)
-
-
-def _split_header(blocks: Iterator[_Block]) -> tuple[tuple[str, ...], Iterator[_Block]]:
-    """The cells of the first row that is not blank or a comment, without
-    case, spaces or a byte-order mark, and the blocks of the rows after it."""
-    for block in blocks:
-        row, fields, counts, comments = block
-        for num, cells in _block_rows(block):
-            done = num - row + 1
-            rest = (num + 1, fields[int(counts[:done].sum()):], counts[done:], comments)
-            header = tuple(c.strip().lstrip("\ufeff").lower() for c in cells)
-            return header, chain([rest], blocks)
-    raise RebalanceError("input is empty; expected a header row")
+        # With no quote, a row is a line. A line of one field is blank, or a
+        # row that no header reads.
+        if "#" in chunk or (counts == 1).any():
+            chunk = "\n".join(
+                s for s in chunk.split("\n")
+                if s.replace(",", "").strip() and not s.lstrip().startswith("#")
+            )
+            fields, counts = _split(chunk)
+        if chunk:
+            yield fields, counts, False
 
 
 def _numbers(fields: Sequence[Any], positive: bool) -> np.ndarray:
@@ -299,54 +306,31 @@ def _has_repeat(ids: list[str]) -> bool:
     return len(set(twins)) < len(twins)
 
 
-def _block_columns(
-    block: _Block, width: int, numbers: tuple[_Number, ...]
+def _column_pass(
+    blocks: Iterable[_Block], width: int, numbers: tuple[_Number, ...]
 ) -> tuple[list[str], list[np.ndarray]]:
-    """The identifiers and the checked numeric columns of a block whose
-    rows all have ``width`` fields, a nonempty identifier and no leading
-    ``#``. Any other block is declined."""
-    _, fields, counts, comments = block
-    first = list(map(str.strip, fields[0::width]))
-    hashed = comments and any(map(str.startswith, first, repeat("#")))
-    if not (counts == width).all() or not all(first) or hashed:
+    """The identifiers and the checked numeric columns of ``blocks``, if
+    every row has ``width`` fields and a nonempty, unique identifier
+    without a leading ``#``, and the columns pass; any other file is
+    declined."""
+    ids: list[str] = []
+    parts: list[list[np.ndarray]] = [[np.empty(0)] for _ in numbers]
+    for fields, counts, comments in blocks:
+        first = list(map(str.strip, fields[0::width]))
+        hashed = comments and any(map(str.startswith, first, repeat("#")))
+        if not (counts == width).all() or not all(first) or hashed:
+            raise _Declined
+        ids.extend(first)
+        for part, (col, _, positive) in zip(parts, numbers):
+            part.append(_numbers(fields[col::width], positive))
+    if _has_repeat(ids):
         raise _Declined
-    columns = [_numbers(fields[col::width], positive) for col, _, positive in numbers]
+    columns = [np.concatenate(part) for part in parts]
     # Two numbers are a price and a share count.
     with np.errstate(over="ignore"):
         if len(columns) == 2 and not np.isfinite(columns[0] * columns[1]).all():
             raise _Declined
-    return first, columns
-
-
-def _columns(
-    blocks: Iterable[_Block],
-    width: int,
-    numbers: tuple[_Number, ...],
-    seen: set[str] | None,
-) -> tuple[list[str], list[np.ndarray]]:
-    """The identifiers and the checked numeric columns of ``blocks``.
-
-    Without ``seen``, this is the read pass: the column pass reads each
-    block it takes, the row checks each block it declines, with a fresh
-    set that finds repeats inside that block only, and the whole file is
-    declined if any id repeats. With ``seen``, this is the error pass: the
-    row checks alone read every block, with ``seen`` carried across them."""
-    ids: list[str] = []
-    parts: list[list[np.ndarray]] = [[] for _ in numbers]
-    for block in blocks:
-        try:
-            if seen is not None:
-                raise _Declined
-            first, columns = _block_columns(block, width, numbers)
-        except _Declined:
-            rows, fresh = _block_rows(block), set() if seen is None else seen
-            first, columns = _row_columns(rows, "row", width, numbers, fresh)
-        ids.extend(first)
-        for part, column in zip(parts, columns):
-            part.append(column)
-    if seen is None and _has_repeat(ids):
-        raise _Declined
-    return ids, [np.concatenate(part) if part else np.empty(0) for part in parts]
+    return ids, columns
 
 
 def _csv_columns(
@@ -354,20 +338,19 @@ def _csv_columns(
 ) -> tuple[list[str], list[np.ndarray]]:
     """The identifiers and the checked numeric columns of a CSV text whose
     header is one of ``headers``, called ``what`` in messages."""
-    header, blocks = _split_header(_blocks(text))
+    header, pos, records = _split_header(text)
     numbers = headers.get(header)
     if numbers is None:
         expected = " or ".join(repr(",".join(h)) for h in headers)
         raise RebalanceError(
             f"unrecognized {what} {','.join(header)!r}; expected {expected}"
         )
-    try:
-        return _columns(blocks, len(header), numbers, None)
-    except (RebalanceError, _Declined):
-        # A row failed or an id repeats: the row checks read the text
-        # again, in file order, and raise the error of its first bad row.
-        blocks = _split_header(_blocks(text))[1]
-    return _columns(blocks, len(header), numbers, set())
+    with contextlib.suppress(_Declined):
+        return _column_pass(_blocks(text, pos), len(header), numbers)
+    # The row checks run after the declined column pass, whose traceback
+    # would keep its ids alive. They read the rows after the header in file
+    # order, and raise the error of the first bad row.
+    return _row_columns(records, "row", len(header), numbers)
 
 
 def parse_universe(source: str | Path | IO[str]) -> Universe:
@@ -544,7 +527,7 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
             ids, values = _json_columns(rows)
         except _Declined:
             ids, (values,) = _row_columns(
-                _report_json_rows(rows), "report row", 2, ((1, "weight", False),), set()
+                _report_json_rows(rows), "report row", 2, ((1, "weight", False),)
             )
     else:
         ids, (values,) = _csv_columns(text, WEIGHT_HEADERS, "weight-file header")

@@ -122,8 +122,9 @@ def _reference_number(field, where, column, positive=False):
 
 def _reference_records(text):
     """Each (row number, fields) that csv.reader gives, with line ends read
-    as text mode reads them and no leading byte-order mark; a field longer
-    than its limit is an input error at the row that holds it."""
+    as text mode reads them and no leading byte-order mark; a row that
+    csv.reader refuses is an input error at that row, a field longer than
+    its limit named by the limit."""
     text = text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text))
     for num in itertools.count(1):
@@ -132,12 +133,11 @@ def _reference_records(text):
         except StopIteration:
             return
         except csv.Error as exc:
-            if not str(exc).startswith("field larger"):
-                raise
-            limit = csv.field_size_limit()
-            raise RebalanceError(
-                f"row {num}: field longer than {limit} characters"
-            ) from None
+            message = str(exc)
+            if message.startswith("field larger"):
+                limit = csv.field_size_limit()
+                message = f"field longer than {limit} characters"
+            raise RebalanceError(f"row {num}: {message}") from None
         yield num, row
 
 

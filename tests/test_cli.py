@@ -522,6 +522,36 @@ class TestDiagnoseCommand:
         assert proc.returncode == EXIT_INPUT
         assert proc.stderr == f"{after}: byte 0xf8 at offset 20 is not valid UTF-8\n"
 
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self/status"
+    )
+    def test_running_out_of_memory_is_one_line(self, tmp_path):
+        """A child that limits its own address space to 20 MB above its size
+        after the import runs out of memory in ``diagnose`` on two 1e5-row
+        JSON reports, and exits 2 with one line, not a traceback."""
+        n = 100_000
+        paths = [tmp_path / "b.json", tmp_path / "a.json"]
+        for path in paths:
+            rows = [{"id": f"N{i}", "weight_after": 1 / n} for i in range(n)]
+            path.write_text(json.dumps({"rows": rows}))
+        code = (
+            "import resource, sys\n"
+            "from powerindex.cli import main\n"
+            "status = open('/proc/self/status').read()\n"
+            "size = int(status.split('VmSize:')[1].split()[0]) << 10\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + (20 << 20), hard))\n"
+            "main()\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        argv = ["diagnose", "--before", str(paths[0]), "--after", str(paths[1])]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_INPUT, "diagnose: out of memory\n")
+
     def test_accepts_report_file_as_input(self, two_stock_csv, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert run_cli(

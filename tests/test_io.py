@@ -634,7 +634,7 @@ def test_ids_whose_hashes_collide(monkeypatch, fmt):
 
 # Text drawn from the characters that decide how a CSV row is split and
 # skipped, with the header of each schema in front.
-CSV_CHARS = ',"#\r\n 0123456789.-_eA'
+CSV_CHARS = ',"#\r\n\0 0123456789.-_eA'
 HEADERS = [
     "id,market_cap",
     "id,price,shares",
@@ -706,7 +706,7 @@ def reference_weight_columns(text):
 
 
 def declined(*args):
-    """A column pass that declines every block, leaving all to the row checks."""
+    """A column pass that declines every file, leaving all to the row checks."""
     raise pio._Declined
 
 
@@ -726,6 +726,17 @@ def declined(*args):
 @example("id,market_cap", "\n", "A,1\nA,2\nB,x", 5, 1 << 12, 21)
 @example("id,market_cap", "\n", "A,1\nA,2\nB,0.0000000000000000001", 5, 1 << 12, 13)
 @example("id,market_cap", "\n", "A,1\n# c\nA,2\n# d", 5, 1 << 12, 21)
+# A quoted header; a comment holding a quote, or a quoted newline, above
+# the header; a header on the last line, with no newline.
+@example('"id","market_cap"', "\n", "A,1\nB,2", 1 << 16, 1 << 12, 21)
+@example('# "c"\nid,weight', "\n", "A,0.5\nB,0.5", 1 << 16, 1 << 12, 21)
+@example('"# a\nb",1\nid,weight', "\r\n", "A,1", 1, 1 << 12, 21)
+@example("# c", "\n", "id,market_cap", 1 << 16, 1 << 12, 21)
+# Comment rows inside one piece; a comment row holding a quote after the
+# header; blank rows at the ends of pieces.
+@example("id,market_cap", "\n", "A,1\n# c\nB,2\n # d,1\nC,3", 1 << 16, 1 << 12, 21)
+@example("id,weight", "\n", 'A,0.5\n# "q"\nB,0.5', 1 << 16, 1 << 12, 21)
+@example("id,market_cap", "\n", "A,1\n\nB,2\n\n", 4, 1 << 12, 21)
 @given(
     header=st.sampled_from(HEADERS),
     line_end=st.sampled_from(["\n", "\r\n", "\r"]),
@@ -754,7 +765,7 @@ def test_column_readers_match_the_row_reader(
             pio, "_BLOCK_ROWS", block_rows
         ):
             # The reader as it runs, then its row checks alone.
-            declining = mock.patch.object(pio, "_block_columns", declined)
+            declining = mock.patch.object(pio, "_column_pass", declined)
             for column_pass in (contextlib.nullcontext(), declining):
                 with column_pass:
                     assert outcome(universe_columns, text) == outcome(
@@ -765,6 +776,53 @@ def test_column_readers_match_the_row_reader(
                     )
     finally:
         csv.field_size_limit(old_limit)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # Rows that read, among a blank row and a comment holding a quote.
+        'A,1\n\nB,2\n# "c"\nC,3\n',
+        '"A",1\nB,2\n\nC,3\n',
+        # A repeat, a bad number after a blank row, a row too short.
+        "A,1\nB,2\n\nA,3\n",
+        "A,1\n\nB,x\nC,3\n",
+        "A,1\n# c\nB\n",
+    ],
+)
+def test_row_checks_read_a_declined_file_once(monkeypatch, body):
+    """A file of many blocks that the column pass declines is read once by
+    the row checks, whether it reads or fails, as the reference reads it."""
+    calls = []
+    row_columns = pio._row_columns
+
+    def counted(*args):
+        calls.append(args)
+        return row_columns(*args)
+
+    monkeypatch.setattr(pio, "_row_columns", counted)
+    monkeypatch.setattr(pio, "_BLOCK_CHARS", 1)
+    monkeypatch.setattr(pio, "_BLOCK_ROWS", 1)
+    text = "id,market_cap\n" + body
+    assert outcome(universe_columns, text) == outcome(reference_universe_columns, text)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("skipped", ["# note\n", "\n", " \n", "\n# note\n"])
+def test_skipped_rows_among_the_data_leave_the_row_checks_unused(monkeypatch, skipped):
+    """A universe with a comment row, an empty line or a line of spaces
+    every 100 rows is read whole by the column pass, as the reference
+    reads it."""
+
+    def refuse(*args):
+        raise AssertionError("the row checks read a file the column pass takes")
+
+    text = "id,market_cap\n" + "".join(
+        (skipped if i % 100 == 0 else "") + f"N{i},{i}.5\n" for i in range(20_000)
+    )
+    expected = reference_universe_columns(text)
+    monkeypatch.setattr(pio, "_row_columns", refuse)
+    assert universe_columns(text) == expected
 
 
 # JSON report rows: ids and weight_after values that pass, and others the
