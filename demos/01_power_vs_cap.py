@@ -44,8 +44,7 @@ names = ("MEGA1", "MEGA2", "MEGA3", "MID") + tuple(f"SM{i:02d}" for i in range(1
 mu = WeightVector(names, np.array([0.20, 0.19, 0.18, 0.05] + [0.038] * 10))
 eta = cap_rebalance(mu, CapRule(threshold=0.045, target_aggregate=0.40))
 print("everything above 4.5% is squeezed to a 40% aggregate:")
-for ident, before in list(mu.entries)[:5]:
-    after = eta.as_dict()[ident]
+for ident, before, after in zip(mu.identifiers[:5], mu.weights, eta.weights):
     print(f"  {ident:<6} {before:.4f} -> {after:.4f}")
 print("  ...")
 

@@ -33,13 +33,7 @@ from .transforms import (
     linearized_power_rebalance,
     power_rebalance,
 )
-from .weights import (
-    Constituent,
-    Universe,
-    WeightVector,
-    normalize,
-    weights_from_market_caps,
-)
+from .weights import Constituent, Universe, WeightVector, weights_from_market_caps
 
 __version__ = "0.1.0"
 
@@ -66,7 +60,6 @@ __all__ = [
     "diagnostics_report",
     "find_order_violations",
     "linearized_power_rebalance",
-    "normalize",
     "parse_universe",
     "power_rebalance",
     "read_weight_file",

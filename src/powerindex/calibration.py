@@ -68,20 +68,6 @@ class CalibrationResult(_Record):
     converged: bool
     bracket: tuple[float, float]
 
-    def __init__(
-        self,
-        p_star: float,
-        achieved: float,
-        iterations: int,
-        converged: bool,
-        bracket: tuple[float, float],
-    ) -> None:
-        _setattr(self, "p_star", p_star)
-        _setattr(self, "achieved", achieved)
-        _setattr(self, "iterations", iterations)
-        _setattr(self, "converged", converged)
-        _setattr(self, "bracket", bracket)
-
 
 def top_k_sum(weights: np.ndarray, k: int) -> float:
     """Sum of the k largest values in ascending order, the bits of

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import compress, islice, starmap
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .calibration import _top_k_sums
 from .errors import RebalanceError
 from .transforms import RebalanceRule, apply_rule
-from .weights import WeightVector, _LazySequence, _Record, _setattr
+from .weights import WeightVector, _LazySequence, _Record
 
 # Power rules keep the max exactly; this slack is for diagnose on any files.
 MAX_INCREASE_TOL = 1e-12
@@ -37,25 +37,12 @@ class OrderViolation(_Record):
     eta_low: float
     eta_high: float
 
-    def __init__(
-        self,
-        identifier_low: str,
-        identifier_high: str,
-        mu_low: float,
-        mu_high: float,
-        eta_low: float,
-        eta_high: float,
-    ) -> None:
-        if not (mu_low < mu_high and eta_low > eta_high):
+    def __init__(self, *values: Any, **named: Any) -> None:
+        super().__init__(*values, **named)
+        if not (self.mu_low < self.mu_high and self.eta_low > self.eta_high):
             raise ValueError(
                 "violation requires mu_low < mu_high and eta_low > eta_high"
             )
-        _setattr(self, "identifier_low", identifier_low)
-        _setattr(self, "identifier_high", identifier_high)
-        _setattr(self, "mu_low", mu_low)
-        _setattr(self, "mu_high", mu_high)
-        _setattr(self, "eta_low", eta_low)
-        _setattr(self, "eta_high", eta_high)
 
 
 class ConcentrationMetrics(NamedTuple):
@@ -78,30 +65,6 @@ class DiagnosticsReport(_Record):
     top_k_sums: dict[int, tuple[float, float]]
     diversity_before: float
     diversity_after: float
-
-    def __init__(
-        self,
-        order_violations: Sequence[OrderViolation],
-        max_before: float,
-        max_after: float,
-        max_increased: bool,
-        turnover: float,
-        hhi_before: float,
-        hhi_after: float,
-        top_k_sums: dict[int, tuple[float, float]],
-        diversity_before: float,
-        diversity_after: float,
-    ) -> None:
-        _setattr(self, "order_violations", order_violations)
-        _setattr(self, "max_before", max_before)
-        _setattr(self, "max_after", max_after)
-        _setattr(self, "max_increased", max_increased)
-        _setattr(self, "turnover", turnover)
-        _setattr(self, "hhi_before", hhi_before)
-        _setattr(self, "hhi_after", hhi_after)
-        _setattr(self, "top_k_sums", top_k_sums)
-        _setattr(self, "diversity_before", diversity_before)
-        _setattr(self, "diversity_after", diversity_after)
 
     @property
     def has_pathology(self) -> bool:
@@ -186,13 +149,10 @@ class OrderViolations(_LazySequence[OrderViolation]):
                 yield (a, b) if mu[a] < mu[b] else (b, a)
 
     def _violation(self, lo: int, hi: int) -> OrderViolation:
+        mu, eta = self._mu, self._eta
         return OrderViolation(
-            identifier_low=self._ids[lo],
-            identifier_high=self._ids[hi],
-            mu_low=float(self._mu[lo]),
-            mu_high=float(self._mu[hi]),
-            eta_low=float(self._eta[lo]),
-            eta_high=float(self._eta[hi]),
+            self._ids[lo], self._ids[hi],
+            float(mu[lo]), float(mu[hi]), float(eta[lo]), float(eta[hi]),
         )
 
     def __len__(self) -> int:
@@ -320,19 +280,16 @@ def diagnostics_report(mu: WeightVector, eta: WeightVector) -> DiagnosticsReport
     after = concentration_metrics(eta)
     max_before, max_after = before.top_k_sums[1], after.top_k_sums[1]
     return DiagnosticsReport(
-        order_violations=OrderViolations(pairing.ids, pairing.mu_w, pairing.eta_w),
-        max_before=max_before,
-        max_after=max_after,
-        max_increased=max_after > max_before + MAX_INCREASE_TOL,
-        turnover=_turnover(mu.weights, pairing.after, pairing.only_eta),
-        hhi_before=before.hhi,
-        hhi_after=after.hhi,
-        top_k_sums={
-            k: (before.top_k_sums[k], after.top_k_sums[k])
-            for k in before.top_k_sums
-        },
-        diversity_before=before.diversity,
-        diversity_after=after.diversity,
+        OrderViolations(pairing.ids, pairing.mu_w, pairing.eta_w),
+        max_before,
+        max_after,
+        max_after > max_before + MAX_INCREASE_TOL,
+        _turnover(mu.weights, pairing.after, pairing.only_eta),
+        before.hhi,
+        after.hhi,
+        {k: (before.top_k_sums[k], after.top_k_sums[k]) for k in before.top_k_sums},
+        before.diversity,
+        after.diversity,
     )
 
 

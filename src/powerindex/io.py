@@ -355,14 +355,13 @@ def _csv_columns(
 
 def parse_universe(source: str | Path | IO[str]) -> Universe:
     """Read a constituent CSV, auto-detecting which schema the header
-    declares. Market caps are computed from price and shares when the
-    file carries those instead. The rows fill columns, returned as a
-    ``Universe`` that builds each ``Constituent`` only when it is read."""
+    declares. Market caps are price times shares when the file carries
+    those instead, and only the caps are kept. The rows fill columns,
+    returned as a ``Universe`` that builds each ``Constituent`` only when
+    it is read."""
     ids, columns = _csv_columns(_read_text(source), UNIVERSE_HEADERS, "header")
-    if len(columns) == 1:
-        return Universe._checked(tuple(ids), columns[0])
-    prices, shares = columns
-    return Universe._checked(tuple(ids), prices * shares, prices, shares)
+    caps = columns[0] if len(columns) == 1 else columns[0] * columns[1]
+    return Universe._checked(tuple(ids), caps)
 
 
 def report_payload(

@@ -30,9 +30,10 @@ _setattr = object.__setattr__
 class _Record:
     """Base of the package's frozen records.
 
-    A record declares its fields as class annotations, in order. Its
-    ``__init__`` takes them as parameters, with their defaults, checks
-    them and writes each with ``_setattr``. The base gives the field
+    A record declares its fields as class annotations, in order. The
+    base's ``__init__`` takes every field, by position or by keyword, and
+    stores it unchecked; a record with defaults or checks writes its own,
+    which writes each field with ``_setattr``. The base gives the field
     names as ``_fields`` (and as ``__match_args__``, for positional
     ``match`` patterns), the values by name from ``_asdict()``, a
     ``repr`` of the fields, ``==`` between records of one class whose
@@ -45,6 +46,22 @@ class _Record:
     def __init_subclass__(cls) -> None:
         own = tuple(vars(cls).get("__annotations__", ()))
         cls._fields = cls.__match_args__ = cls._fields + own
+
+    def __init__(self, *values: Any, **named: Any) -> None:
+        """Each field by position, then the rest by keyword; a ``TypeError``
+        names a field that is missing, given twice or unknown."""
+        fields, record = self._fields, type(self).__name__
+        if len(values) > len(fields):
+            raise TypeError(f"{record} takes {len(fields)} fields, got {len(values)}")
+        for name, value in zip(fields, values):
+            _setattr(self, name, value)
+        for name in fields[len(values) :]:
+            if name not in named:
+                raise TypeError(f"{record} is missing field {name!r}")
+            _setattr(self, name, named.pop(name))
+        for name in named:
+            kind = "repeated" if name in fields else "unknown"
+            raise TypeError(f"{record} got {kind} field {name!r}")
 
     def _values(self) -> tuple[Any, ...]:
         return tuple([getattr(self, name) for name in self._fields])
@@ -192,7 +209,7 @@ class WeightVector(_Record):
         return cls._wrap(identifiers, raw / float(np.add.reduce(raw)))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightVector):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.identifiers == other.identifiers and np.array_equal(
             self.weights, other.weights
@@ -207,38 +224,8 @@ class WeightVector(_Record):
         """Number of entries."""
         return len(self.identifiers)
 
-    @property
-    def entries(self) -> list[tuple[str, float]]:
-        """(identifier, weight) pairs in stable order."""
-        return list(zip(self.identifiers, self.weights.tolist()))
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
-
     def __len__(self) -> int:
         return self.n
-
-
-def normalize(raw: Iterable[float] | np.ndarray) -> np.ndarray:
-    """Scale nonnegative values so they sum to one.
-
-    Raises ``RebalanceError`` on any negative input and when the total
-    is zero. Values whose sum overflows, such as two of 1e308, are scaled
-    by their maximum first. Idempotent up to floating-point roundoff.
-    """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional array of values")
-    if not np.isfinite(arr).all():
-        raise ValueError("entries must be finite")
-    if (arr < 0.0).any():
-        idx = int(np.argmin(arr))
-        raise RebalanceError(f"entry {idx} is negative: {arr[idx]!r}")
-    arr = _summable(arr)
-    total = float(np.add.reduce(arr))
-    if total <= 0.0:
-        raise RebalanceError("entries sum to zero; nothing to normalize")
-    return arr / total
 
 
 def _summable(arr: np.ndarray) -> np.ndarray:
@@ -286,8 +273,7 @@ class _LazySequence(Sequence[_T]):
 
 
 class Universe(_LazySequence[Constituent]):
-    """Constituents held as columns: identifiers and market caps, plus the
-    prices and shares when ``parse_universe`` read those instead.
+    """Constituents held as columns: identifiers and market caps.
 
     A read-only sequence that builds a ``Constituent`` only when an item
     is read, so a large universe costs a few arrays rather than one object
@@ -296,9 +282,6 @@ class Universe(_LazySequence[Constituent]):
     strings, nonempty and unique, and caps must be finite and nonnegative,
     the first bad one named as its ``Constituent`` names it.
     """
-
-    _prices: np.ndarray | None = None
-    _shares: np.ndarray | None = None
 
     def __init__(
         self, identifiers: Iterable[object], market_caps: Iterable[float]
@@ -318,35 +301,19 @@ class Universe(_LazySequence[Constituent]):
         self.market_caps = caps
 
     @classmethod
-    def _checked(
-        cls,
-        identifiers: tuple[str, ...],
-        market_caps: np.ndarray,
-        prices: np.ndarray | None = None,
-        shares: np.ndarray | None = None,
-    ) -> Universe:
+    def _checked(cls, identifiers: tuple[str, ...], market_caps: np.ndarray) -> Universe:
         """A universe over columns that ``parse_universe`` has checked as
-        the constructor checks them, with the prices and shares the file
-        gave in place of caps."""
+        the constructor checks them."""
         out = object.__new__(cls)
         out.identifiers, out.market_caps = identifiers, market_caps
-        out._prices, out._shares = prices, shares
         return out
 
     def __len__(self) -> int:
         return len(self.identifiers)
 
     def _items(self, positions: range) -> list[Constituent]:
-        ids, prices, shares = self.identifiers, self._prices, self._shares
-        if prices is None or shares is None:
-            caps = self.market_caps
-            return [Constituent(ids[i], market_cap=float(caps[i])) for i in positions]
-        return [
-            Constituent(
-                ids[i], price=float(prices[i]), shares_outstanding=float(shares[i])
-            )
-            for i in positions
-        ]
+        ids, caps = self.identifiers, self.market_caps
+        return [Constituent(ids[i], market_cap=float(caps[i])) for i in positions]
 
 
 def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:

@@ -11,7 +11,7 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 
-from powerindex import RebalanceError, WeightVector, normalize
+from powerindex import RebalanceError, WeightVector
 
 
 def whole(message: str) -> str:
@@ -27,6 +27,17 @@ def wv(values, ids=None) -> WeightVector:
     """WeightVector over generated ticker-like identifiers."""
     arr = np.asarray(values, dtype=float)
     return WeightVector(make_ids(arr.size) if ids is None else tuple(ids), arr)
+
+
+def scaled(values) -> np.ndarray:
+    """``values`` over their plain sum."""
+    arr = np.asarray(values, dtype=float)
+    return arr / arr.sum()
+
+
+def weights_by_id(vector: WeightVector) -> dict[str, float]:
+    """Each weight of ``vector`` by its identifier."""
+    return dict(zip(vector.identifiers, vector.weights.tolist()))
 
 
 def reference_scale(arr: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -175,15 +186,15 @@ def _reference_rows(text):
 
 
 def reference_parse_universe(text):
-    """(ids, caps, prices, shares) of a universe CSV; prices and shares
-    are None for an ``id,market_cap`` file."""
+    """(ids, caps) of a universe CSV; a cap is price times shares for an
+    ``id,price,shares`` file."""
     header, rows = _reference_rows(text)
     if header not in UNIVERSE_SCHEMAS:
         raise RebalanceError(
             f"unrecognized header {','.join(header)!r}; expected "
             "'id,market_cap' or 'id,price,shares'"
         )
-    ids, caps, prices, shares = [], [], [], []
+    ids, caps = [], []
     for where, ident, row in rows:
         ids.append(ident)
         if UNIVERSE_SCHEMAS[header] == 1:
@@ -195,12 +206,8 @@ def reference_parse_universe(text):
             raise RebalanceError(
                 f"{where}: market cap {price!r} * {count!r} is not finite"
             )
-        prices.append(price)
-        shares.append(count)
         caps.append(price * count)
-    if UNIVERSE_SCHEMAS[header] == 1:
-        return tuple(ids), caps, None, None
-    return tuple(ids), caps, prices, shares
+    return tuple(ids), caps
 
 
 def reference_read_weight_csv(text):
@@ -227,4 +234,4 @@ def reference_read_weight_csv(text):
             f"weights sum to {total!r}; more than 0.001 from 1, "
             "refusing to renormalize"
         )
-    return WeightVector(tuple(ids), normalize(values))
+    return WeightVector(tuple(ids), scaled(values))

@@ -63,7 +63,7 @@ def desk_universe_csv(path: Path) -> Path:
 
 def write_weight_csv(path: Path, vector) -> Path:
     lines = ["id,weight"] + [
-        f"{ident},{float(w)!r}" for ident, w in vector.entries
+        f"{ident},{w!r}" for ident, w in zip(vector.identifiers, vector.weights.tolist())
     ]
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -17,14 +17,13 @@ from powerindex import (
     concentration_metrics,
     diagnostics_report,
     find_order_violations,
-    normalize,
     power_rebalance,
     top_k_sum,
     turnover,
     WeightVector,
 )
 
-from helpers import make_ids, random_simplex, whole, wv
+from helpers import make_ids, random_simplex, scaled, weights_by_id, whole, wv
 
 CAP1_MU = [0.20, 0.19, 0.18, 0.05] + [0.038] * 10
 CAP2_MU = [0.046] + [0.018] * 53
@@ -33,9 +32,9 @@ CAP2_MU = [0.046] + [0.018] * 53
 def brute_force_violations(mu, eta):
     """Independent oracle: plain double loop over unordered pairs, giving
     (id_low, id_high) in loop order."""
-    after = eta.as_dict()
+    after = weights_by_id(eta)
     pairs = []
-    items = mu.entries
+    items = list(weights_by_id(mu).items())
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
             (id_a, mu_a), (id_b, mu_b) = items[a], items[b]
@@ -83,14 +82,14 @@ class TestFindOrderViolations:
             n = int(rng.integers(3, 401))
             if case % 2:
                 mu_w = random_simplex(rng, n, ties=True)
-                eta_w = normalize(np.abs(mu_w + rng.normal(0.0, 0.02, size=n)))
+                eta_w = scaled(np.abs(mu_w + rng.normal(0.0, 0.02, size=n)))
             else:
                 # Small integer levels: many ties and zeros, before and after.
                 levels = rng.integers(0, 12, size=n).astype(float)
                 levels[0] += 1.0
                 moved = np.floor(levels * rng.uniform(0.5, 1.5, size=n))
                 moved[0] += 1.0
-                mu_w, eta_w = normalize(levels), normalize(moved)
+                mu_w, eta_w = scaled(levels), scaled(moved)
             mu, eta = wv(mu_w), wv(eta_w)
             expected = brute_force_violations(mu, eta)
             violations = find_order_violations(mu, eta)
@@ -101,7 +100,7 @@ class TestFindOrderViolations:
     def test_exact_count_at_scale(self):
         n = 20_000
         rng = np.random.default_rng(107)
-        mu = wv(normalize(1.0 + 1e-3 * rng.random(n)))
+        mu = wv(scaled(1.0 + 1e-3 * rng.random(n)))
         eta = cap_rebalance(mu, CapRule(threshold=1.0 / n, target_aggregate=0.3))
         started = time.perf_counter()
         report = diagnostics_report(mu, eta)
@@ -401,9 +400,9 @@ def paired_vectors(kind, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_pairing_matches_a_loop_over_the_identifiers(kind, seed):
     mu, eta = paired_vectors(kind, seed)
-    before, after = mu.as_dict(), eta.as_dict()
-    moves = [abs(after.get(ident, 0.0) - w) for ident, w in mu.entries]
-    moves += [w for ident, w in eta.entries if ident not in before]
+    before, after = weights_by_id(mu), weights_by_id(eta)
+    moves = [abs(after.get(ident, 0.0) - w) for ident, w in before.items()]
+    moves += [w for ident, w in after.items() if ident not in before]
     total = 0.0
     for move in moves:  # a plain loop: builtin sum compensates from 3.12 on
         total += move
@@ -415,7 +414,7 @@ def test_pairing_matches_a_loop_over_the_identifiers(kind, seed):
     # Scaling the common ids' weights to one moves no tie or order.
     common = [ident for ident in mu.identifiers if ident in after]
     sub_mu, sub_eta = (
-        WeightVector(common, normalize([v[i] for i in common])) for v in (before, after)
+        WeightVector(common, scaled([v[i] for i in common])) for v in (before, after)
     )
     violations = [
         OrderViolation(lo, hi, before[lo], before[hi], after[lo], after[hi])

@@ -95,8 +95,6 @@ class TestParseUniverse:
     def test_price_shares_schema(self):
         out = parse_universe(io.StringIO("id,price,shares\nAAA,10,7\n"))
         assert out[0].market_cap == 70.0
-        assert out[0].price == 10.0
-        assert out[0].shares_outstanding == 7.0
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "u.csv"
@@ -181,9 +179,9 @@ class TestParseUniverse:
             (
                 "id,price,shares\nAAA,10,7\nBBB,2.5,4\nCCC,3,10\n",
                 [
-                    Constituent("AAA", price=10.0, shares_outstanding=7.0),
-                    Constituent("BBB", price=2.5, shares_outstanding=4.0),
-                    Constituent("CCC", price=3.0, shares_outstanding=10.0),
+                    Constituent("AAA", market_cap=70.0),
+                    Constituent("BBB", market_cap=10.0),
+                    Constituent("CCC", market_cap=30.0),
                 ],
             ),
         ],
@@ -684,15 +682,8 @@ def universe_columns(text):
 
 
 def reference_universe_columns(text):
-    ids, caps, prices, shares = reference_parse_universe(text)
-    if prices is None:
-        rows = [Constituent(i, market_cap=c) for i, c in zip(ids, caps)]
-    else:
-        rows = [
-            Constituent(i, price=p, shares_outstanding=s)
-            for i, p, s in zip(ids, prices, shares)
-        ]
-    return ids, caps, rows
+    ids, caps = reference_parse_universe(text)
+    return ids, caps, [Constituent(i, market_cap=c) for i, c in zip(ids, caps)]
 
 
 def weight_columns(text):

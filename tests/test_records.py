@@ -119,12 +119,21 @@ class WideCap(CapRule):
     """A subclass that adds no field."""
 
 
+class TaggedVector(WeightVector):
+    """A subclass of the vector, which compares its own way."""
+
+
 def test_a_subclass_keeps_the_fields_and_compares_by_class():
     wide = WideCap(0.1, 0.5)
     assert repr(wide) == "WideCap(threshold=0.1, target_aggregate=0.5)"
     assert WideCap.__match_args__ == ("threshold", "target_aggregate")
     assert wide == WideCap(0.1, 0.5) and wide != WideCap(0.1, 0.6)
     assert wide != CapRule(0.1, 0.5) and hash(wide) == hash(CapRule(0.1, 0.5))
+    tagged = TaggedVector(["A", "B"], [0.25, 0.75])
+    plain = WeightVector(["A", "B"], [0.25, 0.75])
+    assert TaggedVector.__match_args__ == ("identifiers", "weights")
+    assert tagged == TaggedVector(["A", "B"], [0.25, 0.75])
+    assert tagged != plain and plain != tagged
 
 
 @pytest.mark.parametrize(("record", "names", "text"), RECORDS, ids=IDS)
@@ -277,3 +286,30 @@ def test_constructors_take_each_field_by_position_and_keyword():
         CapRule(0.1, 0.5, 0.2)
     with pytest.raises(TypeError):
         CalibrationResult(0.5, 0.25, 3, True)
+    for record, names, _ in RECORDS:
+        values = _values(record, names)
+        assert type(record)(*values[:2], **dict(zip(names[2:], values[2:]))) == record
+    # The records that take their fields through the shared constructor name
+    # a field that is unknown, given twice or missing, and one too many.
+    shared = (CalibrationResult, OrderViolation, DiagnosticsReport)
+    for record in [record for record, _, _ in RECORDS if type(record) in shared]:
+        cls, names = type(record), record._fields
+        values, name = _values(record, names), cls.__name__
+        bad = [
+            (lambda: cls(*values, extra=1), f"{name} got unknown field 'extra'"),
+            (lambda: cls(*values[:-1], **{names[0]: values[0], names[-1]: values[-1]}),
+             f"{name} got repeated field {names[0]!r}"),
+            (lambda: cls(**dict(zip(names[:-1], values))),
+             f"{name} is missing field {names[-1]!r}"),
+            (lambda: cls(*values, values[-1]),
+             f"{name} takes {len(names)} fields, got {len(names) + 1}"),
+        ]
+        for build, message in bad:
+            with pytest.raises(TypeError, match=whole(message)):
+                build()
+    message = "violation requires mu_low < mu_high and eta_low > eta_high"
+    with pytest.raises(ValueError, match=whole(message)):
+        OrderViolation(
+            identifier_low="A", identifier_high="B",
+            mu_low=0.5, mu_high=0.25, eta_low=0.5, eta_high=0.25,
+        )

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import powerindex.io as pio
 from powerindex import (
     CapRule,
     Constituent,
@@ -21,7 +20,6 @@ from powerindex import (
     concentration_metrics,
     diagnostics,
     find_order_violations,
-    normalize,
     parse_universe,
     read_weight_file,
     weights,
@@ -30,7 +28,7 @@ from powerindex import (
 from powerindex.io import RENORMALIZE_WINDOW
 from powerindex.weights import SUM_TOL
 
-from helpers import hard_weights, make_ids, random_simplex, whole, wv
+from helpers import hard_weights, make_ids, random_simplex, scaled, whole, wv
 
 
 class TestConstituent:
@@ -121,64 +119,12 @@ class TestWeightsFromMarketCaps:
             assert np.max(np.abs(scaled.weights - base.weights)) <= 1e-12
 
 
-class TestNormalize:
-    def test_symmetry(self):
-        np.testing.assert_allclose(normalize([2.0, 2.0]), [0.5, 0.5], rtol=0, atol=0)
-
-    def test_proportionality_with_zero(self):
-        np.testing.assert_allclose(
-            normalize([1.0, 0.0, 3.0]), [0.25, 0.0, 0.75], rtol=0, atol=1e-16
-        )
-
-    def test_two_entry_example(self):
-        # Frozen from dividing each entry by their sum in a separate script.
-        out = normalize([0.83666, 0.547723])
-        np.testing.assert_allclose(
-            out, [0.6043558755055501, 0.39564412449444986], rtol=0, atol=1e-15
-        )
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 17, 300):
-            raw = rng.uniform(0.0, 10.0, size=n)
-            raw[0] = 1.0
-            once = normalize(raw)
-            twice = normalize(once)
-            assert np.max(np.abs(twice - once)) <= 1e-15
-
-    def test_output_sums_to_one(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            out = normalize(rng.uniform(0.0, 5.0, size=rng.integers(1, 200)) + 1e-9)
-            assert abs(out.sum() - 1.0) <= 1e-12
-
-    def test_negative_entry(self):
-        message = f"entry 1 is negative: {np.float64(-0.5)!r}"
-        with pytest.raises(RebalanceError, match=whole(message)):
-            normalize([1.0, -0.5])
-
-    def test_zero_sum(self):
-        with pytest.raises(
-            RebalanceError, match=whole("entries sum to zero; nothing to normalize")
-        ):
-            normalize([0.0, 0.0])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            normalize([1.0, float("nan")])
-
-    def test_sum_that_overflows(self):
-        out = normalize([1e308, 1e308, 5e307])
-        np.testing.assert_allclose(out, [0.4, 0.4, 0.2], rtol=0, atol=1e-16)
-
-
 class TestWeightVector:
     def test_valid_roundtrip(self):
         v = wv([0.7, 0.3], ids=("A", "B"))
         assert v.n == 2
         assert len(v) == 2
-        assert v.entries == [("A", 0.7), ("B", 0.3)]
-        assert v.as_dict() == {"A": 0.7, "B": 0.3}
+        assert v.identifiers == ("A", "B") and v.weights.tolist() == [0.7, 0.3]
 
     def test_order_is_stable(self):
         ids = ("Z", "A", "M")
@@ -246,7 +192,7 @@ class TestWeightVector:
 
 def test_parsed_values_are_checked_once_by_the_reader(monkeypatch):
     """A parsed universe, a read weight file and a transform's output are
-    scaled to one without ``normalize``'s checks, with the same bits."""
+    scaled to one without ``WeightVector``'s checks, with the same bits."""
     caps = [70.0, 0.0, 30.0, 12.5]
     ids = ("AAA", "BBB", "CCC", "DDD")
     text = "id,market_cap\n" + "".join(f"{i},{c!r}\n" for i, c in zip(ids, caps))
@@ -254,14 +200,15 @@ def test_parsed_values_are_checked_once_by_the_reader(monkeypatch):
     mu = weights_from_market_caps([Constituent(i, c) for i, c in zip(ids, caps)])
     expected = [mu, *(apply_rule(mu, rule) for rule in rules)]
 
-    def refuse(raw):
-        raise AssertionError("normalize ran on values already checked")
+    def refuse(w):
+        raise AssertionError("weights checked again after the reader")
 
-    monkeypatch.setattr(weights, "normalize", refuse)
-    monkeypatch.setattr(pio, "normalize", refuse, raising=False)
+    monkeypatch.setattr(weights, "_check_weights", refuse)
     parsed = weights_from_market_caps(parse_universe(io.StringIO(text)))
     assert [parsed, *(apply_rule(parsed, rule) for rule in rules)] == expected
-    weight_text = "id,weight\n" + "".join(f"{i},{w!r}\n" for i, w in mu.entries)
+    weight_text = "id,weight\n" + "".join(
+        f"{i},{w!r}\n" for i, w in zip(mu.identifiers, mu.weights.tolist())
+    )
     assert read_weight_file(io.StringIO(weight_text)) == mu
 
 
@@ -326,7 +273,7 @@ def price_share_universe():
 def cap_violations():
     """The order violations of a cap rebalance of 40 near-equal weights."""
     rng = np.random.default_rng(5)
-    mu = wv(normalize(1.0 + 1e-3 * rng.random(40)))
+    mu = wv(scaled(1.0 + 1e-3 * rng.random(40)))
     return find_order_violations(mu, apply_rule(mu, CapRule(1.0 / 40, 0.3)))
 
 
@@ -361,9 +308,9 @@ def test_order_violations_build_only_what_is_read(monkeypatch):
     violations = cap_violations()
     built = []
 
-    def counted(**fields):
-        built.append(fields)
-        return real(**fields)
+    def counted(*values, **named):
+        built.append((values, named))
+        return real(*values, **named)
 
     real = diagnostics.OrderViolation
     monkeypatch.setattr(diagnostics, "OrderViolation", counted)
@@ -374,7 +321,7 @@ def test_order_violations_build_only_what_is_read(monkeypatch):
         if isinstance(key, slice):
             assert len(out) == count
         else:
-            assert out == real(**built[0])
+            assert out == real(*built[0][0], **built[0][1])
 
 
 def assert_derived(eta: WeightVector, ids: tuple[str, ...], *inputs: np.ndarray) -> None:
