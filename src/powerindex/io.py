@@ -10,9 +10,11 @@ round-trip exactly; rounding to 6 significant digits is a console
 concern only.
 
 Input files are read as text, with line ends read as text mode reads
-them, from a path or a stream. Blank and ``#`` comment rows are skipped.
-``csv.reader`` finds a CSV file's header, and both readers below start
-just after it, so that the fields are always those ``csv.reader`` gives.
+them, from a path or a stream. One rule, ``_kept``, skips blank rows,
+whose fields are empty or spaces, and ``#`` comment rows, in every
+tokenizer. ``csv.reader`` finds a CSV file's header, and both readers
+below start just after it, so that the fields are always those
+``csv.reader`` gives.
 
 The row checks (``_row_columns``, ``_parse_number``) are the reader of
 record. Row by row, in file order, they check the field count, a
@@ -20,15 +22,15 @@ nonempty id that no row before repeats, and numbers as ``float()`` reads
 them, finite and signed as the column needs. They return the ids and the
 numeric columns, or raise the error of the first row that fails, named
 by its 1-based row in the file, or in the JSON ``rows`` list. The column
-pass (``_column_pass``, ``_json_columns``) is a fast path that may only
-decline: it takes every row at once, if every row has the header's
-width and a nonempty, unique id without a leading ``#``, and the numbers
-pass as columns, and declines the whole file otherwise.
+pass (``_column_pass``, ``_json_columns``) is a fast path: it takes every
+row at once, if every row that is not skipped has the header's width and
+a nonempty, unique id, and the numbers pass as columns, and declines the
+whole file otherwise. It declines only a file that the row checks refuse.
 
 So each file is read with one decision: the column pass takes it, or the
-row checks read it once, in file order, with one set of ids. Every
-message comes from that one pass, and the reader has no repeat rule of
-its own.
+row checks read it once, in file order, and raise the error of its first
+bad row. Every message comes from that one pass, and the reader has no
+repeat rule of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import csv
 import io
 import math
 from array import array
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -80,12 +82,12 @@ RENORMALIZE_WINDOW = 1e-3
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 12
 
-# A block of rows: the fields of its rows in one list, the number of
-# fields in each row, and whether a row may be a comment.
-_Block = tuple[list[str], np.ndarray, bool]
+# A block of rows: the identifier of each row, stripped, and the fields
+# of its rows in one list.
+_Block = tuple[list[str], list[str]]
 
-# The rows of a CSV text that are not blank or a comment: each with its
-# 1-based number among the rows that csv.reader gives, and its fields.
+# The rows of a CSV text that ``_kept`` keeps: each with its 1-based
+# number among the rows that csv.reader gives, and its fields.
 _Records = Iterator[tuple[int, list[str]]]
 
 
@@ -184,15 +186,21 @@ def _reader(pieces: Iterable[str]) -> Iterator[list[str]]:
     return csv.reader(chain.from_iterable(map(io.StringIO, pieces)))
 
 
+def _kept(cells: list[str]) -> bool:
+    """Whether a row of fields ``cells`` is read: the one rule for skipped
+    rows. A row is skipped when it is blank, its fields empty or spaces,
+    or a comment, whose first field starts with ``#`` after spaces."""
+    return bool("".join(cells).strip()) and not cells[0].lstrip().startswith("#")
+
+
 def _records(reader: Iterator[list[str]]) -> _Records:
     """The 1-based number among the rows of ``reader``, a ``csv.reader``,
-    and the fields of each row that is not blank or a comment, whose first
-    field starts with ``#``. A row that ``csv.reader`` refuses is an input
-    error at that row."""
+    and the fields of each row that ``_kept`` keeps. A row that
+    ``csv.reader`` refuses is an input error at that row."""
     num = 0
     try:
         for num, cells in enumerate(reader, start=1):
-            if "".join(cells).strip() and not cells[0].lstrip().startswith("#"):
+            if _kept(cells):
                 yield num, cells
     except csv.Error as exc:
         # csv's own message, but for the field-size limit, named by its
@@ -204,9 +212,9 @@ def _records(reader: Iterator[list[str]]) -> _Records:
 
 
 def _split_header(text: str) -> tuple[tuple[str, ...], int, _Records]:
-    """The cells of the first row of a CSV text that is not blank or a
-    comment, without case, spaces or a byte-order mark; the offset in the
-    text just after that row; and the ``_records`` of the rows after it."""
+    """The cells of the first row of a CSV text that ``_kept`` keeps,
+    without case, spaces or a byte-order mark; the offset in the text just
+    after that row; and the ``_records`` of the rows after it."""
     reader = _reader(_pieces(text, 0))
     records = _records(reader)
     for _, cells in records:
@@ -237,16 +245,50 @@ def _split(chunk: str) -> tuple[list[str], np.ndarray]:
     return chunk.replace("\n", ",").split(","), counts
 
 
-def _blocks(text: str, pos: int) -> Iterator[_Block]:
-    """The rows of a CSV text from offset ``pos`` in blocks of a few
-    thousand, so that a large file is never held as fields all at once.
+def _rows(block: list[list[str]]) -> tuple[list[str], np.ndarray]:
+    """The fields of the rows of ``block`` in one list, and the number of
+    fields in each row, as ``_split`` gives them."""
+    return list(chain.from_iterable(block)), np.fromiter(map(len, block), np.intp)
+
+
+def _ids(fields: list[str], counts: np.ndarray, width: int) -> list[str] | None:
+    """The identifier of each row of a block, stripped, if every row has
+    ``width`` fields and a nonempty identifier; else ``None``."""
+    if not (counts == width).all():
+        return None
+    ids = list(map(str.strip, fields[0::width]))
+    return ids if all(ids) else None
+
+
+def _block(rows: list[list[str]], width: int) -> _Block:
+    """The identifiers and fields of ``rows``, each a list of fields, if
+    every row has ``width`` fields and a nonempty identifier. A block that
+    fails, or may hold a comment, loses the rows that ``_kept`` skips and
+    is tested once more; a second failure declines the file."""
+    fields, counts = _rows(rows)
+    ids = _ids(fields, counts, width)
+    # A row with a nonempty identifier is not blank, so in a block that
+    # passes, only a row whose identifier holds a # may be skipped.
+    if ids is None or "#" in "".join(ids):
+        fields, counts = _rows(list(filter(_kept, rows)))
+        if (ids := _ids(fields, counts, width)) is None:
+            raise _Declined
+    return ids, fields
+
+
+def _blocks(text: str, pos: int, width: int) -> Iterator[_Block]:
+    """The rows of a CSV text from offset ``pos`` that ``_kept`` keeps, in
+    blocks of a few thousand, so that a large file is never held as fields
+    all at once, if every such row has ``width`` fields and a nonempty
+    identifier; any other file is declined.
 
     Each piece of the text is split at newlines and commas, up to the
     first piece holding a quote, a NUL or a field longer than
     ``csv.field_size_limit()``; ``csv.reader`` splits that piece and the
-    rest, keeping every row, and a row that it refuses declines the file.
-    In a piece split at newlines, a row is a line: its comment rows are
-    dropped, and its blank rows if one of its lines has no comma.
+    rest, and a row that it refuses declines the file. Either way, only a
+    block that may hold a comment, or fails the width or identifier test,
+    loses its skipped rows and is tested once more (``_block``), so a
+    clean block pays nothing for the skipped-row rule.
 
     Splitting is the faster: at n=50,000, leaving all text to
     ``csv.reader`` made a CLI ``solve`` take about a sixth longer on a
@@ -265,21 +307,16 @@ def _blocks(text: str, pos: int) -> Iterator[_Block]:
             rows = _reader(chain([piece], pieces))
             try:
                 while block := list(islice(rows, _BLOCK_ROWS)):
-                    counts = np.fromiter(map(len, block), np.intp, len(block))
-                    yield list(chain.from_iterable(block)), counts, True
+                    yield _block(block, width)
             except csv.Error:
                 raise _Declined from None
             return
-        # With no quote, a row is a line. A line of one field is blank, or a
-        # row that no header reads.
-        if "#" in chunk or (counts == 1).any():
-            chunk = "\n".join(
-                s for s in chunk.split("\n")
-                if s.replace(",", "").strip() and not s.lstrip().startswith("#")
-            )
-            fields, counts = _split(chunk)
-        if chunk:
-            yield fields, counts, False
+        # With no quote, a row is a line. A piece without a # holds no
+        # comment, and one that passes the test no blank row.
+        ids = None if "#" in chunk else _ids(fields, counts, width)
+        if ids is None:
+            ids, fields = _block([s.split(",") for s in chunk.split("\n")], width)
+        yield ids, fields
 
 
 def _numbers(fields: Sequence[Any], positive: bool) -> np.ndarray:
@@ -307,20 +344,15 @@ def _has_repeat(ids: list[str]) -> bool:
 
 
 def _column_pass(
-    blocks: Iterable[_Block], width: int, numbers: tuple[_Number, ...]
+    text: str, pos: int, width: int, numbers: tuple[_Number, ...]
 ) -> tuple[list[str], list[np.ndarray]]:
-    """The identifiers and the checked numeric columns of ``blocks``, if
-    every row has ``width`` fields and a nonempty, unique identifier
-    without a leading ``#``, and the columns pass; any other file is
-    declined."""
+    """The identifiers and the checked numeric columns of the rows of a CSV
+    text from offset ``pos``, if ``_blocks`` takes them, no identifier
+    repeats and the columns pass; any other file is declined."""
     ids: list[str] = []
     parts: list[list[np.ndarray]] = [[np.empty(0)] for _ in numbers]
-    for fields, counts, comments in blocks:
-        first = list(map(str.strip, fields[0::width]))
-        hashed = comments and any(map(str.startswith, first, repeat("#")))
-        if not (counts == width).all() or not all(first) or hashed:
-            raise _Declined
-        ids.extend(first)
+    for block_ids, fields in _blocks(text, pos, width):
+        ids.extend(block_ids)
         for part, (col, _, positive) in zip(parts, numbers):
             part.append(_numbers(fields[col::width], positive))
     if _has_repeat(ids):
@@ -346,7 +378,7 @@ def _csv_columns(
             f"unrecognized {what} {','.join(header)!r}; expected {expected}"
         )
     with contextlib.suppress(_Declined):
-        return _column_pass(_blocks(text, pos), len(header), numbers)
+        return _column_pass(text, pos, len(header), numbers)
     # The row checks run after the declined column pass, whose traceback
     # would keep its ids alive. They read the rows after the header in file
     # order, and raise the error of the first bad row.

@@ -90,50 +90,26 @@ class _Record:
 
 
 class Constituent(_Record):
-    """A named index member with its market-capitalization inputs.
+    """A named index member and its market capitalization.
 
-    ``market_cap`` can be supplied directly or left as ``None``, in which
-    case it is computed as ``price * shares_outstanding`` (both must then
-    be present and positive).
+    The identifier is read as ``str(identifier)`` and must be nonempty, as
+    ``Universe`` and ``WeightVector`` read identifiers; the cap must be
+    finite and nonnegative.
     """
 
     identifier: str
     market_cap: float
-    price: float | None
-    shares_outstanding: float | None
 
-    def __init__(
-        self,
-        identifier: str,
-        market_cap: float | None = None,
-        price: float | None = None,
-        shares_outstanding: float | None = None,
-    ) -> None:
-        if not identifier:
-            raise ValueError("constituent identifier must be nonempty")
-        if market_cap is None:
-            if price is None or shares_outstanding is None:
-                raise ValueError(
-                    f"{identifier}: supply market_cap or both price "
-                    "and shares_outstanding"
-                )
-        if price is not None and not price > 0:
-            raise ValueError(f"{identifier}: price must be positive")
-        if shares_outstanding is not None and not shares_outstanding > 0:
-            raise ValueError(f"{identifier}: shares_outstanding must be positive")
-        cap = (
-            float(market_cap)
-            if market_cap is not None
-            else float(price) * float(shares_outstanding)  # type: ignore[arg-type]
-        )
+    def __init__(self, identifier: object, market_cap: float) -> None:
+        ident = str(identifier)
+        _check_ids((ident,))
+        cap = float(market_cap)
         if not math.isfinite(cap):
-            raise ValueError(f"{identifier}: market_cap must be finite")
+            raise ValueError(f"{ident}: market_cap must be finite")
         if cap < 0:
-            raise RebalanceError(f"{identifier}: market_cap {cap!r} is negative")
-        _setattr(self, "identifier", identifier)
+            raise RebalanceError(f"{ident}: market_cap {cap!r} is negative")
+        _setattr(self, "identifier", ident)
         _setattr(self, "market_cap", cap)
-        _setattr(self, "price", price)
-        _setattr(self, "shares_outstanding", shares_outstanding)
 
 
 def _check_ids(identifiers: Sequence[str]) -> None:
@@ -296,7 +272,7 @@ class Universe(_LazySequence[Constituent]):
             0.0 <= np.minimum.reduce(caps) and np.maximum.reduce(caps) < math.inf
         ):
             i = int((~(caps >= 0.0) | np.isinf(caps)).argmax())
-            Constituent(ids[i], market_cap=float(caps[i]))  # raises its message
+            Constituent(ids[i], caps[i])  # raises its message
         self.identifiers = ids
         self.market_caps = caps
 
@@ -313,7 +289,7 @@ class Universe(_LazySequence[Constituent]):
 
     def _items(self, positions: range) -> list[Constituent]:
         ids, caps = self.identifiers, self.market_caps
-        return [Constituent(ids[i], market_cap=float(caps[i])) for i in positions]
+        return [Constituent(ids[i], caps[i]) for i in positions]
 
 
 def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:

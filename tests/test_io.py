@@ -658,7 +658,7 @@ def readable_rows(width):
         min_size=width - 1,
         max_size=width - 1,
     )
-    skipped = st.sampled_from(["", " ", "# c", " #x,1"])
+    skipped = st.sampled_from(["", " ", ",", " ,", "# c", " #x,1"])
     rows = st.lists(st.one_of(numbers, numbers, skipped), min_size=1)
     return rows.map(
         lambda rows: "\n".join(
@@ -666,6 +666,24 @@ def readable_rows(width):
             for i, row in enumerate(rows[:8])
         )
     )
+
+
+# A CSV text, as a header, a line end and a body, and the block sizes and
+# csv field-size limit it is read with.
+CSV_TEXTS = dict(
+    header=st.sampled_from(HEADERS),
+    line_end=st.sampled_from(["\n", "\r\n", "\r"]),
+    body=st.one_of(
+        st.text(alphabet=CSV_CHARS, max_size=60),
+        csv_rows,
+        st.integers(2, 4).flatmap(readable_rows),
+    ),
+    block_chars=st.sampled_from([1, 5, 1 << 16]),
+    block_rows=st.sampled_from([1, 3, 1 << 12]),
+    # Above the longest header cell (weight_before), so that a data row
+    # can hold the first over-long field.
+    field_limit=st.sampled_from([13, 20, csv.field_size_limit()]),
+)
 
 
 def outcome(read, text):
@@ -728,20 +746,7 @@ def declined(*args):
 @example("id,market_cap", "\n", "A,1\n# c\nB,2\n # d,1\nC,3", 1 << 16, 1 << 12, 21)
 @example("id,weight", "\n", 'A,0.5\n# "q"\nB,0.5', 1 << 16, 1 << 12, 21)
 @example("id,market_cap", "\n", "A,1\n\nB,2\n\n", 4, 1 << 12, 21)
-@given(
-    header=st.sampled_from(HEADERS),
-    line_end=st.sampled_from(["\n", "\r\n", "\r"]),
-    body=st.one_of(
-        st.text(alphabet=CSV_CHARS, max_size=60),
-        csv_rows,
-        st.integers(2, 4).flatmap(readable_rows),
-    ),
-    block_chars=st.sampled_from([1, 5, 1 << 16]),
-    block_rows=st.sampled_from([1, 3, 1 << 12]),
-    # Above the longest header cell (weight_before), so that a data row
-    # can hold the first over-long field.
-    field_limit=st.sampled_from([13, 20, csv.field_size_limit()]),
-)
+@given(**CSV_TEXTS)
 def test_column_readers_match_the_row_reader(
     header, line_end, body, block_chars, block_rows, field_limit
 ):
@@ -771,19 +776,12 @@ def test_column_readers_match_the_row_reader(
 
 @pytest.mark.parametrize(
     "body",
-    [
-        # Rows that read, among a blank row and a comment holding a quote.
-        'A,1\n\nB,2\n# "c"\nC,3\n',
-        '"A",1\nB,2\n\nC,3\n',
-        # A repeat, a bad number after a blank row, a row too short.
-        "A,1\nB,2\n\nA,3\n",
-        "A,1\n\nB,x\nC,3\n",
-        "A,1\n# c\nB\n",
-    ],
+    # A repeat, a bad number after a blank row, a row too short.
+    ["A,1\nB,2\n\nA,3\n", "A,1\n\nB,x\nC,3\n", "A,1\n# c\nB\n"],
 )
 def test_row_checks_read_a_declined_file_once(monkeypatch, body):
     """A file of many blocks that the column pass declines is read once by
-    the row checks, whether it reads or fails, as the reference reads it."""
+    the row checks, which refuse it as the reference does."""
     calls = []
     row_columns = pio._row_columns
 
@@ -799,21 +797,79 @@ def test_row_checks_read_a_declined_file_once(monkeypatch, body):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("skipped", ["# note\n", "\n", " \n", "\n# note\n"])
+# Skipped rows, each put every 100 rows among 20,000 rows that read.
+EVERY_100 = ["# note\n", "\n", " \n", "\n# note\n", ",\n", ",,\n", " , \n", '"# q",1\n']
+
+
+@pytest.mark.parametrize(
+    "skipped",
+    [
+        *EVERY_100,
+        # Whole bodies, read one line a piece: skipped rows among bare and
+        # quoted ids, and a comment holding a quote.
+        'A,1\n\nB,2\n# "c"\nC,3\n',
+        '"A",1\nB,2\n\nC,3\n',
+        '"A",1\n,\nB,2\n , \n"C",3\n',
+    ],
+)
 def test_skipped_rows_among_the_data_leave_the_row_checks_unused(monkeypatch, skipped):
-    """A universe with a comment row, an empty line or a line of spaces
-    every 100 rows is read whole by the column pass, as the reference
-    reads it."""
+    """A universe with skipped rows among its data, comments or lines of
+    spaces and commas, is read whole by the column pass, as the reference
+    reads it: a skipped row every 100 rows, among bare ids and among
+    quoted ones, or a short body read one line a piece."""
 
     def refuse(*args):
         raise AssertionError("the row checks read a file the column pass takes")
 
-    text = "id,market_cap\n" + "".join(
-        (skipped if i % 100 == 0 else "") + f"N{i},{i}.5\n" for i in range(20_000)
-    )
-    expected = reference_universe_columns(text)
+    if skipped in EVERY_100:
+        texts = [
+            "id,market_cap\n" + "".join(
+                (skipped if i % 100 == 0 else "") + f"{q}N{i}{q},{i}.5\n"
+                for i in range(20_000)
+            )
+            for q in ("", '"')
+        ]
+    else:
+        monkeypatch.setattr(pio, "_BLOCK_CHARS", 1)
+        texts = ["id,market_cap\n" + skipped]
+    expected = list(map(reference_universe_columns, texts))
     monkeypatch.setattr(pio, "_row_columns", refuse)
-    assert universe_columns(text) == expected
+    assert list(map(universe_columns, texts)) == expected
+
+
+@settings(max_examples=400, deadline=None)
+# Rows of commas alone, or of spaces and commas, under a header of two
+# fields, after rows that read, and after a CRLF header.
+@example("id,weight", "\r\n", ",,", 1 << 16, 1 << 12, csv.field_size_limit())
+@example("id,market_cap", "\n", "A,1\n,\nB,2", 1 << 16, 1 << 12, csv.field_size_limit())
+@example("id,market_cap", "\n", " , ", 1 << 16, 1 << 12, csv.field_size_limit())
+@example("id,market_cap", "\n", ",,,", 1 << 16, 1 << 12, csv.field_size_limit())
+# A comment row after a quoted id, read one line a piece.
+@example("id,market_cap", "\n", '"A",1\n# c\nB,2', 1, 1 << 12, csv.field_size_limit())
+# A row led by a space that is not ASCII.
+@example("id,market_cap", "\n", "A,1\n\u3000,\nB,2", 1 << 16, 1 << 12, 21)
+@given(**CSV_TEXTS)
+def test_the_column_pass_declines_only_what_the_row_checks_refuse(
+    header, line_end, body, block_chars, block_rows, field_limit
+):
+    """Over any block size and csv field-size limit, the column pass
+    declines a CSV text only when the row checks refuse it, so that no
+    file that reads is read twice."""
+    text = pio._read_text(io.StringIO(header + line_end + body))
+    old_limit = csv.field_size_limit(field_limit)
+    try:
+        with mock.patch.object(pio, "_BLOCK_CHARS", block_chars), mock.patch.object(
+            pio, "_BLOCK_ROWS", block_rows
+        ):
+            cells, pos, records = pio._split_header(text)
+            numbers = {**pio.UNIVERSE_HEADERS, **pio.WEIGHT_HEADERS}[cells]
+            try:
+                pio._column_pass(text, pos, len(cells), numbers)
+            except pio._Declined:
+                with pytest.raises(RebalanceError):
+                    pio._row_columns(records, "row", len(cells), numbers)
+    finally:
+        csv.field_size_limit(old_limit)
 
 
 # JSON report rows: ids and weight_after values that pass, and others the
@@ -832,6 +888,13 @@ json_rows = st.lists(
     min_size=1,
     max_size=6,
 )
+report_rows = st.one_of(
+    json_rows,
+    # Rows that read: n distinct ids of weight 1/n.
+    st.lists(st.sampled_from(READ_IDS), min_size=1, max_size=5, unique=True).map(
+        lambda ids: [{"id": i, "weight_after": 1 / len(ids)} for i in ids]
+    ),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -846,15 +909,7 @@ json_rows = st.lists(
 @example(json_report("0.5", "0.5", second_id="AAA"))
 @example(json_report("0.5", "0.5"))
 @example(json_report("0.5", '" 0.5 "', second_id=" B "))
-@given(
-    st.one_of(
-        json_rows,
-        # Rows that read: n distinct ids of weight 1/n.
-        st.lists(st.sampled_from(READ_IDS), min_size=1, max_size=5, unique=True).map(
-            lambda ids: [{"id": i, "weight_after": 1 / len(ids)} for i in ids]
-        ),
-    ).map(lambda rows: json.dumps({"rows": rows}))
-)
+@given(report_rows.map(lambda rows: json.dumps({"rows": rows})))
 def test_json_column_reader_matches_the_row_checks(text):
     """The JSON column pass reads the same ids and weight bits as the row
     checks alone, with every list of rows declined, or fails with the same
@@ -862,3 +917,17 @@ def test_json_column_reader_matches_the_row_checks(text):
     with mock.patch.object(pio, "_json_columns", declined):
         expected = outcome(weight_columns, text)
     assert outcome(weight_columns, text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_rows)
+def test_the_json_column_pass_declines_only_what_the_row_checks_refuse(rows):
+    """The JSON column pass declines a list of report rows only when the
+    row checks refuse it."""
+    try:
+        pio._json_columns(rows)
+    except pio._Declined:
+        with pytest.raises(RebalanceError):
+            pio._row_columns(
+                pio._report_json_rows(rows), "report row", 2, ((1, "weight", False),)
+            )

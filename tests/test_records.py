@@ -20,6 +20,7 @@ from powerindex import (
     OrderViolation,
     PowerRule,
     RebalanceError,
+    Universe,
     WeightVector,
 )
 
@@ -43,11 +44,11 @@ def _report(**changes):
 # Each record, its fields in order, and its literal repr.
 RECORDS = [
     (Constituent("A", market_cap=2),
-     ("identifier", "market_cap", "price", "shares_outstanding"),
-     "Constituent(identifier='A', market_cap=2.0, price=None, shares_outstanding=None)"),
-    (Constituent("B", price=2.0, shares_outstanding=3.0),
-     ("identifier", "market_cap", "price", "shares_outstanding"),
-     "Constituent(identifier='B', market_cap=6.0, price=2.0, shares_outstanding=3.0)"),
+     ("identifier", "market_cap"),
+     "Constituent(identifier='A', market_cap=2.0)"),
+    (Constituent(0, np.float32(6)),
+     ("identifier", "market_cap"),
+     "Constituent(identifier='0', market_cap=6.0)"),
     (WeightVector(["A", "B"], [0.25, 0.75]),
      ("identifiers", "weights"),
      "WeightVector(identifiers=('A', 'B'), weights=array([0.25, 0.75]))"),
@@ -187,27 +188,16 @@ def test_positional_match_patterns():
     assert describe(result) == (0.5, 3, True, 0.5, 0.75)
     violation = OrderViolation("A", "B", 0.25, 0.5, 0.5, 0.25)
     assert describe(violation) == ("A", "B")
-    assert describe(Constituent("A", price=2.0, shares_outstanding=3.0)) == ("A", 6.0)
+    assert describe(Constituent(1, market_cap=6)) == ("1", 6.0)
     assert describe(WeightVector(["A", "B"], [0.5, 0.5])) == ("A", "B")
     assert describe(_report()) == (0.75, 0.5)
 
 
 REJECTED = [
-    (lambda: Constituent(""), ValueError, "constituent identifier must be nonempty"),
-    (lambda: Constituent("A"), ValueError,
-     "A: supply market_cap or both price and shares_outstanding"),
-    (lambda: Constituent("A", price=2.0), ValueError,
-     "A: supply market_cap or both price and shares_outstanding"),
-    (lambda: Constituent("A", price=0.0, shares_outstanding=1.0), ValueError,
-     "A: price must be positive"),
-    (lambda: Constituent("A", 1.0, price=math.nan), ValueError,
-     "A: price must be positive"),
-    (lambda: Constituent("A", price=1.0, shares_outstanding=-1.0), ValueError,
-     "A: shares_outstanding must be positive"),
+    (lambda: Constituent("", 1.0), ValueError, "constituent identifier must be nonempty"),
     (lambda: Constituent("A", market_cap=math.inf), ValueError,
      "A: market_cap must be finite"),
-    (lambda: Constituent("A", price=1e200, shares_outstanding=1e200), ValueError,
-     "A: market_cap must be finite"),
+    (lambda: Constituent("A", math.nan), ValueError, "A: market_cap must be finite"),
     (lambda: Constituent("A", market_cap=-1), RebalanceError,
      "A: market_cap -1.0 is negative"),
     (lambda: WeightVector(["A", "B"], [1.0]), ValueError,
@@ -271,10 +261,15 @@ def test_validation_messages(build, error, message):
     assert type(caught.value) is error
 
 
+def test_a_constituent_is_an_identifier_and_a_cap_read_as_a_universe_reads_them():
+    assert Constituent(0, 1.0) == Universe([0], [1.0])[0]
+    assert Constituent(1, 2.0).identifier == "1"
+    with pytest.raises(TypeError):
+        Constituent("A")
+
+
 def test_constructors_take_each_field_by_position_and_keyword():
-    assert Constituent("A", 6.0, 2.0, 3.0) == Constituent(
-        identifier="A", market_cap=6.0, price=2.0, shares_outstanding=3.0
-    )
+    assert Constituent("A", 6.0) == Constituent(market_cap=6.0, identifier="A")
     assert LinearizedPowerRule(0.5, 0.25) == LinearizedPowerRule(knot=0.25, p=0.5)
     assert CapRule(0.1, 0.5) == CapRule(target_aggregate=0.5, threshold=0.1)
     assert CalibrationTarget("top_k_sum", 0.4, 6) == CalibrationTarget(

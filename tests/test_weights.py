@@ -36,26 +36,17 @@ class TestConstituent:
         c = Constituent("AAA", market_cap=70.0)
         assert c.market_cap == 70.0
 
-    def test_price_times_shares(self):
-        c = Constituent("AAA", price=10.0, shares_outstanding=7.0)
-        assert c.market_cap == 70.0
-
     def test_zero_market_cap_allowed(self):
         assert Constituent("AAA", market_cap=0.0).market_cap == 0.0
 
     def test_missing_inputs_rejected(self):
-        with pytest.raises(ValueError, match="supply market_cap"):
-            Constituent("AAA", price=10.0)
+        # A cap is the one input: a price and a share count do not make one.
+        with pytest.raises(TypeError):
+            Constituent("AAA", price=10.0, shares_outstanding=7.0)
 
     def test_negative_market_cap_rejected(self):
         with pytest.raises(RebalanceError, match=whole("AAA: market_cap -1.0 is negative")):
             Constituent("AAA", market_cap=-1.0)
-
-    def test_nonpositive_price_rejected(self):
-        with pytest.raises(ValueError, match="price"):
-            Constituent("AAA", price=0.0, shares_outstanding=7.0)
-        with pytest.raises(ValueError, match="shares"):
-            Constituent("AAA", price=10.0, shares_outstanding=-2.0)
 
     def test_empty_identifier_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
