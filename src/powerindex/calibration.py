@@ -90,17 +90,14 @@ def _positive_k(k: object) -> int:
 
 def _top_k_sums(weights: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
     """``top_k_sum`` for each of ``ks``, positive ints, from one partition
-    and one sorted tail; the top-1 sum is the tail's last value, the max."""
+    and one sorted tail."""
     n = weights.size
     kmax = max([k for k in ks if k < n], default=0)
     tail = weights
     if kmax:
         tail = np.partition(weights, -kmax)[-kmax:]  # a fresh array
         tail.sort()
-    return {
-        k: float(tail[-1] if k == 1 else np.add.reduce(tail[-k:] if k < n else weights))
-        for k in ks
-    }
+    return {k: float(np.add.reduce(tail[-k:] if k < n else weights)) for k in ks}
 
 
 def _check_k(target: CalibrationTarget, n: int) -> int:

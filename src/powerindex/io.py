@@ -1,7 +1,8 @@
 """File ingestion and report serialization.
 
 Constituent universes arrive as CSV with one of two headers:
-``id,market_cap`` or ``id,price,shares``. Rebalance reports are written
+``id,market_cap`` or ``id,price,shares``. A row's value is the product
+of its numbers: a cap, or price times shares. Rebalance reports are written
 from the payload's columns, a block of rows at a time, as CSV
 (``# key=value`` summary comments, then one row per constituent) or JSON
 (a single object with schema_version, method, params, summary and rows).
@@ -19,13 +20,14 @@ below start just after it, so that the fields are always those
 The row checks (``_row_columns``, ``_parse_number``) are the reader of
 record. Row by row, in file order, they check the field count, a
 nonempty id that no row before repeats, and numbers as ``float()`` reads
-them, finite and signed as the column needs. They return the ids and the
-numeric columns, or raise the error of the first row that fails, named
-by its 1-based row in the file, or in the JSON ``rows`` list. The column
-pass (``_column_pass``, ``_json_columns``) is a fast path: it takes every
-row at once, if every row that is not skipped has the header's width and
-a nonempty, unique id, and the numbers pass as columns, and declines the
-whole file otherwise. It declines only a file that the row checks refuse.
+them, finite and signed as the column needs, with a finite product. They
+return the ids and each row's value, or raise the error of the first row
+that fails, named by its 1-based row in the file, or in the JSON ``rows``
+list. The column pass (``_column_pass``, ``_json_columns``) is a fast
+path: it takes every row at once, if every row that is not skipped has
+the header's width and a nonempty, unique id, and the numbers pass as
+columns, and declines the whole file otherwise. It declines only a file
+that the row checks refuse.
 
 So each file is read with one decision: the column pass takes it, or the
 row checks read it once, in file order, and raise the error of its first
@@ -43,7 +45,7 @@ from array import array
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,7 +61,8 @@ SCHEMA_VERSION = 1
 # messages, and whether it must be positive (else nonnegative).
 _Number = tuple[int, str, bool]
 
-# Each universe header, with its numeric fields.
+# Each universe header, with its numeric fields. A row's value is the
+# product of its numbers, so price times shares lives in this schema alone.
 UNIVERSE_HEADERS: dict[tuple[str, ...], tuple[_Number, ...]] = {
     ("id", "market_cap"): ((1, "market_cap", False),),
     ("id", "price", "shares"): ((1, "price", True), (2, "shares", True)),
@@ -135,15 +138,15 @@ def _row_columns(
     label: str,
     width: int,
     numbers: tuple[_Number, ...],
-) -> tuple[list[str], list[np.ndarray]]:
-    """The identifiers and the numeric columns of ``rows``, pairs of a
-    row's number and its fields, or the error of the first row that fails,
-    which names it as ``label`` and its number. Each row must have
-    ``width`` fields and lead with a nonempty identifier that no row
-    before it has."""
+) -> tuple[list[str], np.ndarray]:
+    """The identifiers of ``rows``, pairs of a row's number and its
+    fields, and each row's value, the product of its ``numbers``; or the
+    error of the first row that fails, which names it as ``label`` and its
+    number. Each row must have ``width`` fields and lead with a nonempty
+    identifier that no row before it has."""
     seen: set[str] = set()
     ids: list[str] = []
-    table = array("d")  # the numbers, row by row, at 8 bytes each
+    values = array("d")  # one value per row, at 8 bytes each
     for num, row in rows:
         where = f"{label} {num}"
         if len(row) != width:
@@ -154,18 +157,16 @@ def _row_columns(
         if ident in seen:
             raise RebalanceError(f"{where}: duplicate identifier {ident!r}")
         seen.add(ident)
-        values = [
+        parsed = [
             _parse_number(row[col], where, name, positive)
             for col, name, positive in numbers
         ]
-        # Two numbers are a price and a share count.
-        if len(values) == 2 and not math.isfinite(values[0] * values[1]):
-            raise RebalanceError(
-                f"{where}: market cap {values[0]!r} * {values[1]!r} is not finite"
-            )
+        if not math.isfinite(value := math.prod(parsed)):
+            product = " * ".join(map(repr, parsed))
+            raise RebalanceError(f"{where}: market cap {product} is not finite")
         ids.append(ident)
-        table.extend(values)
-    return ids, list(np.reshape(table, (-1, len(numbers))).T.copy())
+        values.append(value)
+    return ids, np.array(values)
 
 
 def _pieces(text: str, pos: int) -> Iterator[str]:
@@ -260,17 +261,20 @@ def _ids(fields: list[str], counts: np.ndarray, width: int) -> list[str] | None:
     return ids if all(ids) else None
 
 
-def _block(rows: list[list[str]], width: int) -> _Block:
-    """The identifiers and fields of ``rows``, each a list of fields, if
-    every row has ``width`` fields and a nonempty identifier. A block that
-    fails, or may hold a comment, loses the rows that ``_kept`` skips and
-    is tested once more; a second failure declines the file."""
-    fields, counts = _rows(rows)
+def _block(
+    fields: list[str], counts: np.ndarray, rows: Callable[[], list], width: int
+) -> _Block:
+    """The identifiers and ``fields`` of a block of rows, whose field
+    ``counts`` either tokenizer gives, if every row has ``width`` fields
+    and a nonempty identifier. A block that fails, or may hold a comment,
+    is made again from ``rows()``, each row a list of fields, less the
+    rows that ``_kept`` skips, and tested once more; a second failure
+    declines the file."""
     ids = _ids(fields, counts, width)
     # A row with a nonempty identifier is not blank, so in a block that
     # passes, only a row whose identifier holds a # may be skipped.
     if ids is None or "#" in "".join(ids):
-        fields, counts = _rows(list(filter(_kept, rows)))
+        fields, counts = _rows(list(filter(_kept, rows())))
         if (ids := _ids(fields, counts, width)) is None:
             raise _Declined
     return ids, fields
@@ -285,10 +289,11 @@ def _blocks(text: str, pos: int, width: int) -> Iterator[_Block]:
     Each piece of the text is split at newlines and commas, up to the
     first piece holding a quote, a NUL or a field longer than
     ``csv.field_size_limit()``; ``csv.reader`` splits that piece and the
-    rest, and a row that it refuses declines the file. Either way, only a
-    block that may hold a comment, or fails the width or identifier test,
-    loses its skipped rows and is tested once more (``_block``), so a
-    clean block pays nothing for the skipped-row rule.
+    rest, and a row that it refuses declines the file. Either way, one
+    test decides each block (``_block``): only a block that may hold a
+    comment, or fails the width or identifier test, is made into a list
+    per row, loses its skipped rows and is tested once more, so a clean
+    block pays nothing for the skipped-row rule.
 
     Splitting is the faster: at n=50,000, leaving all text to
     ``csv.reader`` made a CLI ``solve`` take about a sixth longer on a
@@ -307,16 +312,14 @@ def _blocks(text: str, pos: int, width: int) -> Iterator[_Block]:
             rows = _reader(chain([piece], pieces))
             try:
                 while block := list(islice(rows, _BLOCK_ROWS)):
-                    yield _block(block, width)
+                    yield _block(*_rows(block), lambda: block, width)
             except csv.Error:
                 raise _Declined from None
             return
-        # With no quote, a row is a line. A piece without a # holds no
-        # comment, and one that passes the test no blank row.
-        ids = None if "#" in chunk else _ids(fields, counts, width)
-        if ids is None:
-            ids, fields = _block([s.split(",") for s in chunk.split("\n")], width)
-        yield ids, fields
+        # With no quote, a row is a line.
+        yield _block(
+            fields, counts, lambda: [s.split(",") for s in chunk.split("\n")], width
+        )
 
 
 def _numbers(fields: Sequence[Any], positive: bool) -> np.ndarray:
@@ -345,31 +348,29 @@ def _has_repeat(ids: list[str]) -> bool:
 
 def _column_pass(
     text: str, pos: int, width: int, numbers: tuple[_Number, ...]
-) -> tuple[list[str], list[np.ndarray]]:
-    """The identifiers and the checked numeric columns of the rows of a CSV
-    text from offset ``pos``, if ``_blocks`` takes them, no identifier
-    repeats and the columns pass; any other file is declined."""
+) -> tuple[list[str], np.ndarray]:
+    """The identifiers of the rows of a CSV text from offset ``pos``, and
+    each row's value, the product of its checked ``numbers``, if
+    ``_blocks`` takes the rows, no identifier repeats, the columns pass
+    and the values are finite; any other file is declined."""
     ids: list[str] = []
-    parts: list[list[np.ndarray]] = [[np.empty(0)] for _ in numbers]
-    for block_ids, fields in _blocks(text, pos, width):
-        ids.extend(block_ids)
-        for part, (col, _, positive) in zip(parts, numbers):
-            part.append(_numbers(fields[col::width], positive))
-    if _has_repeat(ids):
+    parts = [np.empty(0)]
+    with np.errstate(over="ignore"):  # an overflow is inf, declined below
+        for block_ids, cells in _blocks(text, pos, width):
+            ids.extend(block_ids)
+            parts.append(math.prod(_numbers(cells[c::width], p) for c, _, p in numbers))
+    values = np.concatenate(parts)
+    if _has_repeat(ids) or not np.isfinite(values).all():
         raise _Declined
-    columns = [np.concatenate(part) for part in parts]
-    # Two numbers are a price and a share count.
-    with np.errstate(over="ignore"):
-        if len(columns) == 2 and not np.isfinite(columns[0] * columns[1]).all():
-            raise _Declined
-    return ids, columns
+    return ids, values
 
 
 def _csv_columns(
     text: str, headers: dict[tuple[str, ...], tuple[_Number, ...]], what: str
-) -> tuple[list[str], list[np.ndarray]]:
-    """The identifiers and the checked numeric columns of a CSV text whose
-    header is one of ``headers``, called ``what`` in messages."""
+) -> tuple[list[str], np.ndarray]:
+    """The identifiers of the rows of a CSV text whose header is one of
+    ``headers``, called ``what`` in messages, and each row's checked
+    value."""
     header, pos, records = _split_header(text)
     numbers = headers.get(header)
     if numbers is None:
@@ -391,8 +392,7 @@ def parse_universe(source: str | Path | IO[str]) -> Universe:
     those instead, and only the caps are kept. The rows fill columns,
     returned as a ``Universe`` that builds each ``Constituent`` only when
     it is read."""
-    ids, columns = _csv_columns(_read_text(source), UNIVERSE_HEADERS, "header")
-    caps = columns[0] if len(columns) == 1 else columns[0] * columns[1]
+    ids, caps = _csv_columns(_read_text(source), UNIVERSE_HEADERS, "header")
     return Universe._checked(tuple(ids), caps)
 
 
@@ -407,10 +407,15 @@ def report_payload(
     ``params``, ``summary``, then the columns ``ids`` and ``before`` of mu,
     and ``after``, eta's weights aligned to ``ids``. The two vectors must
     cover the same identifiers, or a ``RebalanceError`` names the ones
-    only one of them holds."""
+    only one of them holds. Every id must read back from either format as
+    written, or a ``RebalanceError`` names the first that would not: one
+    with surrounding whitespace, a leading ``#``, a CR or a NUL."""
     from .diagnostics import _pair
 
     after = _pair(mu, eta).require_same_ids().after
+    for ident in mu.identifiers:
+        if ident != ident.strip() or ident[:1] == "#" or "\r" in ident or "\0" in ident:
+            raise RebalanceError(f"a report cannot hold identifier {ident!r}")
     summary = {
         "turnover": report.turnover,
         "max_before": report.max_before,
@@ -557,11 +562,11 @@ def read_weight_file(source: str | Path | IO[str]) -> WeightVector:
         try:
             ids, values = _json_columns(rows)
         except _Declined:
-            ids, (values,) = _row_columns(
+            ids, values = _row_columns(
                 _report_json_rows(rows), "report row", 2, ((1, "weight", False),)
             )
     else:
-        ids, (values,) = _csv_columns(text, WEIGHT_HEADERS, "weight-file header")
+        ids, values = _csv_columns(text, WEIGHT_HEADERS, "weight-file header")
     if not ids:
         raise RebalanceError("weight file carries no rows")
     with np.errstate(over="ignore"):  # an overflow sums to inf, refused below

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import Any, TypeVar, overload
 
@@ -115,15 +116,23 @@ class Constituent(_Record):
 def _check_ids(identifiers: Sequence[str]) -> None:
     if not all(identifiers):
         raise ValueError("constituent identifier must be nonempty")
-    if len(set(identifiers)) == len(identifiers):
-        return
-    seen: set[str] = set()
-    dupes: set[str] = set()
-    for ident in identifiers:
-        if ident in seen:
-            dupes.add(ident)
-        seen.add(ident)
-    raise RebalanceError(f"duplicate identifiers: {sorted(dupes)}")
+    if len(set(identifiers)) < len(identifiers):
+        dupes = sorted(i for i, count in Counter(identifiers).items() if count > 1)
+        raise RebalanceError(f"duplicate identifiers: {dupes}")
+
+
+def _columns(
+    identifiers: Iterable[object], values: Iterable[float], what: str
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """An id column as it enters the library: ``identifiers`` as strings,
+    checked by ``_check_ids``, and ``values``, called ``what`` in messages,
+    as a 1-D float array of the same length."""
+    ids = tuple(map(str, identifiers))
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1 or len(ids) != arr.size:
+        raise ValueError(f"identifiers and {what} must match in length")
+    _check_ids(ids)
+    return ids, arr
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -154,13 +163,9 @@ class WeightVector(_Record):
     def __post_init__(self) -> None:
         """The constructor's checks, a method of their own so that
         ``perfbench/tracing.py`` can time them."""
-        ids = tuple(map(str, self.identifiers))
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or len(ids) != w.size:
-            raise ValueError("identifiers and weights must match in length")
+        ids, w = _columns(self.identifiers, self.weights, "weights")
         if w.size == 0:
             raise RebalanceError("weight vector has no entries")
-        _check_ids(ids)
         _check_weights(w)
         w.setflags(write=False)
         _setattr(self, "identifiers", ids)
@@ -262,11 +267,7 @@ class Universe(_LazySequence[Constituent]):
     def __init__(
         self, identifiers: Iterable[object], market_caps: Iterable[float]
     ) -> None:
-        ids = tuple(map(str, identifiers))
-        caps = np.array(market_caps, dtype=float)
-        if caps.ndim != 1 or len(ids) != caps.size:
-            raise ValueError("identifiers and market caps must match in length")
-        _check_ids(ids)
+        ids, caps = _columns(identifiers, market_caps, "market caps")
         # NaN fails both comparisons; the first bad cap is sought only then.
         if caps.size and not (
             0.0 <= np.minimum.reduce(caps) and np.maximum.reduce(caps) < math.inf

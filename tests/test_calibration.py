@@ -113,6 +113,10 @@ class TestConcentrationStatistic:
             for k in sorted({1, 2, 6, n // 2, n - 1, n, n + 3} - {0}):
                 expected = w.sum() if k >= n else np.sort(w)[-k:].sum()
                 assert top_k_sum(w, k) == float(expected)
+        # No values, and a max of -0.0: the sorted tail's sum, bit for bit.
+        for w in (np.array([]), np.array([-0.0, -0.0])):
+            expected = np.float64(np.sort(w)[-1:].sum()).tobytes()
+            assert np.float64(top_k_sum(w, 1)).tobytes() == expected
 
 
 class TestSolveExponent:

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powerindex.io as pio
-from helpers import reference_parse_universe, reference_read_weight_csv, whole
+from helpers import make_ids, reference_parse_universe, reference_read_weight_csv, whole
 from powerindex import (
     CapRule,
     Constituent,
@@ -61,14 +63,17 @@ BLOCK_ROWS = (1, 3, pio._BLOCK_ROWS)
 
 def seam_payload():
     """A report whose ids hold the characters that the JSON encoder escapes
-    or csv.writer quotes, with enough rows to cross block seams."""
+    or csv.writer quotes, with enough rows to cross block seams. The ids
+    are put in after ``report_payload``, which refuses a CR and a NUL, so
+    that the renderers are held to the stdlib on every id."""
     ids = (
         "AAA", 'q"x', "back\\slash", "new\nline", "c\rr", "A,B", "\x00", "é",
         "\ud800", "😀",
     )
-    mu = WeightVector(ids, np.arange(1.0, 11.0) / 55.0)
+    mu = WeightVector(make_ids(len(ids)), np.arange(1.0, 11.0) / 55.0)
     eta = power_rebalance(mu, PowerRule(0.37))
-    return report_payload("power", {"p": 0.37}, mu, eta, diagnostics_report(mu, eta))
+    payload = report_payload("power", {"p": 0.37}, mu, eta, diagnostics_report(mu, eta))
+    return {**payload, "ids": ids}
 
 
 def rendered(render, payload) -> str:
@@ -603,6 +608,53 @@ class TestReadWeightFile:
             read_weight_file(io.StringIO('{"schema_version": 1}'))
 
 
+# Ids of any characters but lone surrogates, which a UTF-8 file cannot hold.
+report_ids = st.lists(
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1),
+    min_size=1,
+    max_size=5,
+    unique=True,
+)
+
+
+@settings(max_examples=200, deadline=None)
+# A comment, a CR, surrounding spaces and a NUL.
+@example(("#A", "B", "C"))
+@example(("A\rB", "C"))
+@example((" C", "D"))
+@example(("A", "\x00"))
+@given(report_ids)
+def test_a_report_reads_back_as_the_vector_it_was_written_from(ids):
+    """A report holds, in either format, the ids and weights of the vector
+    it was written from, or ``report_payload`` refuses the vector with one
+    line naming an id."""
+    mu = WeightVector(ids, np.arange(1.0, len(ids) + 1) / sum(range(1, len(ids) + 1)))
+    eta = power_rebalance(mu, PowerRule(0.5))
+    report = diagnostics_report(mu, eta)
+    try:
+        payload = report_payload("power", {"p": 0.5}, mu, eta, report)
+    except RebalanceError as exc:
+        assert str(exc).startswith("a report cannot hold identifier ")
+        assert "\n" not in str(exc)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            path = Path(tmp, f"report.{fmt}")
+            write_report(path, payload, fmt)
+            out = read_weight_file(path)
+            assert out.identifiers == mu.identifiers, fmt
+            assert np.max(np.abs(out.weights - payload["after"])) <= 1e-12, fmt
+
+
+@pytest.mark.parametrize("ident", ["#A", "A\rB", " C", "C\t", "\x00"])
+def test_report_payload_names_the_first_id_that_would_not_read_back(ident):
+    mu = WeightVector(("B", ident, "#Z"), np.array([0.5, 0.3, 0.2]))
+    eta = power_rebalance(mu, PowerRule(0.5))
+    message = f"a report cannot hold identifier {ident!r}"
+    with pytest.raises(RebalanceError, match=whole(message)):
+        report_payload("power", {"p": 0.5}, mu, eta, diagnostics_report(mu, eta))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_ids_whose_hashes_collide(monkeypatch, fmt):
     """With ids hashed to few values, distinct ids read without a false
@@ -746,6 +798,10 @@ def declined(*args):
 @example("id,market_cap", "\n", "A,1\n# c\nB,2\n # d,1\nC,3", 1 << 16, 1 << 12, 21)
 @example("id,weight", "\n", 'A,0.5\n# "q"\nB,0.5', 1 << 16, 1 << 12, 21)
 @example("id,market_cap", "\n", "A,1\n\nB,2\n\n", 4, 1 << 12, 21)
+# A price times shares that overflows only in a row after the first
+# block, with one row a block, split and read by csv.reader.
+@example("id,price,shares", "\n", "A,2,3\nB,1e200,1e200", 1, 1, 21)
+@example("id,price,shares", "\n", '"A",2,3\n"B",1e200,1e200', 1, 1, 21)
 @given(**CSV_TEXTS)
 def test_column_readers_match_the_row_reader(
     header, line_end, body, block_chars, block_rows, field_limit
@@ -848,6 +904,10 @@ def test_skipped_rows_among_the_data_leave_the_row_checks_unused(monkeypatch, sk
 @example("id,market_cap", "\n", '"A",1\n# c\nB,2', 1, 1 << 12, csv.field_size_limit())
 # A row led by a space that is not ASCII.
 @example("id,market_cap", "\n", "A,1\n\u3000,\nB,2", 1 << 16, 1 << 12, 21)
+# A price times shares that overflows only in a row after the first
+# block, with one row a block, split and read by csv.reader.
+@example("id,price,shares", "\n", "A,2,3\nB,1e200,1e200", 1, 1, 21)
+@example("id,price,shares", "\n", '"A",2,3\n"B",1e200,1e200', 1, 1, 21)
 @given(**CSV_TEXTS)
 def test_the_column_pass_declines_only_what_the_row_checks_refuse(
     header, line_end, body, block_chars, block_rows, field_limit
