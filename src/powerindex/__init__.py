@@ -8,73 +8,25 @@ leaves small weights' ratios intact, the cap-and-redistribute baseline
 largest p meeting a concentration bound, and diagnostics that detect and
 quantify rebalance pathologies.
 
-``import powerindex`` loads the rules, the solver and numpy. The
-diagnostics and the file readers and writers (``powerindex.diagnostics``
-and ``powerindex.io``) load on first use of one of their names.
+``import powerindex`` loads none of the package's modules and not numpy.
+The first use of a public name imports the module that defines it (and
+what that module imports) and binds all of that module's public names
+in the package. A submodule such as ``powerindex.weights`` is an
+attribute once it has been imported, by ``from powerindex import
+weights`` or by the first use of one of its names.
 """
 
 from __future__ import annotations
 
-from .calibration import (
-    CalibrationResult,
-    CalibrationTarget,
-    concentration_statistic,
-    solve_exponent,
-    top_k_sum,
-)
-from .errors import InfeasibleError, RebalanceError
-from .transforms import (
-    CapRule,
-    LinearizedPowerRule,
-    PowerRule,
-    RebalanceRule,
-    apply_rule,
-    cap_rebalance,
-    linearized_power_rebalance,
-    power_rebalance,
-)
-from .weights import Constituent, Universe, WeightVector, weights_from_market_caps
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalibrationResult",
-    "CalibrationTarget",
-    "CapRule",
-    "ConcentrationMetrics",
-    "Constituent",
-    "DiagnosticsReport",
-    "InfeasibleError",
-    "LinearizedPowerRule",
-    "OrderViolation",
-    "PowerRule",
-    "RebalanceError",
-    "RebalanceRule",
-    "Universe",
-    "WeightVector",
-    "apply_rule",
-    "cap_rebalance",
-    "compare_methods",
-    "concentration_metrics",
-    "concentration_statistic",
-    "diagnostics_report",
-    "find_order_violations",
-    "linearized_power_rebalance",
-    "parse_universe",
-    "power_rebalance",
-    "read_weight_file",
-    "report_payload",
-    "solve_exponent",
-    "top_k_sum",
-    "turnover",
-    "weights_from_market_caps",
-    "write_report",
-]
-
-# The public names of the modules that ``import powerindex`` leaves
-# unloaded, with the module that defines each. The first access to one
-# imports its module and binds all of that module's names here.
-_DEFERRED = {
+# Each public name, and the module that defines it.
+_HOMES = {
+    "CalibrationResult": "calibration",
+    "CalibrationTarget": "calibration",
+    "concentration_statistic": "calibration",
+    "solve_exponent": "calibration",
+    "top_k_sum": "calibration",
     "ConcentrationMetrics": "diagnostics",
     "DiagnosticsReport": "diagnostics",
     "OrderViolation": "diagnostics",
@@ -83,21 +35,37 @@ _DEFERRED = {
     "diagnostics_report": "diagnostics",
     "find_order_violations": "diagnostics",
     "turnover": "diagnostics",
+    "InfeasibleError": "errors",
+    "RebalanceError": "errors",
     "parse_universe": "io",
     "read_weight_file": "io",
     "report_payload": "io",
     "write_report": "io",
+    "CapRule": "transforms",
+    "LinearizedPowerRule": "transforms",
+    "PowerRule": "transforms",
+    "RebalanceRule": "transforms",
+    "apply_rule": "transforms",
+    "cap_rebalance": "transforms",
+    "linearized_power_rebalance": "transforms",
+    "power_rebalance": "transforms",
+    "Constituent": "weights",
+    "Universe": "weights",
+    "WeightVector": "weights",
+    "weights_from_market_caps": "weights",
 }
+
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str) -> object:
-    home = _DEFERRED.get(name)
+    home = _HOMES.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
     module = import_module(f"{__name__}.{home}")
-    bound = {key: getattr(module, key) for key, mod in _DEFERRED.items() if mod == home}
+    bound = {key: getattr(module, key) for key, mod in _HOMES.items() if mod == home}
     globals().update(bound)
     return bound[name]
 

@@ -132,7 +132,11 @@ def solve_exponent(
     when the bracket is narrower than ``tol``, or holds no float between
     its ends, and returns the feasible endpoint, so ``achieved <= bound``
     holds exactly and p_star + tol breaches the bound.
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs and a fixed BLAS thread count. The
+    slope's dot products go to numpy's BLAS, which may split a long sum
+    across threads, so above about 10,000 positive weights the last bits
+    of p_star can depend on that count (``OPENBLAS_NUM_THREADS``);
+    ``achieved <= bound`` holds at every count.
 
     Each step works on arrays: the logs of the positive weights and the
     top-k index set are taken once, the weights at p come from

@@ -42,7 +42,8 @@ import csv
 import io
 import math
 from array import array
-from itertools import chain, islice
+from bisect import bisect_right
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
@@ -409,13 +410,21 @@ def report_payload(
     cover the same identifiers, or a ``RebalanceError`` names the ones
     only one of them holds. Every id must read back from either format as
     written, or a ``RebalanceError`` names the first that would not: one
-    with surrounding whitespace, a leading ``#``, a CR or a NUL."""
+    with surrounding whitespace, a leading ``#``, a CR, a NUL, or a lone
+    surrogate, which UTF-8 cannot encode."""
     from .diagnostics import _pair
 
     after = _pair(mu, eta).require_same_ids().after
-    for ident in mu.identifiers:
-        if ident != ident.strip() or ident[:1] == "#" or "\r" in ident or "\0" in ident:
-            raise RebalanceError(f"a report cannot hold identifier {ident!r}")
+    ids = mu.identifiers
+    try:
+        "".join(ids).encode()
+        end = len(ids)
+    except UnicodeEncodeError as exc:  # ids[end] holds the first lone surrogate
+        end = bisect_right(list(accumulate(map(len, ids))), exc.start)
+    bad = (i for i in ids[:end] if i != i.strip() or i[:1] == "#" or "\r" in i or "\0" in i)
+    ident = next(chain(bad, ids[end:end + 1]), None)
+    if ident is not None:
+        raise RebalanceError(f"a report cannot hold identifier {ident!r}")
     summary = {
         "turnover": report.turnover,
         "max_before": report.max_before,

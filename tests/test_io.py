@@ -608,9 +608,10 @@ class TestReadWeightFile:
             read_weight_file(io.StringIO('{"schema_version": 1}'))
 
 
-# Ids of any characters but lone surrogates, which a UTF-8 file cannot hold.
+# Ids of any characters, lone surrogates included, which a UTF-8 file
+# cannot hold.
 report_ids = st.lists(
-    st.text(st.characters(exclude_categories=("Cs",)), min_size=1),
+    st.text(st.characters(exclude_categories=()), min_size=1),
     min_size=1,
     max_size=5,
     unique=True,
@@ -618,11 +619,12 @@ report_ids = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-# A comment, a CR, surrounding spaces and a NUL.
+# A comment, a CR, surrounding spaces, a NUL and a lone surrogate.
 @example(("#A", "B", "C"))
 @example(("A\rB", "C"))
 @example((" C", "D"))
 @example(("A", "\x00"))
+@example(("A", "\ud800"))
 @given(report_ids)
 def test_a_report_reads_back_as_the_vector_it_was_written_from(ids):
     """A report holds, in either format, the ids and weights of the vector
@@ -646,7 +648,7 @@ def test_a_report_reads_back_as_the_vector_it_was_written_from(ids):
             assert np.max(np.abs(out.weights - payload["after"])) <= 1e-12, fmt
 
 
-@pytest.mark.parametrize("ident", ["#A", "A\rB", " C", "C\t", "\x00"])
+@pytest.mark.parametrize("ident", ["#A", "A\rB", " C", "C\t", "\x00", "x\udfff"])
 def test_report_payload_names_the_first_id_that_would_not_read_back(ident):
     mu = WeightVector(("B", ident, "#Z"), np.array([0.5, 0.3, 0.2]))
     eta = power_rebalance(mu, PowerRule(0.5))

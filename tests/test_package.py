@@ -58,22 +58,23 @@ def _loaded(names: tuple[str, ...]) -> str:
     return f"import sys; print([m for m in {names!r} if m in sys.modules])"
 
 
-# What the rules, the solver and the library need on import, and what
-# they must not load.
-CORE = ("numpy", "powerindex.calibration", "powerindex.transforms", "powerindex.weights")
-DEFERRED = (
+# The rules, the solver and what they share; then numpy, every module of
+# the package, and the standard modules that only the CLI, the
+# diagnostics or the file readers and writers need.
+CORE = ("powerindex.calibration", "powerindex.errors", "powerindex.transforms",
+        "powerindex.weights")
+UNLOADED = (
+    "numpy", *sorted((*CORE, "powerindex.cli", "powerindex.diagnostics", "powerindex.io")),
     "argparse", "csv", "dataclasses", "json",
-    "powerindex.cli", "powerindex.diagnostics", "powerindex.io",
 )
 
 
 def test_import_leaves_the_cli_unloaded():
-    """``import powerindex`` loads numpy and the math core, and none of the
-    CLI, the diagnostics, the file readers and writers or the standard
-    modules only they need, so the library starts as fast as numpy and
-    the core allow."""
-    out = _python("import powerindex; " + _loaded(CORE + DEFERRED))
-    assert out == f"{list(CORE)}\n"
+    """``import powerindex`` loads none of the package's modules, nor numpy,
+    nor the standard modules only the CLI and the file formats need: each
+    loads on the first use of a name that needs it."""
+    out = _python("import powerindex; " + _loaded(UNLOADED))
+    assert out == "[]\n"
 
 
 def _command(tmp_path: Path, *argv: str) -> tuple[str, set[str]]:
@@ -135,10 +136,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
 
 def test_star_import_and_dir_cover_every_export():
     """``from powerindex import *`` binds every name of ``__all__``, and
-    ``dir`` lists them all without loading a deferred module."""
+    ``dir`` lists them all without loading a module."""
     out = _python(
         "import powerindex; listed = set(dir(powerindex)); "
-        + _loaded(DEFERRED)
+        + _loaded(UNLOADED)
         + "; print(sorted(set(powerindex.__all__) - listed)); "
         "from powerindex import *; "
         "print([n for n in powerindex.__all__ if n not in globals()])"
@@ -146,17 +147,59 @@ def test_star_import_and_dir_cover_every_export():
     assert out == "[]\n[]\n[]\n"
 
 
-def test_a_deferred_name_binds_its_module_on_first_access():
-    """The first access to a diagnostics name imports that module alone and
-    binds its names in the package, so that later lookups find them there."""
-    out = _python(
-        "import powerindex; r = powerindex.diagnostics_report; "
-        "print(r is powerindex.diagnostics.diagnostics_report); "
-        "print(sorted(n for n in ('diagnostics_report', 'turnover', 'parse_universe') "
-        "if n in vars(powerindex))); "
-        + _loaded(("powerindex.diagnostics", "powerindex.io"))
+def _first_access(name: str, home: str) -> str:
+    """Code that touches ``powerindex.<name>`` after a bare import, then
+    prints whether it is ``<home>``'s object, which of a few names of four
+    modules the package then holds, and which modules are loaded."""
+    probe = ("InfeasibleError", "RebalanceError", "diagnostics_report", "parse_universe",
+             "power_rebalance", "solve_exponent", "top_k_sum", "turnover")
+    return (
+        f"import powerindex; v = powerindex.{name}; "
+        f"print(v is powerindex.{home}.{name}); "
+        f"print([n for n in {probe!r} if n in vars(powerindex)]); "
+        + _loaded(UNLOADED)
     )
-    assert out == "True\n['diagnostics_report', 'turnover']\n['powerindex.diagnostics']\n"
+
+
+def test_a_deferred_name_binds_its_module_on_first_access():
+    """The first access to a diagnostics name imports that module and what
+    it imports, and not the file readers and writers, and binds its names
+    in the package, so that later lookups find them there."""
+    out = _python(_first_access("diagnostics_report", "diagnostics"))
+    loaded = sorted(("numpy", "powerindex.diagnostics", *CORE))
+    assert out == f"True\n['diagnostics_report', 'turnover']\n{loaded}\n"
+
+
+@pytest.mark.parametrize(
+    "name, home, bound, loaded",
+    [
+        pytest.param(
+            "RebalanceError", "errors", ["InfeasibleError", "RebalanceError"],
+            ["powerindex.errors"], id="errors",
+        ),
+        pytest.param(
+            "solve_exponent", "calibration", ["solve_exponent", "top_k_sum"],
+            ["numpy", *CORE], id="calibration",
+        ),
+    ],
+)
+def test_a_core_name_binds_its_module_on_first_access(name, home, bound, loaded):
+    """An error class loads its module alone, without numpy; the solver
+    loads the core modules it imports. Only the names of the module
+    touched are bound."""
+    assert _python(_first_access(name, home)) == f"True\n{bound}\n{loaded}\n"
+
+
+def test_each_module_imports_from_the_package_after_a_bare_import():
+    """After ``import powerindex``, ``from powerindex import <module>`` gives
+    each of the package's modules."""
+    out = _python(
+        "import sys, powerindex; "
+        "from powerindex import calibration, cli, diagnostics, errors, io, transforms, weights; "
+        "print([m.__name__ for m in (calibration, cli, diagnostics, errors, io, transforms, weights) "
+        "if m is not sys.modules[m.__name__]])"
+    )
+    assert out == "[]\n"
 
 
 def test_an_unknown_name_raises_the_usual_error():
