@@ -21,7 +21,7 @@ from .transforms import power_weights
 from .weights import WeightVector, _Record, _setattr
 
 MAX_ITERATIONS = 200
-DEFAULT_TOL = 1e-10
+TOL = 1e-10
 
 TARGET_KINDS = ("max_weight", "top_k_sum")
 
@@ -113,11 +113,7 @@ def concentration_statistic(mu: WeightVector, target: CalibrationTarget) -> floa
     return _top_k_sums(mu.weights, (k,))[k]
 
 
-def solve_exponent(
-    mu: WeightVector,
-    target: CalibrationTarget,
-    tol: float = DEFAULT_TOL,
-) -> CalibrationResult:
+def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationResult:
     """Largest exponent p whose power-rebalanced statistic meets the bound.
 
     Raises ``InfeasibleError`` when the top k hold every positive weight,
@@ -127,16 +123,15 @@ def solve_exponent(
     immediately when the input already satisfies the bound. Otherwise
     keeps a bracket [lo, hi] of [0, 1] with statistic(lo) <= bound <
     statistic(hi), and steps by Newton on log statistic(p) - log bound
-    from the last point tried; a step that leaves the bracket, or a slope
-    that is not positive, gives way to the bracket's midpoint. It stops
-    when the bracket is narrower than ``tol``, or holds no float between
-    its ends, and returns the feasible endpoint, so ``achieved <= bound``
-    holds exactly and p_star + tol breaches the bound.
-    Deterministic for fixed inputs and a fixed BLAS thread count. The
-    slope's dot products go to numpy's BLAS, which may split a long sum
-    across threads, so above about 10,000 positive weights the last bits
-    of p_star can depend on that count (``OPENBLAS_NUM_THREADS``);
-    ``achieved <= bound`` holds at every count.
+    from the last point tried; a step that leaves the bracket, a slope
+    that is not positive, or two steps in a row that stalled on one side
+    of the root give way to the bracket's midpoint (``rtsafe``'s fallback).
+    It stops when the bracket is narrower than ``TOL`` and returns its
+    feasible end, so ``achieved <= bound`` holds exactly, and the other
+    end, less than ``TOL`` above p_star, breaches the bound. Where the
+    statistic is flat to rounding it is not monotone in its last bits, so
+    an exponent past that end, such as p_star + ``TOL``, may meet the
+    bound again. Deterministic for fixed inputs.
 
     Each step works on arrays: the logs of the positive weights and the
     top-k index set are taken once, the weights at p come from
@@ -144,8 +139,6 @@ def solve_exponent(
     summed as ``concentration_statistic`` sums it, without building a
     ``WeightVector``.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     k = _check_k(target, mu.n)
     w = mu.weights
     positive = w > 0.0
@@ -171,8 +164,8 @@ def solve_exponent(
         v = power_weights(w, p, logs=log_positive)  # a fresh array
         held, on_all = v[top], (v if all_positive else v[positive])
         slope = float(
-            log_top @ held / np.add.reduce(held)
-            - log_positive @ on_all / np.add.reduce(on_all)
+            np.add.reduce(log_top * held) / np.add.reduce(held)
+            - np.add.reduce(log_positive * on_all) / np.add.reduce(on_all)
         )
         held.sort()
         return float(np.add.reduce(held)), slope
@@ -194,31 +187,29 @@ def solve_exponent(
     lo, hi = 0.0, 1.0
     p, achieved, stalls = 1.0, floor, 0
     iterations = 0
-    while hi - lo >= tol and math.nextafter(lo, hi) < hi:
+    while hi - lo >= TOL:
         iterations += 1
         if iterations > MAX_ITERATIONS:
             raise RebalanceError(
                 f"solver exceeded {MAX_ITERATIONS} iterations "
                 f"(bracket [{lo!r}, {hi!r}])"
             )
-        # A slope that is not positive gives NaN, which takes the midpoint.
-        step = p - (math.log(value) - log_bound) / slope if slope > 0.0 else math.nan
-        # Keep a nudge from either end, so that a step within tol of the
-        # root lands past it and closes the bracket. A step that still lands
-        # on the end's side has stalled. One or two stalls are the usual
-        # close beside the root; each stall in a row after those doubles the
-        # nudge, so a statistic flat to rounding is crossed in few steps.
-        nudge = 0.5 * tol * 2.0 ** max(stalls - 2, 0)
-        p = min(max(step, lo + nudge), hi - nudge)
-        if not (lo <= step <= hi and lo < p < hi):
-            # Out of the bracket, or left on an end by a tol too small to
-            # move off it, where the bracket would not shrink.
+        # A slope that is not positive gives NaN, which takes the midpoint;
+        # so do two stalled steps in a row, where the statistic is flat to
+        # rounding and Newton creeps.
+        newton = slope > 0.0 and stalls < 2
+        step = p - (math.log(value) - log_bound) / slope if newton else math.nan
+        # Keep TOL / 2 from either end, so that a step within TOL of the
+        # root lands past it and closes the bracket.
+        p = min(max(step, lo + 0.5 * TOL), hi - 0.5 * TOL)
+        if not lo <= step <= hi:
             p = step = 0.5 * (lo + hi)
         value, slope = evaluate(p)
         if value > target.bound:
             hi = p
         else:
             lo, achieved = p, value
-        # Nudged off an end, yet still on its side: a stall (a midpoint is not).
+        # Kept TOL / 2 off an end, yet still on its side: a stall (a midpoint
+        # is not).
         stalls = stalls + 1 if step < p == lo or step > p == hi else 0
     return CalibrationResult(float(lo), achieved, iterations, True, (lo, hi))

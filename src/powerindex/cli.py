@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .calibration import DEFAULT_TOL, CalibrationTarget, solve_exponent
+from .calibration import CalibrationTarget, solve_exponent
 from .errors import InfeasibleError, RebalanceError
 from .transforms import RULES, RebalanceRule, apply_rule
 from .weights import weights_from_market_caps
@@ -85,7 +85,6 @@ def build_parser() -> _Parser:
     so.add_argument("--target", required=True, choices=["max", "top-k"])
     so.add_argument("--k", type=int, help="k for the top-k target")
     so.add_argument("--bound", type=float, required=True)
-    so.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     dg = sub.add_parser("diagnose", help="compare two weight files")
     dg.add_argument("--before", required=True)
@@ -195,12 +194,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     kind = "max_weight" if args.target == "max" else "top_k_sum"
     try:
         target = CalibrationTarget(kind, args.bound, k=args.k)
-        if not args.tol > 0:
-            raise ValueError(f"tol must be positive, got {args.tol!r}")
     except ValueError as exc:
         raise _UsageError(f"error: {exc}") from exc
     mu = weights_from_market_caps(parse_universe(args.input))
-    result = solve_exponent(mu, target, args.tol)
+    result = solve_exponent(mu, target)
     lo, hi = result.bracket
     print(
         f"p_star={result.p_star!r} achieved={_g(result.achieved)} "
@@ -299,14 +296,3 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         # large allocation while the command's memory is still held.
         print(f"{command}: out of memory", file=sys.stderr)
         return EXIT_INPUT
-
-
-def main() -> None:
-    # An identifier may hold a lone surrogate, which no encoding can print:
-    # the console shows it escaped. On UTF-8, no other character changes.
-    sys.stdout.reconfigure(errors="backslashreplace")
-    sys.exit(run_cli(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

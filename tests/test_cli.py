@@ -249,19 +249,18 @@ class TestSolveCommand:
         assert "converged=true" in out
         assert "achieved=0.6" in out
 
-    def test_tol_below_the_float_spacing(self, tmp_path, capsys):
-        # The bracket stops one ulp wide, short of any tol below that.
-        universe = tmp_path / "u.csv"
-        universe.write_text("id,market_cap\nA,3\nB,2\nC,1\n")
+    def test_tol_is_an_unknown_argument(self, two_stock_csv, capsys):
+        # The solver's tolerance is fixed; the option is gone.
         code = run_cli(
             [
-                "solve", "--input", str(universe),
-                "--target", "max", "--bound", "0.4", "--tol", "1e-300",
+                "solve", "--input", str(two_stock_csv),
+                "--target", "max", "--bound", "0.6", "--tol", "1e-9",
             ]
         )
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "converged=true" in out and "achieved=0.4 " in out
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.endswith("error: unrecognized arguments: --tol 1e-9\n")
+        assert captured.out == ""
 
     def test_printed_p_star_meets_bound_in_rebalance(self, tmp_path, capsys):
         # Rounded to 6 digits, p_star could round up and breach the bound.
@@ -394,15 +393,6 @@ class TestSolveCommand:
             ]
         )
         assert code == EXIT_USAGE
-        capsys.readouterr()
-        code = run_cli(
-            [
-                "solve", "--input", str(two_stock_csv),
-                "--target", "max", "--bound", "0.6", "--tol", "0",
-            ]
-        )
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == "error: tol must be positive, got 0.0\n"
 
 
 class TestDiagnoseCommand:
@@ -536,7 +526,8 @@ class TestDiagnoseCommand:
             path.write_text(json.dumps({"rows": rows}))
         code = (
             "import resource, sys\n"
-            "from powerindex.cli import main\n"
+            "import powerindex.cli\n"
+            "from powerindex.__main__ import main\n"
             "status = open('/proc/self/status').read()\n"
             "size = int(status.split('VmSize:')[1].split()[0]) << 10\n"
             "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
@@ -794,7 +785,6 @@ KNOT = sometimes(["0.1", "0.3"], BAD_VALUES)
 THRESHOLD = sometimes(["0.05", "0.2"], BAD_VALUES)
 TARGET = sometimes(["0.4", "0.9"], BAD_VALUES)
 BOUND = sometimes(["0.05", "0.3", "0.6", "0.9"], BAD_VALUES)
-TOL = sometimes(["1e-9"], BAD_VALUES)
 RULE_PARAMS = {
     "power": {"--p": P}, "linpower": {"--p": P, "--knot": KNOT},
     "cap": {"--threshold": THRESHOLD, "--target-aggregate": TARGET},
@@ -823,8 +813,6 @@ def fuzz_argv(draw) -> list[str]:
         argv = ["--input", draw(INPUT), "--target", target, "--bound", draw(BOUND)]
         if target == "top-k":
             argv += ["--k", draw(sometimes(["1", "2", "3"], ["0", "-1", "9", "x"]))]
-        if draw(st.booleans()):
-            argv += ["--tol", draw(TOL)]
     elif command == "diagnose":
         argv = ["--before", draw(WEIGHTS), "--after", draw(WEIGHTS)]
     else:

@@ -1,3 +1,5 @@
+import ast
+import json
 import os
 import pickle
 import subprocess
@@ -8,6 +10,7 @@ import pytest
 
 import powerindex
 
+PACKAGE = Path(powerindex.__file__).resolve().parent
 # The error classes that the two-class error family replaced.
 REMOVED = (
     "AllWeightsZeroError",
@@ -230,3 +233,58 @@ def test_a_pickled_report_loads_before_its_module():
         stdin=pickle.dumps(report).hex(),
     )
     assert out == f"[]\n{report!r}\n"
+
+
+# numpy products that may hand a sum to BLAS, whose thread count can change
+# how the sum is split, and so its last bits.
+BLAS_CALLS = {"dot", "inner", "matmul", "vdot"}
+
+
+def test_the_package_makes_no_blas_call():
+    """No ``@`` and no call to a numpy product that goes to BLAS."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult
+            ):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in BLAS_CALLS:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_the_cli_asks_for_one_blas_thread_before_numpy_loads(tmp_path):
+    """``python -m powerindex`` sets each thread-count variable the caller
+    left unset to "1", and keeps the caller's own, before numpy is
+    imported: a finder records the variables at numpy's first import."""
+    (tmp_path / "universe.csv").write_text("id,market_cap\nA,3\nB,2\nC,1\n")
+    code = (
+        "import json, os, runpy, sys\n"
+        "seen = []\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        f"            seen.append({{v: os.environ.get(v) for v in {THREAD_VARIABLES!r}}})\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "try:\n"
+        "    runpy.run_module('powerindex', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    sys.stderr.write(json.dumps([exc.code, seen]))\n"
+    )
+    env = {k: v for k, v in _env().items() if k not in THREAD_VARIABLES}
+    env["OMP_NUM_THREADS"] = "3"
+    argv = ["solve", "--input", "universe.csv", "--target", "max", "--bound", "0.45"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env,
+        cwd=tmp_path,
+    )
+    assert proc.stdout.startswith("p_star=")
+    expected = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
+    assert json.loads(proc.stderr) == [0, [expected]]

@@ -111,6 +111,26 @@ def test_exp_and_log_keep_order_and_bits_alone_or_in_arrays():
         assert alone.tobytes() == f(arg)[::97].tobytes()
 
 
+def test_exp_and_log_are_nondecreasing_where_the_transform_uses_them():
+    """The premise of the order guarantee, scanned on the numpy at hand:
+    log on weights in (0, 1], subnormals included, and exp on exponents
+    p * log w down to where it underflows to zero, each along sorted
+    random doubles and along runs of 100 adjacent floats."""
+    rng = np.random.default_rng(83)
+    weights = np.concatenate(
+        [10.0 ** rng.uniform(-323.5, 0.0, 200_000), rng.uniform(0.0, 1.0, 50_000)]
+    )
+    exponents = np.concatenate(
+        [rng.uniform(-746.0, 0.0, 200_000), -(10.0 ** rng.uniform(-20.0, 0.0, 50_000))]
+    )
+    for f, x in ((np.log, np.sort(weights[weights > 0.0])), (np.exp, np.sort(exponents))):
+        assert (np.diff(f(x)) >= 0.0).all()
+        run = [x[rng.integers(0, x.size, 2_000)]]
+        for _ in range(99):
+            run.append(np.nextafter(run[-1], np.inf))
+        assert (np.diff(f(np.stack(run, axis=1)), axis=1) >= 0.0).all()
+
+
 class TestPowerRebalance:
     def test_two_stock_p_half(self):
         eta = power_rebalance(wv([0.7, 0.3]), PowerRule(0.5))
