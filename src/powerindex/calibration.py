@@ -31,7 +31,7 @@ class CalibrationTarget(_Record):
 
     ``kind`` is "max_weight" (largest single weight) or "top_k_sum"
     (aggregate of the k largest weights; requires ``k``). ``bound`` is the
-    value the statistic must not exceed.
+    value the statistic must not exceed, read as ``float(bound)``.
     """
 
     kind: str
@@ -41,6 +41,9 @@ class CalibrationTarget(_Record):
     def __init__(self, kind: str, bound: float, k: int | None = None) -> None:
         if kind not in TARGET_KINDS:
             raise ValueError(f"kind must be one of {TARGET_KINDS}, got {kind!r}")
+        # A builtin float, so that the solver compares in double precision
+        # whatever the caller's type: a float32 bound would compare in float32.
+        bound = float(bound)
         if not 0.0 < bound < 1.0:
             raise ValueError(f"bound must be in (0, 1), got {bound!r}")
         if kind == "top_k_sum":
@@ -60,13 +63,16 @@ class CalibrationResult(_Record):
     ``achieved`` is the statistic of ``power_rebalance(mu, p_star)``, bit
     for bit. ``bracket`` is the final (lo, hi) with p_star = lo feasible
     and hi infeasible; it is (1.0, 1.0) when p=1 already meets the bound.
+    ``converged`` is a class attribute, always ``True``.
     """
 
     p_star: float
     achieved: float
     iterations: int
-    converged: bool
     bracket: tuple[float, float]
+
+    # Not a field: the solver raises rather than return an unconverged result.
+    converged = True
 
 
 def top_k_sum(weights: np.ndarray, k: int) -> float:
@@ -100,28 +106,28 @@ def _top_k_sums(weights: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
     return {k: float(np.add.reduce(tail[-k:] if k < n else weights)) for k in ks}
 
 
-def _check_k(target: CalibrationTarget, n: int) -> int:
-    k = 1 if target.kind == "max_weight" else target.k  # the top-1 sum
-    if k > n:
-        raise RebalanceError(f"k={k} exceeds the {n} available constituents")
-    return k
+def _k_of(target: CalibrationTarget) -> int:
+    return 1 if target.kind == "max_weight" else target.k  # the top-1 sum
 
 
 def concentration_statistic(mu: WeightVector, target: CalibrationTarget) -> float:
-    """Evaluate the target's statistic on a weight vector."""
-    k = _check_k(target, mu.n)
+    """Evaluate the target's statistic on a weight vector: its
+    ``top_k_sum``, so a k at or above the size sums every weight."""
+    k = _k_of(target)
     return _top_k_sums(mu.weights, (k,))[k]
 
 
 def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationResult:
     """Largest exponent p whose power-rebalanced statistic meets the bound.
 
-    Raises ``InfeasibleError`` when the top k hold every positive weight,
-    where the statistic is 1 for every p, and when the bound lies below
-    the equal-weight floor, the statistic at p=0: k copies of 1/m summed,
-    over m positive weights, unless 1/m is above the max. Returns p=1
-    immediately when the input already satisfies the bound. Otherwise
-    keeps a bracket [lo, hi] of [0, 1] with statistic(lo) <= bound <
+    Raises ``InfeasibleError`` when k is at or above the number m of
+    positive weights, a k above the size included: the top k then hold
+    every positive weight, and the statistic is 1 for every p. Raises it
+    too when the bound lies below the equal-weight floor, the statistic
+    at p=0: k copies of 1/m summed, unless 1/m is above the max. The
+    bound is a builtin float, so every comparison is in double precision.
+    Returns p=1 immediately when the input already satisfies the bound.
+    Otherwise keeps a bracket [lo, hi] of [0, 1] with statistic(lo) <= bound <
     statistic(hi), and steps by Newton on log statistic(p) - log bound
     from the last point tried; a step that leaves the bracket, a slope
     that is not positive, or two steps in a row that stalled on one side
@@ -131,7 +137,9 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
     end, less than ``TOL`` above p_star, breaches the bound. Where the
     statistic is flat to rounding it is not monotone in its last bits, so
     an exponent past that end, such as p_star + ``TOL``, may meet the
-    bound again. Deterministic for fixed inputs.
+    bound again. A solve that has not closed its bracket after
+    ``MAX_ITERATIONS`` steps raises ``RebalanceError``, so every result
+    returned is converged. Deterministic for fixed inputs.
 
     Each step works on arrays: the logs of the positive weights and the
     top-k index set are taken once, the weights at p come from
@@ -139,7 +147,7 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
     summed as ``concentration_statistic`` sums it, without building a
     ``WeightVector``.
     """
-    k = _check_k(target, mu.n)
+    k = _k_of(target)
     w = mu.weights
     positive = w > 0.0
     log_positive = np.log(w[positive])
@@ -181,7 +189,7 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
         )
     value, slope = evaluate(1.0)
     if value <= target.bound:
-        return CalibrationResult(1.0, value, 0, True, (1.0, 1.0))
+        return CalibrationResult(1.0, value, 0, (1.0, 1.0))
 
     # Invariant: residual(lo) <= 0 < residual(hi).
     lo, hi = 0.0, 1.0
@@ -212,4 +220,4 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
         # Kept TOL / 2 off an end, yet still on its side: a stall (a midpoint
         # is not).
         stalls = stalls + 1 if step < p == lo or step > p == hi else 0
-    return CalibrationResult(float(lo), achieved, iterations, True, (lo, hi))
+    return CalibrationResult(float(lo), achieved, iterations, (lo, hi))

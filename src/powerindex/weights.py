@@ -209,18 +209,6 @@ class WeightVector(_Record):
         return self.n
 
 
-def _summable(arr: np.ndarray) -> np.ndarray:
-    """Finite nonnegative ``arr`` as it is when its sum is finite, and
-    otherwise, as for two caps of 1e308, over its largest entry: only then,
-    so that finite sums keep their exact quotients."""
-    peak = float(np.maximum.reduce(arr, initial=0.0))
-    if peak * arr.size < 1e300:  # no rounding carries such a sum past 1.8e308
-        return arr
-    with np.errstate(over="ignore"):
-        total = float(np.add.reduce(arr))
-    return arr if math.isfinite(total) else arr / peak
-
-
 class _LazySequence(Sequence[_T]):
     """A read-only sequence whose items are built only as they are read.
 
@@ -309,6 +297,15 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
             [c.identifier for c in universe], [c.market_cap for c in universe]
         )
     caps = universe.market_caps
-    if not np.maximum.reduce(caps) > 0.0:
+    peak = float(np.maximum.reduce(caps))
+    if not peak > 0.0:
         raise RebalanceError("all market caps are zero")
-    return WeightVector._scaled(universe.identifiers, _summable(caps))
+    # Caps whose sum overflows, as two caps of 1e308 do, are scaled over
+    # their peak first: only then, so that finite sums keep their exact
+    # quotients. With peak * n below 1e300 no rounding carries the sum past
+    # 1.8e308.
+    if peak * caps.size >= 1e300:
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.add.reduce(caps)):
+                caps = caps / peak
+    return WeightVector._scaled(universe.identifiers, caps)

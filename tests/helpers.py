@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 from hypothesis import strategies as st
@@ -63,6 +64,45 @@ def reference_power(w: np.ndarray, p: float, knot: float = 0.0) -> np.ndarray:
     if below.any():
         raw[below] = np.exp(p * np.log(knot)) * (w[below] / knot)
     return reference_scale(raw, w)
+
+
+def exact_power(w: np.ndarray, p: float, knot: float = 0.0) -> list[Decimal]:
+    """f(w) / sum f(w) to 60 digits, the float inputs read exactly: x**p as
+    exp(p * ln x) on the positive entries at or above ``knot``, the chord
+    f(knot) * (x / knot) below it, and zero at zero. As in the divisor rule
+    of ``power_weights``, the divisor is f(top) / top where that is larger
+    than the sum, so that the largest quotient is at most w's largest entry."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exponent = Decimal(p)
+
+        def f(x: Decimal) -> Decimal:
+            return (exponent * x.ln()).exp()
+
+        xs = [Decimal(x) for x in w.tolist()]
+        cut = Decimal(knot)
+        at_knot = f(cut) if knot > 0.0 else Decimal(0)
+        raw = [
+            Decimal(0) if x == 0 else at_knot * (x / cut) if x < cut else f(x)
+            for x in xs
+        ]
+        top = int(w.argmax())
+        total = max(sum(raw), raw[top] / xs[top])
+        return [r / total for r in raw]
+
+
+def ulps_off(values: np.ndarray, exact: list[Decimal]) -> float:
+    """The largest distance of ``values`` from ``exact``, each in units of
+    the spacing of floats at its exact value rounded to a float; an exact
+    zero must be met exactly."""
+    worst = 0.0
+    for value, x in zip(values.tolist(), exact):
+        if x == 0:
+            assert value == 0.0
+            continue
+        spacing = Decimal(float(np.spacing(float(x))))
+        worst = max(worst, float(abs(Decimal(value) - x) / spacing))
+    return worst
 
 
 def random_simplex(

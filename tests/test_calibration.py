@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -84,11 +86,17 @@ class TestConcentrationStatistic:
         assert stat == pytest.approx(0.7, abs=1e-15)
 
     def test_k_exceeds_n(self):
-        message = "k=3 exceeds the 2 available constituents"
-        with pytest.raises(RebalanceError, match=whole(message)):
-            concentration_statistic(
-                wv([0.5, 0.5]), CalibrationTarget("top_k_sum", 0.9, k=3)
-            )
+        # A k at or above the size sums every weight, as top_k_sum does.
+        rng = np.random.default_rng(73)
+        cases = [np.array([0.5, 0.5]), np.array([0.0, 1.0, 0.0])]
+        cases += [random_simplex(rng, n, zeros=True, ties=True) for n in (5, 40)]
+        for w in cases:
+            mu, n = wv(w), w.size
+            for k in (n, n + 1, 3 * n):
+                stat = concentration_statistic(
+                    mu, CalibrationTarget("top_k_sum", 0.9, k=k)
+                )
+                assert stat == top_k_sum(mu.weights, k)
 
     def test_top_k_sum_helper_validates_k(self):
         with pytest.raises(ValueError):
@@ -182,6 +190,46 @@ class TestSolveExponent:
             solve_exponent(
                 wv([0.4, 0.3, 0.2, 0.1]), CalibrationTarget("top_k_sum", 0.45, k=2)
             )
+
+    def test_k_above_the_size_is_infeasible(self):
+        # One rule for every k at or above the m positive weights: the top k
+        # hold them all, however far k runs past the size.
+        mu = wv([0.5, 0.3, 0.2])
+        for k in (3, 4, 10):
+            message = (
+                f"the top {k} weights hold all 3 positive ones, so the "
+                "statistic is 1 for every p, above the bound 0.9"
+            )
+            with pytest.raises(InfeasibleError, match=whole(message)):
+                solve_exponent(mu, CalibrationTarget("top_k_sum", 0.9, k=k))
+
+    def test_bound_is_read_as_a_builtin_float(self):
+        # Kept as a float32, a bound would be compared in float32 under
+        # numpy 2, and the p returned could breach it as a double.
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            caps = rng.pareto(1.2, 50) + 1.0
+            mu = wv(caps / caps.sum())
+            for kind, k in (("max_weight", None), ("top_k_sum", 6)):
+                stat = concentration_statistic(mu, CalibrationTarget(kind, 0.5, k))
+                between = 0.5 * (stat + (k or 1) / 50)
+                for bound in (
+                    np.float32(between),
+                    np.float16(between),
+                    np.float64(between),
+                    Fraction(between).limit_denominator(10**6),
+                    Decimal(repr(between)),
+                ):
+                    target = CalibrationTarget(kind, bound, k)
+                    assert type(target.bound) is float
+                    result = solve_exponent(mu, target)
+                    plain = solve_exponent(
+                        mu, CalibrationTarget(kind, float(bound), k)
+                    )
+                    assert (result.p_star, result.achieved, result.iterations) == (
+                        plain.p_star, plain.achieved, plain.iterations
+                    )
+                    assert result.achieved <= float(bound)
 
     def test_infeasible_floor_is_the_statistic_with_zeros_in_the_top_set(self):
         # With k at or above the number m of positive weights, zeros join

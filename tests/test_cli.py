@@ -349,6 +349,24 @@ class TestSolveCommand:
         )
         assert captured.out == ""
 
+    def test_top_k_above_every_name_is_infeasible(self, tmp_path, capsys):
+        # Exit 3, as for any k at or above the positive names, not exit 2.
+        universe = tmp_path / "u.csv"
+        universe.write_text("id,market_cap\nA,3\nB,2\nC,1\n")
+        code = run_cli(
+            [
+                "solve", "--input", str(universe),
+                "--target", "top-k", "--k", "4", "--bound", "0.9",
+            ]
+        )
+        assert code == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "infeasible: the top 4 weights hold all 3 positive ones, so the "
+            "statistic is 1 for every p, above the bound 0.9\n"
+        )
+        assert captured.out == ""
+
     def test_top_k_requires_k(self, two_stock_csv, capsys):
         code = run_cli(
             [

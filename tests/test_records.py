@@ -60,9 +60,9 @@ RECORDS = [
      "CalibrationTarget(kind='top_k_sum', bound=0.4, k=6)"),
     (CalibrationTarget("max_weight", 0.25), ("kind", "bound", "k"),
      "CalibrationTarget(kind='max_weight', bound=0.25, k=None)"),
-    (CalibrationResult(0.5, 0.25, 3, True, (0.5, 0.75)),
-     ("p_star", "achieved", "iterations", "converged", "bracket"),
-     "CalibrationResult(p_star=0.5, achieved=0.25, iterations=3, converged=True, "
+    (CalibrationResult(0.5, 0.25, 3, (0.5, 0.75)),
+     ("p_star", "achieved", "iterations", "bracket"),
+     "CalibrationResult(p_star=0.5, achieved=0.25, iterations=3, "
      "bracket=(0.5, 0.75))"),
     (OrderViolation("A", "B", 0.25, 0.5, 0.5, 0.25),
      ("identifier_low", "identifier_high", "mu_low", "mu_high", "eta_low", "eta_high"),
@@ -168,8 +168,8 @@ def test_positional_match_patterns():
                 return ("cap", threshold, target)
             case CalibrationTarget(kind, bound, k):
                 return (kind, bound, k)
-            case CalibrationResult(p_star, _, iterations, converged, (lo, hi)):
-                return (p_star, iterations, converged, lo, hi)
+            case CalibrationResult(p_star, _, iterations, (lo, hi)):
+                return (p_star, iterations, lo, hi)
             case OrderViolation(low, high):
                 return (low, high)
             case Constituent(ident, cap):
@@ -184,8 +184,8 @@ def test_positional_match_patterns():
     assert describe(LinearizedPowerRule(0.5, 0.25)) == ("linpower", 0.5, 0.25)
     assert describe(CapRule()) == ("cap", 0.045, 0.4)
     assert describe(CalibrationTarget("top_k_sum", 0.4, 6)) == ("top_k_sum", 0.4, 6)
-    result = CalibrationResult(0.5, 0.25, 3, True, (0.5, 0.75))
-    assert describe(result) == (0.5, 3, True, 0.5, 0.75)
+    result = CalibrationResult(0.5, 0.25, 3, (0.5, 0.75))
+    assert describe(result) == (0.5, 3, 0.5, 0.75)
     violation = OrderViolation("A", "B", 0.25, 0.5, 0.5, 0.25)
     assert describe(violation) == ("A", "B")
     assert describe(Constituent(1, market_cap=6)) == ("1", 6.0)
@@ -237,6 +237,8 @@ REJECTED = [
      "kind must be one of ('max_weight', 'top_k_sum'), got 'max'"),
     (lambda: CalibrationTarget("max_weight", 1.0), ValueError,
      "bound must be in (0, 1), got 1.0"),
+    (lambda: CalibrationTarget("max_weight", np.float32(1.5)), ValueError,
+     "bound must be in (0, 1), got 1.5"),
     (lambda: CalibrationTarget("top_k_sum", math.nan, k=0), ValueError,
      "bound must be in (0, 1), got nan"),
     (lambda: CalibrationTarget("top_k_sum", 0.5), ValueError,
@@ -261,6 +263,15 @@ def test_validation_messages(build, error, message):
     assert type(caught.value) is error
 
 
+def test_converged_is_a_constant_not_a_field():
+    # The solver raises rather than return an unconverged result.
+    result = CalibrationResult(0.5, 0.25, 3, (0.5, 0.75))
+    assert CalibrationResult.converged is True and result.converged is True
+    assert "converged" not in result._asdict()
+    with pytest.raises(AttributeError):
+        result.converged = False
+
+
 def test_a_constituent_is_an_identifier_and_a_cap_read_as_a_universe_reads_them():
     assert Constituent(0, 1.0) == Universe([0], [1.0])[0]
     assert Constituent(1, 2.0).identifier == "1"
@@ -280,7 +291,10 @@ def test_constructors_take_each_field_by_position_and_keyword():
     with pytest.raises(TypeError):
         CapRule(0.1, 0.5, 0.2)
     with pytest.raises(TypeError):
-        CalibrationResult(0.5, 0.25, 3, True)
+        CalibrationResult(0.5, 0.25, 3)
+    old_layout = whole("CalibrationResult takes 4 fields, got 5")
+    with pytest.raises(TypeError, match=old_layout):
+        CalibrationResult(0.5, 0.25, 3, True, (0.5, 0.75))
     for record, names, _ in RECORDS:
         values = _values(record, names)
         assert type(record)(*values[:2], **dict(zip(names[2:], values[2:]))) == record

@@ -18,7 +18,16 @@ from powerindex import (
 )
 from powerindex.transforms import power_weights
 
-from helpers import hard_weights, random_simplex, reference_power, whole, wv
+from helpers import (
+    exact_power,
+    hard_weights,
+    random_simplex,
+    reference_power,
+    scaled,
+    ulps_off,
+    whole,
+    wv,
+)
 
 # Frozen from an independent script: sqrt/pow entrywise, divide by the sum.
 TWO_STOCK_HALF = (0.60435607626104, 0.39564392373895996)
@@ -94,6 +103,46 @@ def test_power_guarantees_on_hard_vectors(case, p, linearized):
     eta0 = rebalance(WeightVector(ids + ("ZERO",), w0))
     assert eta0.weights[-1] == 0.0
     np.testing.assert_allclose(eta0.weights[:-1], eta.weights, rtol=1e-14, atol=1e-321)
+
+
+# power_weights is within ERROR_ULPS[0] + ERROR_ULPS[1] * max|p * log w|
+# ulps of the exact quotient, as README states. Over 23,200 random vectors
+# of the three shapes below, no error exceeded 4.1 + 2 * max|p * log w|:
+# exp turns the absolute rounding error of p * log w, which grows with
+# |p * log w|, into a relative error of its result.
+ERROR_ULPS = (8.0, 2.0)
+GEOMSPACE_TO_1E300 = scaled(np.geomspace(1e-300, 1.0, 64))
+
+
+@st.composite
+def shaped_weights(draw):
+    """Pareto(1.2), geomspace down to as far as 1e-300, or near-flat
+    weights, of 2 to 64 names."""
+    n = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["pareto", "geomspace", "near-flat"]))
+    if shape == "pareto":
+        caps = rng.pareto(1.2, n) + 1.0
+    elif shape == "geomspace":
+        caps = np.geomspace(10.0 ** -draw(st.floats(1.0, 300.0)), 1.0, n)
+    else:
+        caps = 1.0 + rng.uniform(0.0, 1.0, n) * 10.0 ** -draw(st.floats(1.0, 15.0))
+    return scaled(caps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w=shaped_weights(),
+    p=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.99, 1.0])),
+    knot=st.one_of(st.just(0.0), st.floats(1e-3, 0.1)),
+)
+@example(w=GEOMSPACE_TO_1E300, p=0.99, knot=0.0)
+@example(w=np.array(P_ONE_MAX), p=1.0, knot=0.0)
+@example(w=np.array(KNOT_FLIP), p=0.895448239414126, knot=0.05)
+def test_power_weights_within_its_error_bound_of_the_exact_quotient(w, p, knot):
+    reach = float(np.max(np.abs(p * np.log(w[w > 0.0]))))
+    error = ulps_off(power_weights(w, p, knot), exact_power(w, p, knot))
+    assert error <= ERROR_ULPS[0] + ERROR_ULPS[1] * reach
 
 
 def test_exp_and_log_keep_order_and_bits_alone_or_in_arrays():
