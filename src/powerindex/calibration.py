@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleError, RebalanceError
 from .transforms import power_weights
-from .weights import WeightVector, _Record, _setattr
+from .weights import WeightVector, _Record
 
 MAX_ITERATIONS = 200
 TOL = 1e-10
@@ -52,9 +52,7 @@ class CalibrationTarget(_Record):
             k = _positive_k(k)
         elif k is not None:
             raise ValueError("k only applies to top_k_sum targets")
-        _setattr(self, "kind", kind)
-        _setattr(self, "bound", bound)
-        _setattr(self, "k", k)
+        _Record.__init__(self, kind, bound, k)
 
 
 class CalibrationResult(_Record):
@@ -113,8 +111,7 @@ def _k_of(target: CalibrationTarget) -> int:
 def concentration_statistic(mu: WeightVector, target: CalibrationTarget) -> float:
     """Evaluate the target's statistic on a weight vector: its
     ``top_k_sum``, so a k at or above the size sums every weight."""
-    k = _k_of(target)
-    return _top_k_sums(mu.weights, (k,))[k]
+    return top_k_sum(mu.weights, _k_of(target))
 
 
 def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationResult:

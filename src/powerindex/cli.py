@@ -41,14 +41,18 @@ _SPEC_ALIASES = {"target": "target_aggregate"}
 
 
 class _UsageError(Exception):
-    pass
+    """A usage error, printed as ``error: <message>`` after ``usage``,
+    argparse's usage text where the parser raised it."""
+
+    def __init__(self, message: str, usage: str = "") -> None:
+        super().__init__(f"{usage}error: {message}")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         # argparse quotes some arguments raw; keep the error on one line.
         message = message.replace("\r", "\\r").replace("\n", "\\n")
-        raise _UsageError(f"{self.format_usage()}error: {message}")
+        raise _UsageError(message, self.format_usage())
 
 
 def _g(value: float) -> str:
@@ -120,23 +124,23 @@ def _make_rule(
     """
     rule = RULES.get(method)
     if rule is None:
-        raise _UsageError(f"error: unknown method {method!r}")
+        raise _UsageError(f"unknown method {method!r}")
     names = rule._fields
     unknown = [key for key in given if key not in names]
     if unknown:
         raise _UsageError(
-            f"error: {label} takes no {spell(unknown[0])}; "
+            f"{label} takes no {spell(unknown[0])}; "
             f"it takes {', '.join(map(spell, names))}"
         )
     # The constructor takes the fields in order; the last ones have defaults.
     required = names[: len(names) - len(rule.__init__.__defaults__ or ())]
     for name in required:
         if name not in given:
-            raise _UsageError(f"error: {label} requires {spell(name)}")
+            raise _UsageError(f"{label} requires {spell(name)}")
     try:
         return rule(**given)
     except ValueError as exc:
-        raise _UsageError(f"error: {label}: {exc}") from exc
+        raise _UsageError(f"{label}: {exc}") from exc
 
 
 def parse_methods_spec(spec: str) -> list[tuple[str, RebalanceRule]]:
@@ -151,24 +155,20 @@ def parse_methods_spec(spec: str) -> list[tuple[str, RebalanceRule]]:
         given: dict[str, float] = {}
         for part in parts[1:]:
             if "=" not in part:
-                raise _UsageError(
-                    f"error: malformed method parameter {part!r} in {entry!r}"
-                )
+                raise _UsageError(f"malformed method parameter {part!r} in {entry!r}")
             key, _, raw = part.partition("=")
             key = key.strip()
             name = _SPEC_ALIASES.get(key, key)
             if name in given:
-                raise _UsageError(f"error: {name}= given twice in {entry!r}")
+                raise _UsageError(f"{name}= given twice in {entry!r}")
             try:
                 given[name] = float(raw)
             except ValueError:
-                raise _UsageError(
-                    f"error: {raw!r} is not a number in {entry!r}"
-                ) from None
+                raise _UsageError(f"{raw!r} is not a number in {entry!r}") from None
         rule = _make_rule(method, given, repr(entry), lambda name: name + "=")
         rules.append((entry, rule))
     if not rules:
-        raise _UsageError("error: --methods names no rules")
+        raise _UsageError("--methods names no rules")
     return rules
 
 
@@ -190,12 +190,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     from .io import parse_universe
 
     if args.target == "top-k" and args.k is None:
-        raise _UsageError("error: --target top-k requires --k")
+        raise _UsageError("--target top-k requires --k")
     kind = "max_weight" if args.target == "max" else "top_k_sum"
     try:
         target = CalibrationTarget(kind, args.bound, k=args.k)
     except ValueError as exc:
-        raise _UsageError(f"error: {exc}") from exc
+        raise _UsageError(str(exc)) from exc
     mu = weights_from_market_caps(parse_universe(args.input))
     result = solve_exponent(mu, target)
     lo, hi = result.bracket

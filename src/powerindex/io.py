@@ -394,7 +394,7 @@ def parse_universe(source: str | Path | IO[str]) -> Universe:
     returned as a ``Universe`` that builds each ``Constituent`` only when
     it is read."""
     ids, caps = _csv_columns(_read_text(source), UNIVERSE_HEADERS, "header")
-    return Universe._checked(tuple(ids), caps)
+    return Universe._of(tuple(ids), caps)
 
 
 def report_payload(

@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import RebalanceError
-from .weights import WeightVector, _Record, _setattr
+from .weights import WeightVector, _Record
 
 
 def _check_p(p: float) -> None:
@@ -40,7 +40,7 @@ class PowerRule(_Record):
         # Builtin floats, so that a numpy scalar is checked and reported alike.
         p = float(p)
         _check_p(p)
-        _setattr(self, "p", p)
+        _Record.__init__(self, p)
 
 
 class LinearizedPowerRule(_Record):
@@ -58,8 +58,7 @@ class LinearizedPowerRule(_Record):
         _check_p(p)
         if not 0.0 < knot < 1.0:
             raise ValueError(f"knot must be in (0, 1), got {knot!r}")
-        _setattr(self, "p", p)
-        _setattr(self, "knot", knot)
+        _Record.__init__(self, p, knot)
 
 
 class CapRule(_Record):
@@ -78,8 +77,7 @@ class CapRule(_Record):
                 "need 0 < threshold < target_aggregate < 1, got "
                 f"threshold={threshold!r}, target_aggregate={target_aggregate!r}"
             )
-        _setattr(self, "threshold", threshold)
-        _setattr(self, "target_aggregate", target_aggregate)
+        _Record.__init__(self, threshold, target_aggregate)
 
 
 RebalanceRule = Union[PowerRule, LinearizedPowerRule, CapRule]
@@ -140,7 +138,7 @@ def power_rebalance(mu: WeightVector, rule: PowerRule | float) -> WeightVector:
     """
     if not isinstance(rule, PowerRule):
         rule = PowerRule(rule)
-    return WeightVector._wrap(mu.identifiers, power_weights(mu.weights, rule.p))
+    return WeightVector._of(mu.identifiers, power_weights(mu.weights, rule.p))
 
 
 def linearized_power_rebalance(
@@ -153,7 +151,7 @@ def linearized_power_rebalance(
     under the knot keep their ratio to rounding.
     """
     out = power_weights(mu.weights, rule.p, rule.knot)
-    return WeightVector._wrap(mu.identifiers, out)
+    return WeightVector._of(mu.identifiers, out)
 
 
 def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector:

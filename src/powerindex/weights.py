@@ -32,14 +32,19 @@ class _Record:
     """Base of the package's frozen records.
 
     A record declares its fields as class annotations, in order. The
-    base's ``__init__`` takes every field, by position or by keyword, and
-    stores it unchecked; a record with defaults or checks writes its own,
-    which writes each field with ``_setattr``. The base gives the field
-    names as ``_fields`` (and as ``__match_args__``, for positional
-    ``match`` patterns), the values by name from ``_asdict()``, a
-    ``repr`` of the fields, ``==`` between records of one class whose
-    fields are equal, a hash of the field values, and fields that cannot
-    be assigned or deleted.
+    base's ``__init__`` is the only code that stores a record's fields: it
+    takes every field, by position or by keyword, stores it unchecked and
+    makes an ndarray field read-only. A record with defaults or checks
+    writes its own constructor, which takes the fields in order as its
+    parameters, converts and checks them, and hands them to the base by
+    position. ``_of`` stores values derived from checked ones without the
+    checks. A pickle or a copy is rebuilt by the record's constructor, so
+    it is checked as the record was. The base gives the field names as
+    ``_fields`` (and as ``__match_args__``, for positional ``match``
+    patterns), the values by name from ``_asdict()``, a ``repr`` of the
+    fields, ``==`` between records of one class whose fields are equal, a
+    hash of the field values, and fields that cannot be assigned or
+    deleted.
     """
 
     _fields: tuple[str, ...] = ()
@@ -50,19 +55,36 @@ class _Record:
 
     def __init__(self, *values: Any, **named: Any) -> None:
         """Each field by position, then the rest by keyword; a ``TypeError``
-        names a field that is missing, given twice or unknown."""
-        fields, record = self._fields, type(self).__name__
-        if len(values) > len(fields):
-            raise TypeError(f"{record} takes {len(fields)} fields, got {len(values)}")
+        names a field that is missing, given twice or unknown. An ndarray
+        field is made read-only in place."""
+        fields = self._fields
+        if named or len(values) != len(fields):
+            record, given = type(self).__name__, len(values)
+            if given > len(fields):
+                raise TypeError(f"{record} takes {len(fields)} fields, got {given}")
+            for name in fields[given:]:
+                if name not in named:
+                    raise TypeError(f"{record} is missing field {name!r}")
+                values += (named.pop(name),)
+            for name in named:
+                kind = "repeated" if name in fields else "unknown"
+                raise TypeError(f"{record} got {kind} field {name!r}")
         for name, value in zip(fields, values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             _setattr(self, name, value)
-        for name in fields[len(values) :]:
-            if name not in named:
-                raise TypeError(f"{record} is missing field {name!r}")
-            _setattr(self, name, named.pop(name))
-        for name in named:
-            kind = "repeated" if name in fields else "unknown"
-            raise TypeError(f"{record} got {kind} field {name!r}")
+
+    @classmethod
+    def _of(cls, *values: Any) -> Any:
+        """A record of ``values``, one per field in order, stored without
+        the constructor's checks: for values derived from checked ones."""
+        out = object.__new__(cls)
+        _Record.__init__(out, *values)
+        return out
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # The fields only, rebuilt by the constructor: a memo is not pickled.
+        return type(self), self._values()
 
     def _values(self) -> tuple[Any, ...]:
         return tuple([getattr(self, name) for name in self._fields])
@@ -109,8 +131,7 @@ class Constituent(_Record):
             raise ValueError(f"{ident}: market_cap must be finite")
         if cap < 0:
             raise RebalanceError(f"{ident}: market_cap {cap!r} is negative")
-        _setattr(self, "identifier", ident)
-        _setattr(self, "market_cap", cap)
+        _Record.__init__(self, ident, cap)
 
 
 def _check_ids(identifiers: Sequence[str]) -> None:
@@ -156,38 +177,28 @@ class WeightVector(_Record):
     weights: np.ndarray
 
     def __init__(self, identifiers: Iterable[str], weights: Iterable[float]) -> None:
-        _setattr(self, "identifiers", identifiers)
-        _setattr(self, "weights", weights)
-        self.__post_init__()
+        self.__post_init__(identifiers, weights)
 
-    def __post_init__(self) -> None:
+    def __post_init__(
+        self, identifiers: Iterable[str], weights: Iterable[float]
+    ) -> None:
         """The constructor's checks, a method of their own so that
         ``perfbench/tracing.py`` can time them."""
-        ids, w = _columns(self.identifiers, self.weights, "weights")
+        ids, w = _columns(identifiers, weights, "weights")
         if w.size == 0:
             raise RebalanceError("weight vector has no entries")
         _check_weights(w)
-        w.setflags(write=False)
-        _setattr(self, "identifiers", ids)
-        _setattr(self, "weights", w)
-
-    @classmethod
-    def _wrap(cls, identifiers: tuple[str, ...], w: np.ndarray) -> WeightVector:
-        """``w`` itself as a vector, read-only and unchecked (see ``_scaled``)."""
-        w.setflags(write=False)
-        out = object.__new__(cls)
-        _setattr(out, "identifiers", identifiers)
-        _setattr(out, "weights", w)
-        return out
+        _Record.__init__(self, ids, w)
 
     @classmethod
     def _scaled(cls, identifiers: tuple[str, ...], raw: np.ndarray) -> WeightVector:
-        """``_wrap`` of ``raw`` over its sum. The caller has checked the ids
-        as the constructor does and gives finite nonnegative ``raw``, such
-        as caps, weight-file values or the cap rule's output, with a positive
-        sum that cannot overflow. So the quotients lie in [0, 1] and sum to
-        one within rounding; tests/test_weights.py checks each caller."""
-        return cls._wrap(identifiers, raw / float(np.add.reduce(raw)))
+        """``raw`` over its sum, stored by ``_of`` without the checks. The
+        caller has checked the ids as the constructor does and gives finite
+        nonnegative ``raw``, such as caps, weight-file values or the cap
+        rule's output, with a positive sum that cannot overflow. So the
+        quotients lie in [0, 1] and sum to one within rounding;
+        tests/test_weights.py checks each caller."""
+        return cls._of(identifiers, raw / float(np.add.reduce(raw)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -195,10 +206,6 @@ class WeightVector(_Record):
         return self.identifiers == other.identifiers and np.array_equal(
             self.weights, other.weights
         )
-
-    def __getstate__(self) -> dict[str, object]:
-        # The fields only: the memo of concentration_metrics is not pickled.
-        return {"identifiers": self.identifiers, "weights": self.weights}
 
     @property
     def n(self) -> int:
@@ -241,16 +248,21 @@ class _LazySequence(Sequence[_T]):
         return f"{type(self).__name__}(n={len(self)}, first={self[:3]!r})"
 
 
-class Universe(_LazySequence[Constituent]):
+class Universe(_LazySequence[Constituent], _Record):
     """Constituents held as columns: identifiers and market caps.
 
-    A read-only sequence that builds a ``Constituent`` only when an item
-    is read, so a large universe costs a few arrays rather than one object
+    A frozen record of two fields, whose cap column is read-only, and a
+    read-only sequence that builds a ``Constituent`` only when an item is
+    read: so a large universe costs a few arrays rather than one object
     per row, and ``weights_from_market_caps`` reads the cap column
-    directly. The constructor checks as the parse does: identifiers become
-    strings, nonempty and unique, and caps must be finite and nonnegative,
-    the first bad one named as its ``Constituent`` names it.
+    directly. Its ``==``, ``repr`` and lack of a hash are the sequence's.
+    The constructor checks as the parse does: identifiers become strings,
+    nonempty and unique, and caps must be finite and nonnegative, the
+    first bad one named as its ``Constituent`` names it.
     """
+
+    identifiers: tuple[str, ...]
+    market_caps: np.ndarray
 
     def __init__(
         self, identifiers: Iterable[object], market_caps: Iterable[float]
@@ -262,16 +274,7 @@ class Universe(_LazySequence[Constituent]):
         ):
             i = int((~(caps >= 0.0) | np.isinf(caps)).argmax())
             Constituent(ids[i], caps[i])  # raises its message
-        self.identifiers = ids
-        self.market_caps = caps
-
-    @classmethod
-    def _checked(cls, identifiers: tuple[str, ...], market_caps: np.ndarray) -> Universe:
-        """A universe over columns that ``parse_universe`` has checked as
-        the constructor checks them."""
-        out = object.__new__(cls)
-        out.identifiers, out.market_caps = identifiers, market_caps
-        return out
+        _Record.__init__(self, ids, caps)
 
     def __len__(self) -> int:
         return len(self.identifiers)
@@ -287,8 +290,8 @@ def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
     Zero-cap constituents are kept with weight zero so positions stay
     index-aligned. Order matches the input order. Any sequence of
     constituents other than a ``Universe`` is first made into one, whose
-    constructor checks it; a ``Universe`` was checked when it was built,
-    so its caps are only scaled to one.
+    constructor checks it; a ``Universe`` was checked when it was built
+    and is frozen, with read-only caps, so its caps are only scaled to one.
     """
     if not universe:
         raise RebalanceError("universe is empty")

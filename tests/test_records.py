@@ -1,9 +1,14 @@
-"""The contract of the nine public records: repr, equality and hashing,
-pickling and copying, frozen fields, positional ``match`` and every
-validation message. That a memoized ``WeightVector`` pickles to the same
-bytes is tested in test_diagnostics.py."""
+"""The contract of the ten public records: repr, equality and hashing,
+pickling and copying, frozen fields and read-only arrays, positional
+``match``, constructor parameters and every validation message. A
+``Universe`` is a record whose ``==``, ``repr`` and lack of a hash are
+those of a sequence. Pickles and copies are rebuilt by the constructor,
+so they are checked as the record was. That a memoized ``WeightVector``
+pickles to the same bytes is tested in test_diagnostics.py."""
 
 import copy
+import inspect
+import io
 import math
 import pickle
 
@@ -22,7 +27,10 @@ from powerindex import (
     RebalanceError,
     Universe,
     WeightVector,
+    parse_universe,
+    weights_from_market_caps,
 )
+from powerindex.weights import _Record
 
 from helpers import whole
 
@@ -64,6 +72,9 @@ RECORDS = [
      ("p_star", "achieved", "iterations", "bracket"),
      "CalibrationResult(p_star=0.5, achieved=0.25, iterations=3, "
      "bracket=(0.5, 0.75))"),
+    (Universe(["A", 0], [3, 1.0]), ("identifiers", "market_caps"),
+     "Universe(n=2, first=[Constituent(identifier='A', market_cap=3.0), "
+     "Constituent(identifier='0', market_cap=1.0)])"),
     (OrderViolation("A", "B", 0.25, 0.5, 0.5, 0.25),
      ("identifier_low", "identifier_high", "mu_low", "mu_high", "eta_low", "eta_high"),
      "OrderViolation(identifier_low='A', identifier_high='B', mu_low=0.25, "
@@ -74,7 +85,7 @@ RECORDS = [
      "top_k_sums={1: (0.75, 0.5)}, diversity_before=1.5, diversity_after=2.0)"),
 ]
 IDS = [type(record).__name__ for record, _, _ in RECORDS]
-UNHASHABLE = (WeightVector, DiagnosticsReport)
+UNHASHABLE = (WeightVector, DiagnosticsReport, Universe)
 
 
 def _values(record, names):
@@ -139,12 +150,24 @@ def test_a_subclass_keeps_the_fields_and_compares_by_class():
 
 @pytest.mark.parametrize(("record", "names", "text"), RECORDS, ids=IDS)
 def test_pickle_and_copy_round_trips(record, names, text):
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        back = pickle.loads(pickle.dumps(record, protocol=protocol))
+    backs = [
+        pickle.loads(pickle.dumps(record, protocol=protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for back in backs:
         assert type(back) is type(record) and back == record
-    for twin in (copy.copy(record), copy.deepcopy(record)):
+    twins = (copy.copy(record), copy.deepcopy(record))
+    for twin in twins:
         assert type(twin) is type(record) and twin == record
         assert repr(twin) == text
+    # An array field comes back read-only and, rebuilt by the constructor,
+    # is the record's own: a copy does not share it.
+    for twin in (*backs, *twins):
+        for name in names:
+            value = getattr(twin, name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
+                assert not np.shares_memory(value, getattr(record, name))
 
 
 @pytest.mark.parametrize(("record", "names", "text"), RECORDS, ids=IDS)
@@ -155,6 +178,67 @@ def test_fields_cannot_be_assigned_or_deleted(record, names, text):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert repr(record) == text
+
+
+def test_a_universe_is_frozen_whether_built_or_parsed():
+    built = Universe(["A", "B", "C"], [3.0, 2.0, 1.0])
+    parsed = parse_universe(io.StringIO("id,market_cap\nA,3\nB,2\nC,1\n"))
+    for universe in (built, parsed):
+        with pytest.raises(ValueError):
+            universe.market_caps[1] = -5.0
+        for name in ("identifiers", "market_caps"):
+            with pytest.raises(AttributeError):
+                setattr(universe, name, universe.market_caps.copy())
+        assert universe == [Constituent(i, c) for i, c in zip("ABC", (3, 2, 1))]
+        assert weights_from_market_caps(universe).weights.tolist() == [
+            3.0 / 6.0, 2.0 / 6.0, 1.0 / 6.0
+        ]
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields`` that its constructor would refuse."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+@pytest.mark.parametrize(
+    ("bad", "error", "message"),
+    [
+        (_unchecked(WeightVector, identifiers=("A",), weights=np.array([5.0])),
+         ValueError, "weights must lie in [0, 1]"),
+        (_unchecked(Universe, identifiers=("A", "B"), market_caps=np.array([1, -1.0])),
+         RebalanceError, "B: market_cap -1.0 is negative"),
+    ],
+    ids=["WeightVector", "Universe"],
+)
+def test_a_pickle_is_checked_by_the_constructor_on_load(bad, error, message):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(bad, protocol=protocol)
+        with pytest.raises(error, match=whole(message)):
+            pickle.loads(data)
+    for clone in (copy.copy, copy.deepcopy):
+        with pytest.raises(error, match=whole(message)):
+            clone(bad)
+
+
+def test_a_record_constructor_takes_its_fields_in_order():
+    """A record that writes its own constructor takes its fields, in order,
+    as its parameters: it hands them to the base by position, and the CLI
+    reads a rule's required parameters as those before the defaults."""
+    classes = {type(record) for record, _, _ in RECORDS}
+    own = {cls for cls in classes if "__init__" in vars(cls)}
+    assert {cls.__name__ for cls in own} == {
+        "Constituent", "WeightVector", "PowerRule", "LinearizedPowerRule",
+        "CapRule", "CalibrationTarget", "Universe", "OrderViolation",
+    }
+    # OrderViolation takes the shared constructor's parameters, then checks.
+    assert inspect.signature(OrderViolation) == inspect.signature(_Record)
+    for cls in own - {OrderViolation}:
+        params = inspect.signature(cls).parameters.values()
+        assert tuple(param.name for param in params) == cls._fields, cls
+        assert all(param.kind is param.POSITIONAL_OR_KEYWORD for param in params)
 
 
 def test_positional_match_patterns():
@@ -176,6 +260,8 @@ def test_positional_match_patterns():
                 return (ident, cap)
             case WeightVector(ids, _):
                 return ids
+            case Universe(ids, caps):
+                return ("universe", ids, caps.tolist())
             case DiagnosticsReport([], before, after):
                 return (before, after)
         return None
@@ -190,6 +276,7 @@ def test_positional_match_patterns():
     assert describe(violation) == ("A", "B")
     assert describe(Constituent(1, market_cap=6)) == ("1", 6.0)
     assert describe(WeightVector(["A", "B"], [0.5, 0.5])) == ("A", "B")
+    assert describe(Universe(["A"], [2])) == ("universe", ("A",), [2.0])
     assert describe(_report()) == (0.75, 0.5)
 
 
