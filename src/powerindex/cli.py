@@ -72,7 +72,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rb = sub.add_parser("rebalance", help="apply one reweighting rule")
-    rb.add_argument("--input", required=True, help="constituent CSV")
+    so = sub.add_parser("solve", help="calibrate the exponent to a bound")
+    dg = sub.add_parser("diagnose", help="compare two weight files")
+    cp = sub.add_parser("compare", help="run several rules side by side")
+    for command in (rb, so, cp):
+        command.add_argument("--input", required=True, help="constituent CSV")
+
     rb.add_argument(
         "--method",
         required=True,
@@ -84,18 +89,13 @@ def build_parser() -> _Parser:
     rb.add_argument("--output", required=True, help="report file to write")
     rb.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    so = sub.add_parser("solve", help="calibrate the exponent to a bound")
-    so.add_argument("--input", required=True, help="constituent CSV")
     so.add_argument("--target", required=True, choices=["max", "top-k"])
     so.add_argument("--k", type=int, help="k for the top-k target")
     so.add_argument("--bound", type=float, required=True)
 
-    dg = sub.add_parser("diagnose", help="compare two weight files")
     dg.add_argument("--before", required=True)
     dg.add_argument("--after", required=True)
 
-    cp = sub.add_parser("compare", help="run several rules side by side")
-    cp.add_argument("--input", required=True, help="constituent CSV")
     cp.add_argument(
         "--methods",
         required=True,
@@ -250,17 +250,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     labeled = parse_methods_spec(args.methods)
     mu = weights_from_market_caps(parse_universe(args.input))
     results = compare_methods(mu, [rule for _, rule in labeled])
-    header = (
-        f"{'method':<32} {'turnover':>10} {'max_after':>10} "
-        f"{'violations':>10} {'hhi_after':>10} {'diversity':>10}"
-    )
-    print(header)
+    row = "{:<32} {:>10} {:>10} {:>10} {:>10} {:>10}".format
+    print(row("method", "turnover", "max_after", "violations", "hhi_after", "diversity"))
     for (label, _), (_, report) in zip(labeled, results):
-        print(
-            f"{label:<32} {_g(report.turnover):>10} {_g(report.max_after):>10} "
-            f"{len(report.order_violations):>10} {_g(report.hhi_after):>10} "
-            f"{_g(report.diversity_after):>10}"
-        )
+        print(row(
+            label, _g(report.turnover), _g(report.max_after),
+            len(report.order_violations), _g(report.hhi_after),
+            _g(report.diversity_after),
+        ))
     return EXIT_OK
 
 

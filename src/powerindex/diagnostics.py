@@ -45,7 +45,9 @@ class OrderViolation(_Record):
             )
 
 
-class ConcentrationMetrics(NamedTuple):
+class ConcentrationMetrics(_Record):
+    """One vector's HHI, its top-k sums by k, and its diversity."""
+
     hhi: float
     top_k_sums: dict[int, float]
     diversity: float
@@ -150,7 +152,7 @@ class OrderViolations(_LazySequence[OrderViolation]):
 
     def _violation(self, lo: int, hi: int) -> OrderViolation:
         mu, eta = self._mu, self._eta
-        return OrderViolation(
+        return OrderViolation._of(
             self._ids[lo], self._ids[hi],
             float(mu[lo]), float(mu[hi]), float(eta[lo]), float(eta[hi]),
         )

@@ -140,11 +140,13 @@ def _row_columns(
     width: int,
     numbers: tuple[_Number, ...],
 ) -> tuple[list[str], np.ndarray]:
-    """The identifiers of ``rows``, pairs of a row's number and its
-    fields, and each row's value, the product of its ``numbers``; or the
-    error of the first row that fails, which names it as ``label`` and its
-    number. Each row must have ``width`` fields and lead with a nonempty
-    identifier that no row before it has."""
+    """Each row's identifier and value, as two columns in row order.
+
+    ``rows`` gives each row's number and its fields. A row must have
+    ``width`` fields and lead with a nonempty identifier that no earlier
+    row has; its value is the product of the fields that ``numbers``
+    names. The first row that fails raises a ``RebalanceError`` that
+    names it as ``label`` and its number."""
     seen: set[str] = set()
     ids: list[str] = []
     values = array("d")  # one value per row, at 8 bytes each

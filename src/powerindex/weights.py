@@ -42,9 +42,9 @@ class _Record:
     it is checked as the record was. The base gives the field names as
     ``_fields`` (and as ``__match_args__``, for positional ``match``
     patterns), the values by name from ``_asdict()``, a ``repr`` of the
-    fields, ``==`` between records of one class whose fields are equal, a
-    hash of the field values, and fields that cannot be assigned or
-    deleted.
+    fields, ``==`` between records of one class whose fields are equal (an
+    ndarray field by its values), a hash of the field values, and fields
+    that cannot be assigned or deleted.
     """
 
     _fields: tuple[str, ...] = ()
@@ -77,7 +77,10 @@ class _Record:
     @classmethod
     def _of(cls, *values: Any) -> Any:
         """A record of ``values``, one per field in order, stored without
-        the constructor's checks: for values derived from checked ones."""
+        the constructor's checks: for values derived from checked ones.
+        Its callers are ``WeightVector._scaled``, the power transforms'
+        outputs, ``parse_universe``'s columns, ``Universe._items`` and
+        ``OrderViolations._violation``."""
         out = object.__new__(cls)
         _Record.__init__(out, *values)
         return out
@@ -100,7 +103,13 @@ class _Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()  # type: ignore[attr-defined]
+        # A field is equal if it is the same object or an equal value; an
+        # array by ``np.array_equal``, as ``==`` on arrays is elementwise.
+        pairs = zip(self._values(), other._values())  # type: ignore[attr-defined]
+        return all(
+            a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+            for a, b in pairs
+        )
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -200,13 +209,6 @@ class WeightVector(_Record):
         tests/test_weights.py checks each caller."""
         return cls._of(identifiers, raw / float(np.add.reduce(raw)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.identifiers == other.identifiers and np.array_equal(
-            self.weights, other.weights
-        )
-
     @property
     def n(self) -> int:
         """Number of entries."""
@@ -281,7 +283,7 @@ class Universe(_LazySequence[Constituent], _Record):
 
     def _items(self, positions: range) -> list[Constituent]:
         ids, caps = self.identifiers, self.market_caps
-        return [Constituent(ids[i], caps[i]) for i in positions]
+        return [Constituent._of(ids[i], float(caps[i])) for i in positions]
 
 
 def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:

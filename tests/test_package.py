@@ -288,3 +288,34 @@ def test_the_cli_asks_for_one_blas_thread_before_numpy_loads(tmp_path):
     assert proc.stdout.startswith("p_star=")
     expected = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
     assert json.loads(proc.stderr) == [0, [expected]]
+
+
+# The spans a traced ``paper_sweep`` operation must record.
+SWEEP_SPANS = (
+    "weights.from_market_caps", "calibration.solve", "transforms.power", "diagnostics.report"
+)
+
+
+def test_the_benchmark_still_traces_the_package(tmp_path):
+    """``perfbench/tracing.py`` swaps the package's public functions, and
+    ``WeightVector.__post_init__``, for timing wrappers by name. A fresh
+    interpreter runs the tiny ``paper_sweep`` operations under that
+    tracing: every check passes and each traced layer records a span."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    out = _python(
+        "import json, sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "from pathlib import Path\n"
+        "import workloads\n"
+        "from tracing import Tracer, instrumented\n"
+        f"work = workloads.build('paper_sweep', 7, 'tiny', Path({str(tmp_path)!r}))\n"
+        "tracer, problems = Tracer(), []\n"
+        "with instrumented(tracer):\n"
+        "    for u in work.universes:\n"
+        "        problems += workloads.check_sweep(u, *workloads.sweep_op(u))\n"
+        "print(json.dumps([problems, sorted({span[2] for span in tracer.spans})]))\n"
+    )
+    problems, spans = json.loads(out)
+    assert problems == []
+    assert set(SWEEP_SPANS) <= set(spans), spans

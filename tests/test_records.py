@@ -1,4 +1,4 @@
-"""The contract of the ten public records: repr, equality and hashing,
+"""The contract of the eleven public records: repr, equality and hashing,
 pickling and copying, frozen fields and read-only arrays, positional
 ``match``, constructor parameters and every validation message. A
 ``Universe`` is a record whose ``==``, ``repr`` and lack of a hash are
@@ -7,18 +7,22 @@ so they are checked as the record was. That a memoized ``WeightVector``
 pickles to the same bytes is tested in test_diagnostics.py."""
 
 import copy
+import importlib
 import inspect
 import io
 import math
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import powerindex
 from powerindex import (
     CalibrationResult,
     CalibrationTarget,
     CapRule,
+    ConcentrationMetrics,
     Constituent,
     DiagnosticsReport,
     LinearizedPowerRule,
@@ -27,10 +31,11 @@ from powerindex import (
     RebalanceError,
     Universe,
     WeightVector,
+    find_order_violations,
     parse_universe,
     weights_from_market_caps,
 )
-from powerindex.weights import _Record
+from powerindex.weights import _LazySequence, _Record
 
 from helpers import whole
 
@@ -79,13 +84,16 @@ RECORDS = [
      ("identifier_low", "identifier_high", "mu_low", "mu_high", "eta_low", "eta_high"),
      "OrderViolation(identifier_low='A', identifier_high='B', mu_low=0.25, "
      "mu_high=0.5, eta_low=0.5, eta_high=0.25)"),
+    (ConcentrationMetrics(0.625, {1: 0.75, 5: 1.0}, 1.5),
+     ("hhi", "top_k_sums", "diversity"),
+     "ConcentrationMetrics(hhi=0.625, top_k_sums={1: 0.75, 5: 1.0}, diversity=1.5)"),
     (_report(), REPORT_FIELDS,
      "DiagnosticsReport(order_violations=[], max_before=0.75, max_after=0.5, "
      "max_increased=False, turnover=0.25, hhi_before=0.625, hhi_after=0.5, "
      "top_k_sums={1: (0.75, 0.5)}, diversity_before=1.5, diversity_after=2.0)"),
 ]
 IDS = [type(record).__name__ for record, _, _ in RECORDS]
-UNHASHABLE = (WeightVector, DiagnosticsReport, Universe)
+UNHASHABLE = (WeightVector, ConcentrationMetrics, DiagnosticsReport, Universe)
 
 
 def _values(record, names):
@@ -264,6 +272,8 @@ def test_positional_match_patterns():
                 return ("universe", ids, caps.tolist())
             case DiagnosticsReport([], before, after):
                 return (before, after)
+            case ConcentrationMetrics(hhi, _, diversity):
+                return ("metrics", hhi, diversity)
         return None
 
     assert describe(PowerRule(0.5)) == ("power", 0.5)
@@ -278,6 +288,8 @@ def test_positional_match_patterns():
     assert describe(WeightVector(["A", "B"], [0.5, 0.5])) == ("A", "B")
     assert describe(Universe(["A"], [2])) == ("universe", ("A",), [2.0])
     assert describe(_report()) == (0.75, 0.5)
+    metrics = ConcentrationMetrics(0.5, {1: 0.5}, 2.0)
+    assert describe(metrics) == ("metrics", 0.5, 2.0)
 
 
 REJECTED = [
@@ -359,6 +371,58 @@ def test_converged_is_a_constant_not_a_field():
         result.converged = False
 
 
+def test_records_are_one_kind_with_one_equality():
+    """Every public class with fields is a ``_Record``, none is a tuple,
+    and only the record base and the lazy sequence define ``==``."""
+    modules = [
+        importlib.import_module(f"powerindex.{info.name}")
+        for info in pkgutil.iter_modules(powerindex.__path__)
+    ]
+    classes = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    }
+    assert {cls for cls in classes if "__eq__" in vars(cls)} == {_Record, _LazySequence}
+    public = [getattr(powerindex, name) for name in powerindex.__all__]
+    fielded = [obj for obj in public if isinstance(obj, type) and hasattr(obj, "_fields")]
+    assert {cls.__name__ for cls in fielded} == {
+        type(record).__name__ for record, _, _ in RECORDS
+    }
+    assert all(issubclass(cls, _Record) for cls in fielded)
+    assert not [obj for obj in public if isinstance(obj, type) and issubclass(obj, tuple)]
+
+
+def test_derived_items_are_stored_by_of_and_equal_checked_records(monkeypatch):
+    """A universe's items and the violations listed are derived from
+    checked columns, so they are stored by ``_of`` and not rebuilt by the
+    checking constructor; each holds builtin floats and equals the record
+    that constructor builds from the same values."""
+    built = Universe(["A", "B", "C"], np.array([3.0, 1.0, 2.0], dtype=np.float32))
+    parsed = parse_universe(io.StringIO("id,market_cap\nA,3\nB,1\nC,2\n"))
+    mu = weights_from_market_caps(parsed)
+    violations = find_order_violations(mu, WeightVector("ABC", [0.25, 0.5, 0.25]))
+
+    def refused(self, *values, **named):
+        raise AssertionError(f"{type(self).__name__} rebuilt by its constructor")
+
+    with monkeypatch.context() as patch:
+        for cls in (Constituent, OrderViolation):
+            patch.setattr(cls, "__init__", refused)
+        items = [*built, *parsed[::-1], parsed[1]]
+        listed = [*violations, violations[-1]]
+    assert items == [Constituent(i, c) for i, c in zip("ABCCBAB", (3, 1, 2, 2, 1, 3, 1))]
+    assert [(v.identifier_low, v.identifier_high) for v in listed] == [
+        ("B", "A"), ("B", "C"), ("B", "C")
+    ]
+    assert listed == [OrderViolation(*v._values()) for v in listed]
+    for record in (*items, *listed):
+        assert [type(value) for value in record._values()] == [
+            str if name.startswith("identifier") else float for name in record._fields
+        ]
+
+
 def test_a_constituent_is_an_identifier_and_a_cap_read_as_a_universe_reads_them():
     assert Constituent(0, 1.0) == Universe([0], [1.0])[0]
     assert Constituent(1, 2.0).identifier == "1"
@@ -387,7 +451,7 @@ def test_constructors_take_each_field_by_position_and_keyword():
         assert type(record)(*values[:2], **dict(zip(names[2:], values[2:]))) == record
     # The records that take their fields through the shared constructor name
     # a field that is unknown, given twice or missing, and one too many.
-    shared = (CalibrationResult, OrderViolation, DiagnosticsReport)
+    shared = (CalibrationResult, OrderViolation, ConcentrationMetrics, DiagnosticsReport)
     for record in [record for record, _, _ in RECORDS if type(record) in shared]:
         cls, names = type(record), record._fields
         values, name = _values(record, names), cls.__name__

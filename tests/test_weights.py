@@ -299,12 +299,12 @@ def test_order_violations_build_only_what_is_read(monkeypatch):
     violations = cap_violations()
     built = []
 
-    def counted(*values, **named):
-        built.append((values, named))
-        return real(*values, **named)
+    def counted(cls, *values):
+        built.append(values)
+        return real(*values)
 
-    real = diagnostics.OrderViolation
-    monkeypatch.setattr(diagnostics, "OrderViolation", counted)
+    real = diagnostics.OrderViolation._of
+    monkeypatch.setattr(diagnostics.OrderViolation, "_of", classmethod(counted))
     for key, count in ((slice(None, 20), 20), (slice(-1, -20, -9), 3), (7, 1), (-1, 1)):
         built.clear()
         out = violations[key]
@@ -312,7 +312,7 @@ def test_order_violations_build_only_what_is_read(monkeypatch):
         if isinstance(key, slice):
             assert len(out) == count
         else:
-            assert out == real(*built[0][0], **built[0][1])
+            assert out == diagnostics.OrderViolation(*built[0])
 
 
 def assert_derived(eta: WeightVector, ids: tuple[str, ...], *inputs: np.ndarray) -> None:
