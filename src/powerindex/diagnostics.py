@@ -9,16 +9,17 @@ turnover and concentration metrics for the before/after pair.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator, Sequence
 from itertools import compress, islice, starmap
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, overload
 
 import numpy as np
 
 from .calibration import _top_k_sums
 from .errors import RebalanceError
 from .transforms import RebalanceRule, apply_rule
-from .weights import WeightVector, _LazySequence, _Record
+from .weights import WeightVector, _Record
 
 # Power rules keep the max exactly; this slack is for diagnose on any files.
 MAX_INCREASE_TOL = 1e-12
@@ -112,15 +113,17 @@ def _rows_with_partner(eta_s: np.ndarray, order: np.ndarray) -> np.ndarray:
     return rows
 
 
-class OrderViolations(_LazySequence[OrderViolation]):
+class OrderViolations(Sequence[OrderViolation]):
     """The flipped pairs of a rebalance as a read-only sequence.
 
     ``len()`` is the exact count, taken in O(n log n) without listing a
-    pair. ``OrderViolation`` objects are built only as they are read, in
-    the order of a double loop over the entries: pairs (a, b) with a < b
-    in input order, by a and then by b. Reading the first k pairs scans
-    about 2k entries at most, with one O(n) comparison each, so a short
-    prefix stays cheap when the count is in the hundreds of millions.
+    pair. ``OrderViolation`` objects are built only as they are read, by
+    iteration or by int, negative or slice indexing, in the order of a
+    double loop over the entries: pairs (a, b) with a < b in input order,
+    by a and then by b. Reading the first k pairs scans about 2k entries
+    at most, with one O(n) comparison each, so a short prefix stays cheap
+    when the count is in the hundreds of millions. Compares equal to any
+    sequence holding the same pairs.
     """
 
     def __init__(
@@ -163,13 +166,32 @@ class OrderViolations(_LazySequence[OrderViolation]):
     def __iter__(self) -> Iterator[OrderViolation]:
         return starmap(self._violation, self._pairs())
 
-    def _items(self, positions: range) -> list[OrderViolation]:
-        if not positions:
+    @overload
+    def __getitem__(self, key: int) -> OrderViolation: ...
+
+    @overload
+    def __getitem__(self, key: slice) -> list[OrderViolation]: ...
+
+    def __getitem__(
+        self, key: int | slice
+    ) -> OrderViolation | list[OrderViolation]:
+        picked = range(self._count)[key]
+        if not isinstance(picked, range):
+            return self._violation(*next(islice(self._pairs(), picked, None)))
+        if not picked:
             return []
-        ahead = positions if positions.step > 0 else positions[::-1]
+        ahead = picked if picked.step > 0 else picked[::-1]
         pairs = islice(self._pairs(), ahead.start, ahead.stop, ahead.step)
         chosen = list(starmap(self._violation, pairs))
-        return chosen if positions.step > 0 else chosen[::-1]
+        return chosen if picked.step > 0 else chosen[::-1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={len(self)}, first={self[:3]!r})"
 
 
 class _Pairing(NamedTuple):

@@ -392,9 +392,8 @@ def _csv_columns(
 def parse_universe(source: str | Path | IO[str]) -> Universe:
     """Read a constituent CSV, auto-detecting which schema the header
     declares. Market caps are price times shares when the file carries
-    those instead, and only the caps are kept. The rows fill columns,
-    returned as a ``Universe`` that builds each ``Constituent`` only when
-    it is read."""
+    those instead, and only the caps are kept. The rows fill the two
+    columns of the ``Universe`` returned: identifiers and market caps."""
     ids, caps = _csv_columns(_read_text(source), UNIVERSE_HEADERS, "header")
     return Universe._of(tuple(ids), caps)
 

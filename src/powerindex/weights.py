@@ -9,19 +9,15 @@ before/after comparisons.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from typing import Any, TypeVar, overload
+from typing import Any
 
 import numpy as np
 
 from .errors import RebalanceError
 
 SUM_TOL = 1e-12
-
-_T = TypeVar("_T")
-
 
 # Writes a record's field past its frozen ``__setattr__``. Unlike a write
 # through ``__dict__``, it adds no dict object to the instance.
@@ -79,7 +75,7 @@ class _Record:
         """A record of ``values``, one per field in order, stored without
         the constructor's checks: for values derived from checked ones.
         Its callers are ``WeightVector._scaled``, the power transforms'
-        outputs, ``parse_universe``'s columns, ``Universe._items`` and
+        outputs, ``parse_universe``'s columns and
         ``OrderViolations._violation``."""
         out = object.__new__(cls)
         _Record.__init__(out, *values)
@@ -124,22 +120,17 @@ class _Record:
 class Constituent(_Record):
     """A named index member and its market capitalization.
 
-    The identifier is read as ``str(identifier)`` and must be nonempty, as
-    ``Universe`` and ``WeightVector`` read identifiers; the cap must be
-    finite and nonnegative.
+    The identifier is read as ``str(identifier)`` and the cap as
+    ``float(market_cap)``, and the row is checked as a one-name
+    ``Universe`` is: a nonempty identifier, and a finite, nonnegative cap.
     """
 
     identifier: str
     market_cap: float
 
     def __init__(self, identifier: object, market_cap: float) -> None:
-        ident = str(identifier)
-        _check_ids((ident,))
-        cap = float(market_cap)
-        if not math.isfinite(cap):
-            raise ValueError(f"{ident}: market_cap must be finite")
-        if cap < 0:
-            raise RebalanceError(f"{ident}: market_cap {cap!r} is negative")
+        ident, cap = str(identifier), float(market_cap)
+        Universe((ident,), (cap,))  # a universe's checks, on one row
         _Record.__init__(self, ident, cap)
 
 
@@ -218,49 +209,15 @@ class WeightVector(_Record):
         return self.n
 
 
-class _LazySequence(Sequence[_T]):
-    """A read-only sequence whose items are built only as they are read.
+class Universe(_Record):
+    """A universe as two columns: identifiers and market caps.
 
-    A subclass gives ``__len__`` and ``_items(positions)``, the items at
-    ``positions``, a range of valid indices in either direction. Compares
-    equal to any sequence holding the same items.
-    """
-
-    def _items(self, positions: range) -> list[_T]:
-        raise NotImplementedError
-
-    @overload
-    def __getitem__(self, key: int) -> _T: ...
-
-    @overload
-    def __getitem__(self, key: slice) -> list[_T]: ...
-
-    def __getitem__(self, key: int | slice) -> _T | list[_T]:
-        picked = range(len(self))[key]
-        if isinstance(picked, range):
-            return self._items(picked)
-        return self._items(range(picked, picked + 1))[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={len(self)}, first={self[:3]!r})"
-
-
-class Universe(_LazySequence[Constituent], _Record):
-    """Constituents held as columns: identifiers and market caps.
-
-    A frozen record of two fields, whose cap column is read-only, and a
-    read-only sequence that builds a ``Constituent`` only when an item is
-    read: so a large universe costs a few arrays rather than one object
-    per row, and ``weights_from_market_caps`` reads the cap column
-    directly. Its ``==``, ``repr`` and lack of a hash are the sequence's.
-    The constructor checks as the parse does: identifiers become strings,
-    nonempty and unique, and caps must be finite and nonnegative, the
-    first bad one named as its ``Constituent`` names it.
+    A frozen record, so a large universe costs a few arrays rather than
+    one object per row; its cap column is read-only, and
+    ``weights_from_market_caps`` reads it directly. ``len()`` is the
+    number of names. The constructor checks as the parse does:
+    identifiers become strings, nonempty and unique, and caps must be
+    finite and nonnegative, the first bad one named with its identifier.
     """
 
     identifiers: tuple[str, ...]
@@ -275,25 +232,26 @@ class Universe(_LazySequence[Constituent], _Record):
             0.0 <= np.minimum.reduce(caps) and np.maximum.reduce(caps) < math.inf
         ):
             i = int((~(caps >= 0.0) | np.isinf(caps)).argmax())
-            Constituent(ids[i], caps[i])  # raises its message
+            ident, cap = ids[i], float(caps[i])
+            if not math.isfinite(cap):
+                raise ValueError(f"{ident}: market_cap must be finite")
+            raise RebalanceError(f"{ident}: market_cap {cap!r} is negative")
         _Record.__init__(self, ids, caps)
 
     def __len__(self) -> int:
         return len(self.identifiers)
 
-    def _items(self, positions: range) -> list[Constituent]:
-        ids, caps = self.identifiers, self.market_caps
-        return [Constituent._of(ids[i], float(caps[i])) for i in positions]
 
-
-def weights_from_market_caps(universe: Sequence[Constituent]) -> WeightVector:
+def weights_from_market_caps(
+    universe: Universe | Sequence[Constituent],
+) -> WeightVector:
     """Market-cap weights: each constituent's share of the aggregate cap.
 
     Zero-cap constituents are kept with weight zero so positions stay
-    index-aligned. Order matches the input order. Any sequence of
-    constituents other than a ``Universe`` is first made into one, whose
-    constructor checks it; a ``Universe`` was checked when it was built
-    and is frozen, with read-only caps, so its caps are only scaled to one.
+    index-aligned. Order matches the input order. A sequence of
+    ``Constituent``s is first made into a ``Universe``, whose constructor
+    checks it; a ``Universe`` was checked when it was built and is frozen,
+    with read-only caps, so its caps are only scaled to one.
     """
     if not universe:
         raise RebalanceError("universe is empty")

@@ -19,6 +19,7 @@ from powerindex import (
     LinearizedPowerRule,
     PowerRule,
     RebalanceError,
+    Universe,
     WeightVector,
     apply_rule,
     diagnostics_report,
@@ -92,14 +93,12 @@ def payload_rows(payload):
 class TestParseUniverse:
     def test_market_cap_schema(self):
         out = parse_universe(io.StringIO("id,market_cap\nAAA,70\nBBB,30\n"))
-        assert [(c.identifier, c.market_cap) for c in out] == [
-            ("AAA", 70.0),
-            ("BBB", 30.0),
-        ]
+        assert out.identifiers == ("AAA", "BBB")
+        assert out.market_caps.tolist() == [70.0, 30.0]
 
     def test_price_shares_schema(self):
         out = parse_universe(io.StringIO("id,price,shares\nAAA,10,7\n"))
-        assert out[0].market_cap == 70.0
+        assert out.market_caps.tolist() == [70.0]
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "u.csv"
@@ -108,7 +107,7 @@ class TestParseUniverse:
 
     def test_header_tolerates_case_and_spaces(self):
         out = parse_universe(io.StringIO("ID, Market_Cap\nAAA,70\n"))
-        assert out[0].market_cap == 70.0
+        assert out.market_caps.tolist() == [70.0]
 
     def test_blank_lines_skipped(self):
         out = parse_universe(io.StringIO("id,market_cap\n\nAAA,70\n\nBBB,30\n"))
@@ -191,15 +190,13 @@ class TestParseUniverse:
             ),
         ],
     )
-    def test_universe_is_a_sequence_of_constituents(self, text, expected):
+    def test_universe_holds_the_rows_as_two_columns(self, text, expected):
         out = parse_universe(io.StringIO(text))
+        ids = tuple(c.identifier for c in expected)
+        caps = [c.market_cap for c in expected]
         assert len(out) == 3
-        assert out[0] == expected[0] and out[-1] == expected[-1]
-        assert out[1:] == expected[1:] and out[::-2] == expected[::-2]
-        assert list(out) == expected and out == expected
-        assert [c.market_cap for c in out] == [c.market_cap for c in expected]
-        with pytest.raises(IndexError):
-            out[3]
+        assert out.identifiers == ids and out.market_caps.tolist() == caps
+        assert out == Universe(ids, caps)
         columns = weights_from_market_caps(out)
         rows = weights_from_market_caps(expected)
         assert columns.identifiers == rows.identifiers
@@ -207,7 +204,7 @@ class TestParseUniverse:
 
     def test_zero_market_cap_accepted(self):
         out = parse_universe(io.StringIO("id,market_cap\nAAA,0\nBBB,5\n"))
-        assert out[0].market_cap == 0.0
+        assert out.market_caps.tolist() == [0.0, 5.0]
 
     @pytest.mark.parametrize(
         "text, ids, caps",
@@ -750,12 +747,12 @@ def outcome(read, text):
 
 def universe_columns(text):
     out = parse_universe(io.StringIO(text))
-    return out.identifiers, out.market_caps.tolist(), list(out)
+    return out.identifiers, out.market_caps.tolist(), out
 
 
 def reference_universe_columns(text):
     ids, caps = reference_parse_universe(text)
-    return ids, caps, [Constituent(i, market_cap=c) for i, c in zip(ids, caps)]
+    return ids, caps, Universe(ids, caps)
 
 
 def weight_columns(text):

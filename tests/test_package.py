@@ -296,26 +296,55 @@ SWEEP_SPANS = (
 )
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _traced(body: str) -> object:
+    """Run ``body`` in a fresh interpreter that imports ``perfbench``'s
+    ``tracing`` without writing bytecode, as the benchmark does; return
+    what it prints, read as JSON."""
+    return json.loads(_python(
+        "import json, sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "from pathlib import Path\n"
+        "from tracing import Tracer, instrumented\n"
+        "tracer = Tracer()\n" + body
+    ))
+
+
 def test_the_benchmark_still_traces_the_package(tmp_path):
     """``perfbench/tracing.py`` swaps the package's public functions, and
     ``WeightVector.__post_init__``, for timing wrappers by name. A fresh
     interpreter runs the tiny ``paper_sweep`` operations under that
     tracing: every check passes and each traced layer records a span."""
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    out = _python(
-        "import json, sys\n"
-        "sys.dont_write_bytecode = True\n"
-        f"sys.path.insert(0, {str(perfbench)!r})\n"
-        "from pathlib import Path\n"
+    problems, spans = _traced(
         "import workloads\n"
-        "from tracing import Tracer, instrumented\n"
         f"work = workloads.build('paper_sweep', 7, 'tiny', Path({str(tmp_path)!r}))\n"
-        "tracer, problems = Tracer(), []\n"
+        "problems = []\n"
         "with instrumented(tracer):\n"
         "    for u in work.universes:\n"
         "        problems += workloads.check_sweep(u, *workloads.sweep_op(u))\n"
         "print(json.dumps([problems, sorted({span[2] for span in tracer.spans})]))\n"
     )
-    problems, spans = json.loads(out)
     assert problems == []
     assert set(SWEEP_SPANS) <= set(spans), spans
+
+
+def test_the_benchmark_counts_the_rows_the_readers_return(tmp_path):
+    """The benchmark's CLI workloads count ``io.rows`` as ``len()`` of a
+    parsed ``Universe`` and as ``.n`` of a read ``WeightVector``, and
+    ``io.bytes_read`` as the file's size. A fresh interpreter reads a
+    three-name universe and a two-name weight file under that tracing."""
+    universe, weights = tmp_path / "universe.csv", tmp_path / "weights.csv"
+    universe.write_text("id,market_cap\nA,3\nB,2\nC,1\n")
+    weights.write_text("id,weight\nA,0.75\nB,0.25\n")
+    rows, sizes = _traced(
+        "from powerindex import io\n"
+        "with instrumented(tracer):\n"
+        f"    io.parse_universe(Path({str(universe)!r}))\n"
+        f"    io.read_weight_file(Path({str(weights)!r}))\n"
+        "print(json.dumps([tracer.counts('io.rows'), tracer.counts('io.bytes_read')]))\n"
+    )
+    assert rows == [3.0, 2.0]
+    assert sizes == [universe.stat().st_size, weights.stat().st_size]

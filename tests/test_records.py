@@ -1,8 +1,8 @@
 """The contract of the eleven public records: repr, equality and hashing,
 pickling and copying, frozen fields and read-only arrays, positional
 ``match``, constructor parameters and every validation message. A
-``Universe`` is a record whose ``==``, ``repr`` and lack of a hash are
-those of a sequence. Pickles and copies are rebuilt by the constructor,
+``Universe`` is a record of two columns like any other, not a sequence of
+its constituents. Pickles and copies are rebuilt by the constructor,
 so they are checked as the record was. That a memoized ``WeightVector``
 pickles to the same bytes is tested in test_diagnostics.py."""
 
@@ -35,7 +35,8 @@ from powerindex import (
     parse_universe,
     weights_from_market_caps,
 )
-from powerindex.weights import _LazySequence, _Record
+from powerindex.diagnostics import OrderViolations
+from powerindex.weights import _Record
 
 from helpers import whole
 
@@ -78,8 +79,7 @@ RECORDS = [
      "CalibrationResult(p_star=0.5, achieved=0.25, iterations=3, "
      "bracket=(0.5, 0.75))"),
     (Universe(["A", 0], [3, 1.0]), ("identifiers", "market_caps"),
-     "Universe(n=2, first=[Constituent(identifier='A', market_cap=3.0), "
-     "Constituent(identifier='0', market_cap=1.0)])"),
+     "Universe(identifiers=('A', '0'), market_caps=array([3., 1.]))"),
     (OrderViolation("A", "B", 0.25, 0.5, 0.5, 0.25),
      ("identifier_low", "identifier_high", "mu_low", "mu_high", "eta_low", "eta_high"),
      "OrderViolation(identifier_low='A', identifier_high='B', mu_low=0.25, "
@@ -197,7 +197,8 @@ def test_a_universe_is_frozen_whether_built_or_parsed():
         for name in ("identifiers", "market_caps"):
             with pytest.raises(AttributeError):
                 setattr(universe, name, universe.market_caps.copy())
-        assert universe == [Constituent(i, c) for i, c in zip("ABC", (3, 2, 1))]
+        assert universe.identifiers == ("A", "B", "C")
+        assert universe.market_caps.tolist() == [3.0, 2.0, 1.0]
         assert weights_from_market_caps(universe).weights.tolist() == [
             3.0 / 6.0, 2.0 / 6.0, 1.0 / 6.0
         ]
@@ -373,7 +374,7 @@ def test_converged_is_a_constant_not_a_field():
 
 def test_records_are_one_kind_with_one_equality():
     """Every public class with fields is a ``_Record``, none is a tuple,
-    and only the record base and the lazy sequence define ``==``."""
+    and only the record base and the lazy list of violations define ``==``."""
     modules = [
         importlib.import_module(f"powerindex.{info.name}")
         for info in pkgutil.iter_modules(powerindex.__path__)
@@ -384,7 +385,7 @@ def test_records_are_one_kind_with_one_equality():
         for value in vars(module).values()
         if isinstance(value, type) and value.__module__ == module.__name__
     }
-    assert {cls for cls in classes if "__eq__" in vars(cls)} == {_Record, _LazySequence}
+    assert {cls for cls in classes if "__eq__" in vars(cls)} == {_Record, OrderViolations}
     public = [getattr(powerindex, name) for name in powerindex.__all__]
     fielded = [obj for obj in public if isinstance(obj, type) and hasattr(obj, "_fields")]
     assert {cls.__name__ for cls in fielded} == {
@@ -395,11 +396,10 @@ def test_records_are_one_kind_with_one_equality():
 
 
 def test_derived_items_are_stored_by_of_and_equal_checked_records(monkeypatch):
-    """A universe's items and the violations listed are derived from
-    checked columns, so they are stored by ``_of`` and not rebuilt by the
-    checking constructor; each holds builtin floats and equals the record
-    that constructor builds from the same values."""
-    built = Universe(["A", "B", "C"], np.array([3.0, 1.0, 2.0], dtype=np.float32))
+    """The violations listed are derived from checked columns, so they are
+    stored by ``_of`` and not rebuilt by the checking constructor; each
+    holds builtin floats and equals the record that constructor builds
+    from the same values."""
     parsed = parse_universe(io.StringIO("id,market_cap\nA,3\nB,1\nC,2\n"))
     mu = weights_from_market_caps(parsed)
     violations = find_order_violations(mu, WeightVector("ABC", [0.25, 0.5, 0.25]))
@@ -408,26 +408,41 @@ def test_derived_items_are_stored_by_of_and_equal_checked_records(monkeypatch):
         raise AssertionError(f"{type(self).__name__} rebuilt by its constructor")
 
     with monkeypatch.context() as patch:
-        for cls in (Constituent, OrderViolation):
-            patch.setattr(cls, "__init__", refused)
-        items = [*built, *parsed[::-1], parsed[1]]
+        patch.setattr(OrderViolation, "__init__", refused)
         listed = [*violations, violations[-1]]
-    assert items == [Constituent(i, c) for i, c in zip("ABCCBAB", (3, 1, 2, 2, 1, 3, 1))]
     assert [(v.identifier_low, v.identifier_high) for v in listed] == [
         ("B", "A"), ("B", "C"), ("B", "C")
     ]
     assert listed == [OrderViolation(*v._values()) for v in listed]
-    for record in (*items, *listed):
+    for record in listed:
         assert [type(value) for value in record._values()] == [
             str if name.startswith("identifier") else float for name in record._fields
         ]
 
 
 def test_a_constituent_is_an_identifier_and_a_cap_read_as_a_universe_reads_them():
-    assert Constituent(0, 1.0) == Universe([0], [1.0])[0]
     assert Constituent(1, 2.0).identifier == "1"
     with pytest.raises(TypeError):
         Constituent("A")
+
+
+def test_a_universe_is_two_columns_not_a_sequence_of_constituents():
+    """A universe compares as a record, field by field: equal to a universe
+    with the same columns, and never to its constituents as a list or a
+    tuple, which it neither indexes nor iterates."""
+    universe = Universe(["A", "B"], [2.0, 1.0])
+    rows = [Constituent("A", 2.0), Constituent("B", 1.0)]
+    assert Universe.__mro__ == (Universe, _Record, object)
+    assert universe != rows and universe != tuple(rows) and rows != universe
+    assert universe.__eq__(rows) is NotImplemented
+    assert universe == Universe(("A", "B"), np.array([2, 1], dtype=np.float32))
+    assert universe != Universe(["A", "B"], [2.0, 1.5])
+    assert universe != Universe(["B", "A"], [2.0, 1.0])
+    assert len(universe) == 2
+    with pytest.raises(TypeError):
+        universe[0]
+    with pytest.raises(TypeError):
+        iter(universe)
 
 
 def test_constructors_take_each_field_by_position_and_keyword():
