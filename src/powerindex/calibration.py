@@ -3,7 +3,7 @@
 Concentration statistics (max weight, top-k aggregate) are nondecreasing
 in the power exponent p, so a bound on either statistic pins down the
 largest admissible p. The solver finds it by safeguarded Newton steps
-on the log of the statistic, kept inside a shrinking bisection bracket
+on the logit of the statistic, kept inside a shrinking bisection bracket
 (Brent 1973; ``rtsafe`` in *Numerical Recipes*), and returns that
 largest p: the smallest deviation from cap weighting that still meets
 the cap.
@@ -17,7 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, RebalanceError
-from .transforms import power_weights
+from .transforms import _divisor
 from .weights import WeightVector, _Record
 
 MAX_ITERATIONS = 200
@@ -92,13 +92,18 @@ def _positive_k(k: object) -> int:
     raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
-def _top_k_sums(weights: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
-    """``top_k_sum`` for each of ``ks``, positive ints, from one partition
-    and one sorted tail."""
+def _top_k_sums(
+    weights: np.ndarray, ks: Sequence[int], order: np.ndarray | None = None
+) -> dict[int, float]:
+    """``top_k_sum`` for each of ``ks``, positive ints, from one sorted
+    tail: the end of ``order``, an ascending order of the weights, or
+    else one partition, sorted."""
     n = weights.size
     kmax = max([k for k in ks if k < n], default=0)
     tail = weights
-    if kmax:
+    if kmax and order is not None:
+        tail = weights[order[-kmax:]]
+    elif kmax:
         tail = np.partition(weights, -kmax)[-kmax:]  # a fresh array
         tail.sort()
     return {k: float(np.add.reduce(tail[-k:] if k < n else weights)) for k in ks}
@@ -125,9 +130,10 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
     bound is a builtin float, so every comparison is in double precision.
     Returns p=1 immediately when the input already satisfies the bound.
     Otherwise keeps a bracket [lo, hi] of [0, 1] with statistic(lo) <= bound <
-    statistic(hi), and steps by Newton on log statistic(p) - log bound
-    from the last point tried; a step that leaves the bracket, a slope
-    that is not positive, or two steps in a row that stalled on one side
+    statistic(hi), and steps by Newton on the logit of the statistic,
+    log(S / (1 - S)) - log(bound / (1 - bound)), from the last point tried;
+    a step that leaves the bracket, a slope that is not positive, a
+    statistic that rounds to 1, or two steps in a row that stalled on one side
     of the root give way to the bracket's midpoint (``rtsafe``'s fallback).
     It stops when the bracket is narrower than ``TOL`` and returns its
     feasible end, so ``achieved <= bound`` holds exactly, and the other
@@ -138,47 +144,57 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
     ``MAX_ITERATIONS`` steps raises ``RebalanceError``, so every result
     returned is converged. Deterministic for fixed inputs.
 
-    Each step works on arrays: the logs of the positive weights and the
-    top-k index set are taken once, the weights at p come from
-    ``power_weights`` as ``power_rebalance``'s do, and the statistic is
-    summed as ``concentration_statistic`` sums it, without building a
-    ``WeightVector``.
+    Each step works on arrays, with the transform's rules but only its k
+    top entries: the logs of the positive weights and the top k of them,
+    sorted by weight, are taken once, since the transform preserves
+    order. At p the weights' curve, its sum and its divisor are
+    ``power_weights``'s, and the k top quotients, already ascending, are
+    summed as ``top_k_sum`` sums them: ``achieved`` has the bits of the
+    statistic of ``power_rebalance(mu, p_star)``.
     """
     k = _k_of(target)
     w = mu.weights
     positive = w > 0.0
-    log_positive = np.log(w[positive])
-    m = log_positive.size
+    w_pos = w[positive]
+    log_pos = np.log(w_pos)
+    m = log_pos.size
     if k >= m:
         raise InfeasibleError(
             f"the top {k} weights hold all {m} positive ones, so the "
             f"statistic is 1 for every p, above the bound {target.bound!r}"
         )
-    # The transform preserves order, so the entries that hold the
-    # statistic are the same for every p, and all positive. Ties at the
-    # k-th place do not matter: tied weights stay equal for every p.
-    top = np.argpartition(w, -k)[-k:]
-    log_top = np.log(w[top])
-    log_bound = math.log(target.bound)
-    all_positive = m == w.size
+    # The k top positions, ascending by weight. Ties at the k-th place do
+    # not matter: tied weights stay equal for every p.
+    top = np.argpartition(w_pos, -k)[-k:]
+    top = top[np.argsort(w_pos[top], kind="stable")]
+    log_top = log_pos[top]
+    peak = w_pos.argmax()
+    # With zeros the transform sums the full-length weights, whose bits
+    # the sum of the positive ones alone need not have.
+    spread = None if m == w.size else np.zeros_like(w)
 
     def evaluate(p: float) -> tuple[float, float]:
         """The statistic at p, and the slope of its log: the w**p-tilted
         mean of log w over the top entries minus that over all positive
         ones."""
-        v = power_weights(w, p, logs=log_positive)  # a fresh array
-        held, on_all = v[top], (v if all_positive else v[positive])
+        curve = w_pos if p == 1.0 else np.exp(p * log_pos)
+        if spread is not None:
+            spread[positive] = curve
+        total = float(np.add.reduce(curve if spread is None else spread))
+        # At p = 1 the transform returns the weights themselves.
+        divisor = 1.0 if p == 1.0 else _divisor(curve[peak], w_pos[peak], total)
+        held = curve[top] / divisor
+        value = float(np.add.reduce(held))
         slope = float(
-            np.add.reduce(log_top * held) / np.add.reduce(held)
-            - np.add.reduce(log_positive * on_all) / np.add.reduce(on_all)
+            np.add.reduce(log_top * held) / value
+            - np.add.reduce(log_pos * curve) / total
         )
-        held.sort()
-        return float(np.add.reduce(held)), slope
+        return value, slope
 
     # At p = 0 each positive weight is exactly 1/m, the bits of evaluate(0.0),
     # unless 1/m is above the max, which power_weights does not let grow.
     at_zero = np.full(k, 1.0 / m)
-    floor = evaluate(0.0)[0] if 1.0 / m > w.max() else float(np.add.reduce(at_zero))
+    floor = evaluate(0.0)[0] if 1.0 / m > w_pos[peak] else float(np.add.reduce(at_zero))
     if floor > target.bound:
         raise InfeasibleError(
             f"bound {target.bound!r} lies below the fully diversified "
@@ -188,7 +204,9 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
     if value <= target.bound:
         return CalibrationResult(1.0, value, 0, (1.0, 1.0))
 
-    # Invariant: residual(lo) <= 0 < residual(hi).
+    # Newton runs on the logit of the statistic, whose slope is that of
+    # its log over 1 - statistic. Invariant: residual(lo) <= 0 < residual(hi).
+    logit_bound = math.log(target.bound / (1.0 - target.bound))
     lo, hi = 0.0, 1.0
     p, achieved, stalls = 1.0, floor, 0
     iterations = 0
@@ -199,11 +217,13 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
                 f"solver exceeded {MAX_ITERATIONS} iterations "
                 f"(bracket [{lo!r}, {hi!r}])"
             )
-        # A slope that is not positive gives NaN, which takes the midpoint;
-        # so do two stalled steps in a row, where the statistic is flat to
-        # rounding and Newton creeps.
-        newton = slope > 0.0 and stalls < 2
-        step = p - (math.log(value) - log_bound) / slope if newton else math.nan
+        # A slope that is not positive, or a statistic that rounds to 1,
+        # takes the midpoint; so do two stalled steps in a row, where the
+        # statistic is flat to rounding and Newton creeps.
+        newton = slope > 0.0 and value < 1.0 and stalls < 2
+        step = math.nan
+        if newton:
+            step = p - (math.log(value / (1.0 - value)) - logit_bound) * (1.0 - value) / slope
         # Keep TOL / 2 from either end, so that a step within TOL of the
         # root lands past it and closes the bracket.
         p = min(max(step, lo + 0.5 * TOL), hi - 0.5 * TOL)

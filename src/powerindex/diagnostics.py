@@ -98,6 +98,14 @@ def _count_inversions(values: np.ndarray) -> int:
     return total
 
 
+def _nondecreasing(values: np.ndarray) -> bool:
+    return not np.count_nonzero(values[1:] < values[:-1])
+
+
+def _increasing(values: np.ndarray) -> bool:
+    return not np.count_nonzero(values[1:] <= values[:-1])
+
+
 def _rows_with_partner(eta_s: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Input positions, ascending, of the entries in at least one flipped
     pair; ``order`` sorts by mu and then eta, and ``eta_s`` is eta in it.
@@ -124,23 +132,31 @@ class OrderViolations(Sequence[OrderViolation]):
     at most, with one O(n) comparison each, so a short prefix stays cheap
     when the count is in the hundreds of millions. Compares equal to any
     sequence holding the same pairs.
+
+    ``order`` is an ascending order of ``mu_w``, such as a vector's
+    ``_order()``. Where nothing flipped, eta is nondecreasing along the
+    order used, which is kept as ``_eta_order``; it is ``None`` otherwise.
     """
 
     def __init__(
-        self, ids: Sequence[str], mu_w: np.ndarray, eta_w: np.ndarray
+        self, ids: Sequence[str], mu_w: np.ndarray, eta_w: np.ndarray,
+        order: np.ndarray,
     ) -> None:
         self._ids = ids
         self._mu = mu_w
         self._eta = eta_w
         # Sorted by (mu, eta), a flipped pair is exactly a strict
-        # inversion of eta: ties in mu are sorted ascending in eta.
-        order = np.lexsort((eta_w, mu_w))
+        # inversion of eta. Without ties in mu, mu's order is that order;
+        # with them, it is taken again, ties sorted ascending in eta, once
+        # eta is found to drop somewhere along mu's order.
         eta_s = eta_w[order]
-        if np.logical_and.reduce(eta_s[1:] >= eta_s[:-1]):
-            self._count, self._rows = 0, order[:0]
-        else:
-            self._count = _count_inversions(eta_s)
-            self._rows = _rows_with_partner(eta_s, order)
+        if not _nondecreasing(eta_s) and not _increasing(mu_w[order]):
+            order = np.lexsort((eta_w, mu_w))
+            eta_s = eta_w[order]
+        flat = _nondecreasing(eta_s)
+        self._count = 0 if flat else _count_inversions(eta_s)
+        self._rows = order[:0] if flat else _rows_with_partner(eta_s, order)
+        self._eta_order = order if flat else None
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """(lo, hi) positions of each flipped pair, in sequence order."""
@@ -254,8 +270,19 @@ def find_order_violations(mu: WeightVector, eta: WeightVector) -> OrderViolation
     result counts the pairs exactly in O(n log n) and builds each one
     only when it is read (see ``OrderViolations``).
     """
-    pairing = _pair(mu, eta).require_same_ids()
-    return OrderViolations(pairing.ids, pairing.mu_w, pairing.eta_w)
+    return _violations(mu, eta, _pair(mu, eta).require_same_ids())
+
+
+def _violations(mu: WeightVector, eta: WeightVector, pairing: _Pairing) -> OrderViolations:
+    """The order violations of ``pairing``. Where it holds the vectors' own
+    arrays, as when both list the same ids, the sort is mu's memoized
+    order, and an order along which eta is ascending is memoized on eta."""
+    if pairing.mu_w is not mu.weights:
+        return OrderViolations(*pairing[:3], np.argsort(pairing.mu_w, kind="stable"))
+    violations = OrderViolations(pairing.ids, mu.weights, eta.weights, mu._order())
+    if violations._eta_order is not None:
+        vars(eta).setdefault("_ascending", violations._eta_order)
+    return violations
 
 
 def turnover(mu: WeightVector, eta: WeightVector) -> float:
@@ -276,16 +303,17 @@ def concentration_metrics(w: WeightVector) -> ConcentrationMetrics:
     exponent p = ``DEFAULT_REPORTING_P``; it is at least 1, with equality
     exactly when a single weight carries everything. The top-k sums, for
     each k of ``DEFAULT_TOP_KS``, are ``top_k_sum``'s, all taken from one
-    sorted tail; a k larger than the universe clamps to the full sum. The
-    result is memoized on the vector, outside its fields, and is shared
-    by later calls: treat it as read-only.
+    sorted tail, read off the vector's memoized ascending order where a
+    report has taken it; a k larger than the universe clamps to the full
+    sum. The result is memoized on the vector, outside its fields, and is
+    shared by later calls: treat it as read-only.
     """
     metrics = vars(w).get("_metrics")
     if metrics is None:
         arr, p = w.weights, DEFAULT_REPORTING_P
         metrics = vars(w)["_metrics"] = ConcentrationMetrics(
             float(np.add.reduce(arr * arr)),
-            _top_k_sums(arr, DEFAULT_TOP_KS),
+            _top_k_sums(arr, DEFAULT_TOP_KS, vars(w).get("_ascending")),
             float(np.add.reduce(arr**p) ** (1.0 / p)),
         )
     return metrics
@@ -300,11 +328,12 @@ def diagnostics_report(mu: WeightVector, eta: WeightVector) -> DiagnosticsReport
     sum) are each full vector's ``concentration_metrics``.
     """
     pairing = _pair(mu, eta)
+    violations = _violations(mu, eta, pairing)  # first: it memoizes the orders
     before = concentration_metrics(mu)
     after = concentration_metrics(eta)
     max_before, max_after = before.top_k_sums[1], after.top_k_sums[1]
     return DiagnosticsReport(
-        OrderViolations(pairing.ids, pairing.mu_w, pairing.eta_w),
+        violations,
         max_before,
         max_after,
         max_after > max_before + MAX_INCREASE_TOL,

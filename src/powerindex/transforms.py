@@ -91,42 +91,49 @@ RULES: dict[str, type[RebalanceRule]] = {
 }
 
 
-def power_weights(
-    w: np.ndarray, p: float, knot: float = 0.0, logs: np.ndarray | None = None
-) -> np.ndarray:
+def power_weights(w: np.ndarray, p: float, knot: float = 0.0) -> np.ndarray:
     """f(w) / sum f(w), a fresh array, where f(x) = x**p at and above
     ``knot`` and the chord f(knot) * (x / knot) below it (with knot = 0,
-    the plain power): both power rules and the solver reweight here.
+    the plain power): both power rules reweight here.
 
-    x**p is exp(p * log(x)) on the positive entries, whose logs the solver
-    passes as ``logs``; zeros stay zero, with no pow edge case at 0. Both
-    guarantees hold in floating point. The order: f(knot) comes from the
-    exp call of the entries above it, and exp, log and rounding are
-    monotone, so below the knot x / knot rounds to at most 1 and f(x) to
-    at most f(knot). The max: where it would grow, as at p = 1 on weights
-    summing a few ulps below one, the divisor is f(top) / top, raised float
-    by float until it does not, and the weights sum to about the input's.
+    At p = 1 it is a copy of ``w``: f is the identity, and so is its chord.
+    Otherwise x**p is exp(p * log(x)) on the positive entries; zeros stay
+    zero, with no pow edge case at 0. Both guarantees hold in floating
+    point. The order: f(knot) comes from the exp call of the entries above
+    it, and exp, log and rounding are monotone, so below the knot x / knot
+    rounds to at most 1 and f(x) to at most f(knot). The max: the divisor
+    is ``_divisor``'s, so the largest weight does not grow.
     """
-    if logs is None:
-        logs = np.log(w[w > 0.0])
+    if p == 1.0:
+        return w.copy()
+    positive = w > 0.0
+    logs = np.log(w[positive])
     chord = knot > 0.0
     curve = np.exp(p * (np.concatenate((logs, [np.log(knot)])) if chord else logs))
     if logs.size == w.size:
         out = curve[: w.size]  # f(knot) is not a weight
     else:
         out = np.zeros_like(w)
-        out[w > 0.0] = curve[: logs.size]
+        out[positive] = curve[: logs.size]
     if chord:
         below = w < knot
         out[below] = curve[-1] * (w[below] / knot)
     top = w.argmax()
-    total = float(np.add.reduce(out))
-    if out[top] / total > w[top]:
-        total = out[top] / w[top]
-        while out[top] / total > w[top]:
-            total = np.nextafter(total, np.inf)
-    out /= total
+    out /= _divisor(out[top], w[top], float(np.add.reduce(out)))
     return out
+
+
+def _divisor(f_top: float, w_top: float, total: float) -> float:
+    """The divisor of f(w): its plain sum ``total``, unless the largest
+    weight w_top would then grow, as at p near 1 on weights summing a few
+    ulps below one. Then it is f(top) / top, raised float by float until
+    f(top) over it is at most w_top, and the weights sum to about the
+    input's. ``power_weights`` and the solver both divide by it."""
+    if f_top / total > w_top:
+        total = f_top / w_top
+        while f_top / total > w_top:
+            total = np.nextafter(total, np.inf)
+    return total
 
 
 def power_rebalance(mu: WeightVector, rule: PowerRule | float) -> WeightVector:

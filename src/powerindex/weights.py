@@ -137,6 +137,10 @@ class Constituent(_Record):
 def _check_ids(identifiers: Sequence[str]) -> None:
     if not all(identifiers):
         raise ValueError("constituent identifier must be nonempty")
+    _check_unique(identifiers)
+
+
+def _check_unique(identifiers: Sequence[str]) -> None:
     if len(set(identifiers)) < len(identifiers):
         dupes = sorted(i for i, count in Counter(identifiers).items() if count > 1)
         raise RebalanceError(f"duplicate identifiers: {dupes}")
@@ -200,6 +204,18 @@ class WeightVector(_Record):
         tests/test_weights.py checks each caller."""
         return cls._of(identifiers, raw / float(np.add.reduce(raw)))
 
+    def _order(self) -> np.ndarray:
+        """Positions in ascending order of weight, memoized on the vector
+        outside its fields, as ``concentration_metrics`` memoizes its
+        metrics: the stable order, unless a report found the weights
+        nondecreasing along another vector's order and stored that one.
+        Tied weights may come in any order, so a caller reads only what
+        every ascending order gives alike."""
+        order = vars(self).get("_ascending")
+        if order is None:
+            order = vars(self)["_ascending"] = np.argsort(self.weights, kind="stable")
+        return order
+
     @property
     def n(self) -> int:
         """Number of entries."""
@@ -248,17 +264,22 @@ def weights_from_market_caps(
     """Market-cap weights: each constituent's share of the aggregate cap.
 
     Zero-cap constituents are kept with weight zero so positions stay
-    index-aligned. Order matches the input order. A sequence of
-    ``Constituent``s is first made into a ``Universe``, whose constructor
-    checks it; a ``Universe`` was checked when it was built and is frozen,
-    with read-only caps, so its caps are only scaled to one.
+    index-aligned. Order matches the input order. A ``Universe`` was
+    checked when it was built and is frozen, with read-only caps, so its
+    caps are only scaled to one. So was each ``Constituent``: a sequence of
+    them is only checked for repeated ids. Any other sequence is made into
+    a ``Universe``, whose constructor checks it.
     """
     if not universe:
         raise RebalanceError("universe is empty")
     if not isinstance(universe, Universe):
-        universe = Universe(
-            [c.identifier for c in universe], [c.market_cap for c in universe]
-        )
+        ids = tuple([c.identifier for c in universe])
+        caps = [c.market_cap for c in universe]
+        if set(map(type, universe)) == {Constituent}:
+            _check_unique(ids)
+            universe = Universe._of(ids, np.array(caps))
+        else:
+            universe = Universe(ids, caps)
     caps = universe.market_caps
     peak = float(np.maximum.reduce(caps))
     if not peak > 0.0:

@@ -57,7 +57,10 @@ def reference_scale(arr: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 def reference_power(w: np.ndarray, p: float, knot: float = 0.0) -> np.ndarray:
     """A power rule by the plain formula: exp(p * log x) on the positive
     entries at or above ``knot``, f(knot) * (x / knot) below it, and zero
-    at zero, over ``reference_scale``."""
+    at zero, over ``reference_scale``; at p = 1, where f and its chord are
+    the identity, the weights themselves."""
+    if p == 1.0:
+        return w.copy()
     raw = np.zeros_like(w)
     raw[w > 0.0] = np.exp(p * np.log(w[w > 0.0]))
     below = w < knot
@@ -71,7 +74,10 @@ def exact_power(w: np.ndarray, p: float, knot: float = 0.0) -> list[Decimal]:
     exp(p * ln x) on the positive entries at or above ``knot``, the chord
     f(knot) * (x / knot) below it, and zero at zero. As in the divisor rule
     of ``power_weights``, the divisor is f(top) / top where that is larger
-    than the sum, so that the largest quotient is at most w's largest entry."""
+    than the sum, so that the largest quotient is at most w's largest entry.
+    At p = 1 the rules define the result as the weights themselves."""
+    if p == 1.0:
+        return [Decimal(x) for x in w.tolist()]
     with localcontext() as ctx:
         ctx.prec = 60
         exponent = Decimal(p)

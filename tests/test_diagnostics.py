@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerindex import (
     CapRule,
@@ -461,3 +463,150 @@ class TestCompareMethods:
         rules = [PowerRule(0.9), LinearizedPowerRule(0.5, 0.05), PowerRule(0.1)]
         results = compare_methods(mu, rules)
         assert [r for r, _ in results] == rules
+
+
+def reference_report_fields(mu, eta):
+    """A report's fields computed without any memo: the ids matched by a
+    dict, the count over a ``np.lexsort`` by (mu, eta), the first 20 pairs
+    from the double loop, the top-k sums from ``np.partition`` and a sorted
+    tail, and turnover from a plain loop."""
+    before, after = weights_by_id(mu), weights_by_id(eta)
+    common = [ident for ident in mu.identifiers if ident in after]
+    mu_w = np.array([before[i] for i in common])
+    eta_w = np.array([after[i] for i in common])
+    eta_s = eta_w[np.lexsort((eta_w, mu_w))]
+    count = int(
+        sum(np.count_nonzero(eta_s[a] > eta_s[a + 1 :]) for a in range(eta_s.size))
+    )
+    pairs = []  # the double loop over the common ids, in mu's order
+    for a, first in enumerate(common):
+        for second in common[a + 1 :]:
+            low, high = sorted((first, second), key=before.get)
+            if before[low] < before[high] and after[low] > after[high]:
+                pairs.append((low, high))
+
+    def top_k(w, k):
+        if k >= w.size:
+            return float(np.add.reduce(w))
+        tail = np.partition(w, -k)[-k:]
+        tail.sort()
+        return float(np.add.reduce(tail))
+
+    moves = [abs(after.get(ident, 0.0) - w) for ident, w in before.items()]
+    moves += [w for ident, w in after.items() if ident not in before]
+    total = 0.0
+    for move in moves:
+        total += move
+    a, b = mu.weights, eta.weights
+    return {
+        "count": count,
+        "pairs": pairs[:20],
+        "top_k_sums": {k: (top_k(a, k), top_k(b, k)) for k in (1, 5, 6, 10)},
+        "maxima": (top_k(a, 1), top_k(b, 1)),
+        "turnover": 0.5 * total,
+        "hhi": (float(np.add.reduce(a * a)), float(np.add.reduce(b * b))),
+        "diversity": tuple(float(np.add.reduce(w**0.5) ** 2.0) for w in (a, b)),
+    }
+
+
+def report_fields(report):
+    return {
+        "count": len(report.order_violations),
+        "pairs": pair_ids(report.order_violations[:20]),
+        "top_k_sums": report.top_k_sums,
+        "maxima": (report.max_before, report.max_after),
+        "turnover": report.turnover,
+        "hhi": (report.hhi_before, report.hhi_after),
+        "diversity": (report.diversity_before, report.diversity_after),
+    }
+
+
+def bits(fields):
+    """Every float of ``fields`` as its bytes, so that 0.0 and -0.0 differ."""
+    if isinstance(fields, float):
+        return np.float64(fields).tobytes()
+    if isinstance(fields, dict):
+        return {k: bits(v) for k, v in fields.items()}
+    if isinstance(fields, (tuple, list)):
+        return [bits(v) for v in fields]
+    return fields
+
+
+@st.composite
+def report_inputs(draw):
+    """mu with ties and zeros, or with distinct weights and one zero, and
+    two etas of one kind: a power transform (no flip), an eta whose only
+    decreases lie inside mu's tie groups, or an eta with real flips. Eta's
+    ids are mu's, mu's permuted, or only partly mu's."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        levels = rng.integers(0, draw(st.integers(2, 8)), n).astype(float)
+        levels[rng.integers(0, n)] += 1.0  # one positive at least
+    else:
+        levels = rng.permutation(n).astype(float)
+    mu = wv(levels / levels.sum())
+    kind = draw(st.sampled_from(["power", "within ties", "flips"]))
+    ids = draw(st.sampled_from(["same", "permuted", "overlapping"]))
+    etas = []
+    for _ in range(2):
+        if kind == "power":
+            eta = power_rebalance(mu, draw(st.floats(0.0, 1.0)))
+            raw = eta.weights.copy()
+        elif kind == "within ties":
+            # Ascending across mu's levels, in any order inside each one.
+            raw = levels * 10.0 + rng.uniform(0.0, 1.0, n)
+        else:
+            raw = rng.uniform(0.0, 1.0, n)
+            raw[rng.integers(0, n)] = 0.0
+        eta_ids = list(mu.identifiers)
+        if ids == "overlapping":
+            keep = rng.random(n) < 0.7
+            raw = np.append(raw[keep], rng.uniform(0.0, 1.0, 3))
+            eta_ids = [i for i, k in zip(eta_ids, keep) if k] + [f"X{j}" for j in range(3)]
+        order = rng.permutation(raw.size) if ids != "same" else np.arange(raw.size)
+        if not raw.any():
+            raw[0] = 1.0
+        etas.append(WeightVector([eta_ids[i] for i in order], scaled(raw[order])))
+    return mu, etas
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_inputs())
+def test_report_matches_a_reference_without_memos(inputs):
+    """A report reads mu's memoized order, and eta's where eta is ascending
+    along it; every field keeps the bits of the plain computation, also
+    when mu's memo was filled by an earlier report."""
+    mu, etas = inputs
+    for eta in etas:
+        expected = bits(reference_report_fields(mu, eta))
+        assert bits(report_fields(diagnostics_report(mu, eta))) == expected
+        # Again, now with both memos filled.
+        assert bits(report_fields(diagnostics_report(mu, eta))) == expected
+
+
+def test_memos_are_invisible():
+    """After a report fills a vector's memos, its ==, hash, repr, pickles
+    and copies are what they were; an unpickled or copied vector carries no
+    memo."""
+    mu = wv(CAP1_MU)
+    eta = power_rebalance(mu, 0.5)
+    before = {}
+    for name, v in (("mu", mu), ("eta", eta)):
+        twin = WeightVector(v.identifiers, v.weights)
+        with pytest.raises(TypeError):
+            hash(v)
+        before[name] = (twin, repr(v), [pickle.dumps(v, protocol=p) for p in range(6)])
+    diagnostics_report(mu, eta)
+    assert {"_ascending", "_metrics"} <= set(vars(mu))
+    assert {"_ascending", "_metrics"} <= set(vars(eta))
+    for name, v in (("mu", mu), ("eta", eta)):
+        twin, text, dumps = before[name]
+        assert v == twin and twin == v
+        with pytest.raises(TypeError):
+            hash(v)
+        assert repr(v) == text
+        assert [pickle.dumps(v, protocol=p) for p in range(6)] == dumps
+        for other in (pickle.loads(dumps[-1]), copy.copy(v), copy.deepcopy(v)):
+            assert other == v
+            assert set(vars(other)) == set(WeightVector._fields)

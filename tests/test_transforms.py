@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerindex import (
+    CalibrationTarget,
     CapRule,
     RebalanceError,
     LinearizedPowerRule,
@@ -11,9 +12,11 @@ from powerindex import (
     WeightVector,
     apply_rule,
     cap_rebalance,
+    concentration_statistic,
     find_order_violations,
     linearized_power_rebalance,
     power_rebalance,
+    solve_exponent,
     top_k_sum,
 )
 from powerindex.transforms import power_weights
@@ -103,6 +106,39 @@ def test_power_guarantees_on_hard_vectors(case, p, linearized):
     eta0 = rebalance(WeightVector(ids + ("ZERO",), w0))
     assert eta0.weights[-1] == 0.0
     np.testing.assert_allclose(eta0.weights[:-1], eta.weights, rtol=1e-14, atol=1e-321)
+
+
+def test_p_one_returns_the_weights_bit_for_bit():
+    """At p = 1 both power rules return a copy of the input weights, where
+    the plain formula w / sum w changed most of them in the last bits; a
+    solve whose bound the input meets returns p = 1 and the statistic of
+    the weights themselves."""
+    rng = np.random.default_rng(29)
+    caps = rng.pareto(1.2, 10_000) + 1.0
+    cases = [np.array(P_ONE_MAX), caps / caps.sum()]
+    for case in range(40):
+        n = int(rng.integers(2, 300))
+        cases.append(random_simplex(rng, n, zeros=case % 2 == 0, ties=True))
+    for w in cases:
+        mu = wv(w)
+        etas = [power_rebalance(mu, 1.0), power_rebalance(mu, PowerRule(1.0))]
+        etas += [
+            linearized_power_rebalance(mu, LinearizedPowerRule(1.0, knot))
+            for knot in (1e-4, 0.01, 0.5)
+        ]
+        for eta in etas:
+            assert eta.weights.tobytes() == mu.weights.tobytes()
+            assert eta.weights is not mu.weights
+        m = int(np.count_nonzero(w))
+        for k in {1, 6, m - 1} - {0}:
+            if k >= m:
+                continue
+            stat = top_k_sum(mu.weights, k)
+            target = CalibrationTarget("top_k_sum", stat, k=k)
+            result = solve_exponent(mu, target)
+            assert (result.p_star, result.iterations, result.bracket) == (1.0, 0, (1.0, 1.0))
+            assert result.achieved == stat
+            assert concentration_statistic(power_rebalance(mu, 1.0), target) == stat
 
 
 # power_weights is within ERROR_ULPS[0] + ERROR_ULPS[1] * max|p * log w|
