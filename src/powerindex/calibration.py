@@ -74,9 +74,11 @@ class CalibrationResult(_Record):
 
 
 def top_k_sum(weights: np.ndarray, k: int) -> float:
-    """Sum of the k largest values in ascending order, the bits of
-    ``float(np.sort(weights)[-k:].sum())`` whatever order the CPU's
-    partition leaves; for k >= size, of all values in input order."""
+    """Sum of the k largest values, added one at a time from the largest
+    down, starting at 0.0: the bits of that plain loop over
+    ``sorted(weights, reverse=True)[:k]`` whatever order the CPU's
+    partition leaves, so a max of ``-0.0`` gives ``0.0``; for k >= size,
+    ``float(np.add.reduce(weights))``, all values in input order."""
     k = _positive_k(k)
     return _top_k_sums(weights, (k,))[k]
 
@@ -95,18 +97,26 @@ def _positive_k(k: object) -> int:
 def _top_k_sums(
     weights: np.ndarray, ks: Sequence[int], order: np.ndarray | None = None
 ) -> dict[int, float]:
-    """``top_k_sum`` for each of ``ks``, positive ints, from one sorted
-    tail: the end of ``order``, an ascending order of the weights, or
-    else one partition, sorted."""
+    """``top_k_sum`` for each of ``ks``, positive ints, from one cumulative
+    sum over the descending tail: the end of ``order``, an ascending order
+    of the weights, reversed, or else one partition, sorted and reversed.
+    A running sum from 0.0 differs from the cumulative sum only where that
+    is -0.0, which adding 0.0 turns into 0.0."""
     n = weights.size
-    kmax = max([k for k in ks if k < n], default=0)
-    tail = weights
+    kmax = max(ks)
+    if kmax >= n:
+        kmax = max([k for k in ks if k < n], default=0)
+    running = []
     if kmax and order is not None:
-        tail = weights[order[-kmax:]]
+        running = np.add.accumulate(weights[order[: -kmax - 1 : -1]]).tolist()
     elif kmax:
         tail = np.partition(weights, -kmax)[-kmax:]  # a fresh array
         tail.sort()
-    return {k: float(np.add.reduce(tail[-k:] if k < n else weights)) for k in ks}
+        running = np.add.accumulate(tail[::-1]).tolist()
+    return {
+        k: running[k - 1] + 0.0 if k < n else float(np.add.reduce(weights))
+        for k in ks
+    }
 
 
 def _k_of(target: CalibrationTarget) -> int:
@@ -126,7 +136,8 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
     positive weights, a k above the size included: the top k then hold
     every positive weight, and the statistic is 1 for every p. Raises it
     too when the bound lies below the equal-weight floor, the statistic
-    at p=0: k copies of 1/m summed, unless 1/m is above the max. The
+    at p=0: k copies of 1/m added one at a time from 0.0, as
+    ``top_k_sum`` adds them, unless 1/m is above the max. The
     bound is a builtin float, so every comparison is in double precision.
     Returns p=1 immediately when the input already satisfies the bound.
     Otherwise keeps a bracket [lo, hi] of [0, 1] with statistic(lo) <= bound <
@@ -134,7 +145,9 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
     log(S / (1 - S)) - log(bound / (1 - bound)), from the last point tried;
     a step that leaves the bracket, a slope that is not positive, a
     statistic that rounds to 1, or two steps in a row that stalled on one side
-    of the root give way to the bracket's midpoint (``rtsafe``'s fallback).
+    of the root give way to the bracket's midpoint (``rtsafe``'s fallback),
+    as does a step after one stall whose residual rounds to 0, which
+    could only stall again.
     It stops when the bracket is narrower than ``TOL`` and returns its
     feasible end, so ``achieved <= bound`` holds exactly, and the other
     end, less than ``TOL`` above p_star, breaches the bound. Where the
@@ -146,11 +159,11 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
 
     Each step works on arrays, with the transform's rules but only its k
     top entries: the logs of the positive weights and the top k of them,
-    sorted by weight, are taken once, since the transform preserves
-    order. At p the weights' curve, its sum and its divisor are
-    ``power_weights``'s, and the k top quotients, already ascending, are
-    summed as ``top_k_sum`` sums them: ``achieved`` has the bits of the
-    statistic of ``power_rebalance(mu, p_star)``.
+    sorted by weight, largest first, are taken once, since the transform
+    preserves order. At p the weights' curve, its sum and its divisor are
+    ``power_weights``'s, and the k top quotients, already descending, are
+    added one at a time as ``top_k_sum`` adds them: ``achieved`` has the
+    bits of the statistic of ``power_rebalance(mu, p_star)``.
     """
     k = _k_of(target)
     w = mu.weights
@@ -163,12 +176,11 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
             f"the top {k} weights hold all {m} positive ones, so the "
             f"statistic is 1 for every p, above the bound {target.bound!r}"
         )
-    # The k top positions, ascending by weight. Ties at the k-th place do
+    # The k top positions, descending by weight. Ties at the k-th place do
     # not matter: tied weights stay equal for every p.
-    top = np.argpartition(w_pos, -k)[-k:]
-    top = top[np.argsort(w_pos[top], kind="stable")]
-    log_top = log_pos[top]
-    peak = w_pos.argmax()
+    top = w_pos.argpartition(-k)[-k:]
+    top = top[w_pos[top].argsort(kind="stable")[::-1]]
+    w_peak = float(w_pos[top[0]])
     # With zeros the transform sums the full-length weights, whose bits
     # the sum of the positive ones alone need not have.
     spread = None if m == w.size else np.zeros_like(w)
@@ -181,20 +193,25 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
         if spread is not None:
             spread[positive] = curve
         total = float(np.add.reduce(curve if spread is None else spread))
-        # At p = 1 the transform returns the weights themselves.
-        divisor = 1.0 if p == 1.0 else _divisor(curve[peak], w_pos[peak], total)
-        held = curve[top] / divisor
-        value = float(np.add.reduce(held))
-        slope = float(
-            np.add.reduce(log_top * held) / value
-            - np.add.reduce(log_pos * curve) / total
-        )
-        return value, slope
+        tilted = log_pos * curve
+        held = curve[top]  # a fresh array; its first entry is the peak's
+        divisor = 1.0  # at p = 1 the transform returns the weights themselves
+        if p != 1.0:
+            divisor = _divisor(float(held[0]), w_peak, total)
+            held /= divisor
+        value = float(np.add.accumulate(held, out=held)[-1])
+        held_tilt = float(np.add.reduce(tilted[top])) / divisor
+        return value, held_tilt / value - float(np.add.reduce(tilted)) / total
 
     # At p = 0 each positive weight is exactly 1/m, the bits of evaluate(0.0),
     # unless 1/m is above the max, which power_weights does not let grow.
-    at_zero = np.full(k, 1.0 / m)
-    floor = evaluate(0.0)[0] if 1.0 / m > w_pos[peak] else float(np.add.reduce(at_zero))
+    share = 1.0 / m
+    if share > w_peak:
+        floor = evaluate(0.0)[0]
+    else:
+        floor = 0.0
+        for _ in range(k):
+            floor += share
     if floor > target.bound:
         raise InfeasibleError(
             f"bound {target.bound!r} lies below the fully diversified "
@@ -218,12 +235,14 @@ def solve_exponent(mu: WeightVector, target: CalibrationTarget) -> CalibrationRe
                 f"(bracket [{lo!r}, {hi!r}])"
             )
         # A slope that is not positive, or a statistic that rounds to 1,
-        # takes the midpoint; so do two stalled steps in a row, where the
-        # statistic is flat to rounding and Newton creeps.
-        newton = slope > 0.0 and value < 1.0 and stalls < 2
+        # takes the midpoint. So does a stalled step followed by another
+        # stall, or by a residual that rounds to 0, which cannot move: the
+        # statistic is flat to rounding there, and Newton would creep.
         step = math.nan
-        if newton:
-            step = p - (math.log(value / (1.0 - value)) - logit_bound) * (1.0 - value) / slope
+        if slope > 0.0 and value < 1.0 and stalls < 2:
+            residual = math.log(value / (1.0 - value)) - logit_bound
+            if residual or not stalls:
+                step = p - residual * (1.0 - value) / slope
         # Keep TOL / 2 from either end, so that a step within TOL of the
         # root lands past it and closes the bracket.
         p = min(max(step, lo + 0.5 * TOL), hi - 0.5 * TOL)

@@ -150,13 +150,17 @@ class OrderViolations(Sequence[OrderViolation]):
         # with them, it is taken again, ties sorted ascending in eta, once
         # eta is found to drop somewhere along mu's order.
         eta_s = eta_w[order]
-        if not _nondecreasing(eta_s) and not _increasing(mu_w[order]):
+        flat = _nondecreasing(eta_s)
+        if not flat and not _increasing(mu_w[order]):
             order = np.lexsort((eta_w, mu_w))
             eta_s = eta_w[order]
-        flat = _nondecreasing(eta_s)
-        self._count = 0 if flat else _count_inversions(eta_s)
-        self._rows = order[:0] if flat else _rows_with_partner(eta_s, order)
-        self._eta_order = order if flat else None
+            flat = _nondecreasing(eta_s)
+        if flat:
+            self._count, self._rows, self._eta_order = 0, order[:0], order
+        else:
+            self._count = _count_inversions(eta_s)
+            self._rows = _rows_with_partner(eta_s, order)
+            self._eta_order = None
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """(lo, hi) positions of each flipped pair, in sequence order."""
@@ -233,7 +237,7 @@ def _pair(mu: WeightVector, eta: WeightVector) -> _Pairing:
     """Match ``eta`` to ``mu`` by identifier. When both list the same
     identifiers, as a transform's output does, the pairing holds the
     vectors' own arrays and nothing is gathered."""
-    if mu.identifiers == eta.identifiers:
+    if mu.identifiers is eta.identifiers or mu.identifiers == eta.identifiers:
         empty = eta.weights[:0]
         return _Pairing(mu.identifiers, mu.weights, eta.weights, eta.weights, empty, [])
     position = {ident: pos for pos, ident in enumerate(eta.identifiers)}
@@ -302,19 +306,22 @@ def concentration_metrics(w: WeightVector) -> ConcentrationMetrics:
     The diversity measure is (sum w_i**p)**(1/p) for the reporting
     exponent p = ``DEFAULT_REPORTING_P``; it is at least 1, with equality
     exactly when a single weight carries everything. The top-k sums, for
-    each k of ``DEFAULT_TOP_KS``, are ``top_k_sum``'s, all taken from one
-    sorted tail, read off the vector's memoized ascending order where a
-    report has taken it; a k larger than the universe clamps to the full
-    sum. The result is memoized on the vector, outside its fields, and is
-    shared by later calls: treat it as read-only.
+    each k of ``DEFAULT_TOP_KS``, are ``top_k_sum``'s, the k largest
+    weights added from the largest down, all read off one cumulative sum
+    over the descending tail, which comes from the vector's memoized
+    ascending order where a report has taken it; a k at or above the size
+    is the sum of every weight. The result is memoized on the vector,
+    outside its fields, and is shared by later calls: treat it as
+    read-only.
     """
-    metrics = vars(w).get("_metrics")
+    memo = vars(w)
+    metrics = memo.get("_metrics")
     if metrics is None:
         arr, p = w.weights, DEFAULT_REPORTING_P
-        metrics = vars(w)["_metrics"] = ConcentrationMetrics(
+        metrics = memo["_metrics"] = ConcentrationMetrics(
             float(np.add.reduce(arr * arr)),
-            _top_k_sums(arr, DEFAULT_TOP_KS, vars(w).get("_ascending")),
-            float(np.add.reduce(arr**p) ** (1.0 / p)),
+            _top_k_sums(arr, DEFAULT_TOP_KS, memo.get("_ascending")),
+            float(np.add.reduce(arr**p)) ** (1.0 / p),
         )
     return metrics
 

@@ -18,6 +18,7 @@ exists to demonstrate.
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
@@ -119,7 +120,7 @@ def power_weights(w: np.ndarray, p: float, knot: float = 0.0) -> np.ndarray:
         below = w < knot
         out[below] = curve[-1] * (w[below] / knot)
     top = w.argmax()
-    out /= _divisor(out[top], w[top], float(np.add.reduce(out)))
+    out /= _divisor(float(out[top]), float(w[top]), float(np.add.reduce(out)))
     return out
 
 
@@ -132,7 +133,7 @@ def _divisor(f_top: float, w_top: float, total: float) -> float:
     if f_top / total > w_top:
         total = f_top / w_top
         while f_top / total > w_top:
-            total = np.nextafter(total, np.inf)
+            total = math.nextafter(total, math.inf)
     return total
 
 
@@ -174,10 +175,13 @@ def cap_rebalance(mu: WeightVector, rule: CapRule | None = None) -> WeightVector
         rule = CapRule()
     w = mu.weights
     capped = w > rule.threshold
-    if not np.logical_or.reduce(capped):
+    count = np.count_nonzero(capped)
+    if not count:
         return WeightVector._scaled(mu.identifiers, w)
     s = float(np.add.reduce(w[capped]))
-    if not np.logical_or.reduce(w[~capped] > 0.0) or (1.0 - s) <= 0.0:
+    # The capped weights are positive, so the complement holds none
+    # exactly when they are all the positive ones.
+    if np.count_nonzero(w) == count or (1.0 - s) <= 0.0:
         raise RebalanceError(
             f"weights above threshold sum to {s!r}; no positive complement "
             "is left to absorb the redistributed mass"

@@ -66,7 +66,7 @@ class _Record:
                 kind = "repeated" if name in fields else "unknown"
                 raise TypeError(f"{record} got {kind} field {name!r}")
         for name, value in zip(fields, values):
-            if isinstance(value, np.ndarray):
+            if type(value) is np.ndarray:
                 value.setflags(write=False)
             _setattr(self, name, value)
 
@@ -213,7 +213,7 @@ class WeightVector(_Record):
         every ascending order gives alike."""
         order = vars(self).get("_ascending")
         if order is None:
-            order = vars(self)["_ascending"] = np.argsort(self.weights, kind="stable")
+            order = vars(self)["_ascending"] = self.weights.argsort(kind="stable")
         return order
 
     @property
@@ -272,15 +272,17 @@ def weights_from_market_caps(
     """
     if not universe:
         raise RebalanceError("universe is empty")
-    if not isinstance(universe, Universe):
+    if isinstance(universe, Universe):
+        ids, caps = universe.identifiers, universe.market_caps
+    elif set(map(type, universe)) == {Constituent}:
         ids = tuple([c.identifier for c in universe])
-        caps = [c.market_cap for c in universe]
-        if set(map(type, universe)) == {Constituent}:
-            _check_unique(ids)
-            universe = Universe._of(ids, np.array(caps))
-        else:
-            universe = Universe(ids, caps)
-    caps = universe.market_caps
+        _check_unique(ids)
+        caps = np.array([c.market_cap for c in universe], dtype=float)
+    else:
+        checked = Universe(
+            [c.identifier for c in universe], [c.market_cap for c in universe]
+        )
+        ids, caps = checked.identifiers, checked.market_caps
     peak = float(np.maximum.reduce(caps))
     if not peak > 0.0:
         raise RebalanceError("all market caps are zero")
@@ -292,4 +294,4 @@ def weights_from_market_caps(
         with np.errstate(over="ignore"):
             if not math.isfinite(np.add.reduce(caps)):
                 caps = caps / peak
-    return WeightVector._scaled(universe.identifiers, caps)
+    return WeightVector._scaled(ids, caps)

@@ -41,6 +41,30 @@ def weights_by_id(vector: WeightVector) -> dict[str, float]:
     return dict(zip(vector.identifiers, vector.weights.tolist()))
 
 
+def bits(fields):
+    """Every float of ``fields`` as its bytes, so that 0.0 and -0.0 differ;
+    dicts, lists and tuples are walked."""
+    if isinstance(fields, float):
+        return np.float64(fields).tobytes()
+    if isinstance(fields, dict):
+        return {k: bits(v) for k, v in fields.items()}
+    if isinstance(fields, (tuple, list)):
+        return [bits(v) for v in fields]
+    return fields
+
+
+def reference_top_k(w: np.ndarray, k: int) -> float:
+    """The top-k sum by its rule, in plain Python: for k below the size,
+    the k largest values added one at a time from the largest down,
+    starting at 0.0; for k at or above it, every value, in input order."""
+    if k >= w.size:
+        return float(w.sum())
+    total = 0.0
+    for value in sorted(w.tolist(), reverse=True)[:k]:
+        total += value
+    return total
+
+
 def reference_scale(arr: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """``arr`` over its sum. Given the input ``w`` of a power rule, whose
     max must not grow, over the divisor rule of ``power_weights``: when

@@ -4,8 +4,9 @@ Where the CPU has AVX-512, numpy sends ``exp`` and ``log`` to its own
 AVX-512 loops; elsewhere it calls libm. The two differ in the last bits
 (README, "Reproducibility"), and the order proof rests on both being
 nondecreasing. The rest of the suite checks the path this host takes. The
-test below reruns the tests that the order, max and accuracy guarantees
-rest on in a fresh interpreter with the AVX-512 loops switched off.
+tests below rerun the tests that the order, max and accuracy guarantees
+rest on in a fresh interpreter with the AVX-512 loops switched off, and
+check that top-k sums keep their bits there.
 """
 
 import hashlib
@@ -48,6 +49,35 @@ def exp_digest() -> str:
     grid = np.linspace(0.0, 1.0, 100_001)[1:]
     bits = np.exp(-746.0 * grid).tobytes() + np.log(grid).tobytes()
     return hashlib.sha256(bits).hexdigest()
+
+
+def top_k_bits() -> str:
+    """The bytes of ``top_k_sum`` and of the ``concentration_metrics``
+    top-k sums on seeded vectors with ties and zeros, in hex."""
+    from powerindex import WeightVector, concentration_metrics, top_k_sum
+
+    rng = np.random.default_rng(71)
+    out = []
+    for n in (7, 100, 2_500):
+        caps = np.round(rng.pareto(1.2, n) + 1.0, 1)  # ties
+        caps[rng.integers(0, n, n // 7)] = 0.0
+        w = caps / caps.sum()
+        out += [top_k_sum(w, k) for k in (1, 6, 10, n // 2, n - 1, n, n + 3)]
+        mu = WeightVector(tuple(f"N{i}" for i in range(n)), w)
+        out += concentration_metrics(mu).top_k_sums.values()
+    return np.array(out).tobytes().hex()
+
+
+def test_top_k_sums_have_the_same_bits_with_the_avx512_loops_switched_off():
+    # A sort, a gather and adds in a fixed order: no CPU path can move them.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": AVX512}
+    probe = subprocess.run(
+        [sys.executable, "-c", "from test_cpu_paths import top_k_bits; print(top_k_bits())"],
+        cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == top_k_bits()
 
 
 def test_the_guarantees_hold_with_the_avx512_loops_switched_off():

@@ -25,7 +25,16 @@ from powerindex import (
     WeightVector,
 )
 
-from helpers import make_ids, random_simplex, scaled, weights_by_id, whole, wv
+from helpers import (
+    bits,
+    make_ids,
+    random_simplex,
+    reference_top_k,
+    scaled,
+    weights_by_id,
+    whole,
+    wv,
+)
 
 CAP1_MU = [0.20, 0.19, 0.18, 0.05] + [0.038] * 10
 CAP2_MU = [0.046] + [0.018] * 53
@@ -238,10 +247,10 @@ class TestConcentrationMetrics:
             ks = sorted({1, 5, 6, 10, n // 2, n - 1, n, n + 3} - {0})
             metrics = concentration_metrics(wv(w))
             for k in ks:
-                expected = w.sum() if k >= n else np.sort(w)[-k:].sum()
-                assert top_k_sum(w, k) == float(expected)
+                expected = reference_top_k(w, k)
+                assert top_k_sum(w, k) == expected
                 if k in metrics.top_k_sums:
-                    assert metrics.top_k_sums[k] == float(expected)
+                    assert metrics.top_k_sums[k] == expected
 
     def test_memo_holds_one_value(self):
         w = random_simplex(np.random.default_rng(107), 30, ties=True)
@@ -468,8 +477,8 @@ class TestCompareMethods:
 def reference_report_fields(mu, eta):
     """A report's fields computed without any memo: the ids matched by a
     dict, the count over a ``np.lexsort`` by (mu, eta), the first 20 pairs
-    from the double loop, the top-k sums from ``np.partition`` and a sorted
-    tail, and turnover from a plain loop."""
+    from the double loop, the top-k sums from ``reference_top_k``, and
+    turnover from a plain loop."""
     before, after = weights_by_id(mu), weights_by_id(eta)
     common = [ident for ident in mu.identifiers if ident in after]
     mu_w = np.array([before[i] for i in common])
@@ -485,13 +494,6 @@ def reference_report_fields(mu, eta):
             if before[low] < before[high] and after[low] > after[high]:
                 pairs.append((low, high))
 
-    def top_k(w, k):
-        if k >= w.size:
-            return float(np.add.reduce(w))
-        tail = np.partition(w, -k)[-k:]
-        tail.sort()
-        return float(np.add.reduce(tail))
-
     moves = [abs(after.get(ident, 0.0) - w) for ident, w in before.items()]
     moves += [w for ident, w in after.items() if ident not in before]
     total = 0.0
@@ -501,8 +503,10 @@ def reference_report_fields(mu, eta):
     return {
         "count": count,
         "pairs": pairs[:20],
-        "top_k_sums": {k: (top_k(a, k), top_k(b, k)) for k in (1, 5, 6, 10)},
-        "maxima": (top_k(a, 1), top_k(b, 1)),
+        "top_k_sums": {
+            k: (reference_top_k(a, k), reference_top_k(b, k)) for k in (1, 5, 6, 10)
+        },
+        "maxima": (reference_top_k(a, 1), reference_top_k(b, 1)),
         "turnover": 0.5 * total,
         "hhi": (float(np.add.reduce(a * a)), float(np.add.reduce(b * b))),
         "diversity": tuple(float(np.add.reduce(w**0.5) ** 2.0) for w in (a, b)),
@@ -519,17 +523,6 @@ def report_fields(report):
         "hhi": (report.hhi_before, report.hhi_after),
         "diversity": (report.diversity_before, report.diversity_after),
     }
-
-
-def bits(fields):
-    """Every float of ``fields`` as its bytes, so that 0.0 and -0.0 differ."""
-    if isinstance(fields, float):
-        return np.float64(fields).tobytes()
-    if isinstance(fields, dict):
-        return {k: bits(v) for k, v in fields.items()}
-    if isinstance(fields, (tuple, list)):
-        return [bits(v) for v in fields]
-    return fields
 
 
 @st.composite

@@ -36,7 +36,7 @@ from powerindex import (
 from powerindex.calibration import _top_k_sums
 from powerindex.diagnostics import DEFAULT_REPORTING_P, DEFAULT_TOP_KS
 
-from helpers import make_ids, reference_power, reference_scale
+from helpers import bits, make_ids, reference_power, reference_scale, reference_top_k
 
 
 @st.composite
@@ -53,10 +53,6 @@ def simplex(draw, min_value=1e-6):
     raw = np.where(rng.random(n) < pooled, rng.choice(pool, n), free)
     assume(raw.sum() > 0.0)
     return raw / raw.sum()
-
-
-def reference_top_k(w: np.ndarray, k: int) -> float:
-    return float(np.sort(w)[-k:].sum()) if k < w.size else float(w.sum())
 
 
 @settings(max_examples=100, deadline=None)
@@ -110,6 +106,51 @@ def test_linpower_with_no_weight_below_its_knot_is_the_plain_power(w, p, share):
     mu = WeightVector(make_ids(w.size), w)
     eta = linearized_power_rebalance(mu, LinearizedPowerRule(p, knot))
     assert eta.weights.tobytes() == reference_power(w, p, knot).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=simplex(), signed=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1), data=st.data())
+@example(w=np.array([0.0, 0.5, 0.0, 0.5]), signed=1.0, seed=0, data=None)
+def test_every_top_k_sum_follows_the_loop_from_the_largest_down(w, signed, seed, data):
+    """``top_k_sum``, ``concentration_metrics`` with and without a memoized
+    order, a report's sums and the solver's ``achieved`` against
+    ``reference_top_k``, bit for bit, on weights with ties, zeros and
+    -0.0, at k = n - 1, n and n + 3 among others."""
+    rng = np.random.default_rng(seed)
+    w = np.where((w == 0.0) & (rng.random(w.size) < signed), -0.0, w)
+    n = w.size
+    drawn = data.draw(st.integers(1, n + 3)) if data else 1
+    for k in {1, 6, max(n - 1, 1), n, n + 3, drawn}:
+        assert bits(top_k_sum(w, k)) == bits(reference_top_k(w, k))
+
+    def expected(v):
+        return bits({k: reference_top_k(v, k) for k in DEFAULT_TOP_KS})
+
+    fresh, ordered = (WeightVector(make_ids(n), w) for _ in range(2))
+    ordered._order()
+    for mu in (fresh, ordered):
+        assert bits(concentration_metrics(mu).top_k_sums) == expected(w)
+
+    # A report on a power eta (no flip: its order is memoized) and on the
+    # weights reversed (flips, unless tied: its sums then come from a
+    # partition).
+    mu = WeightVector(make_ids(n), w)
+    for eta in (power_rebalance(mu, 0.5), WeightVector(mu.identifiers, w[::-1])):
+        pairs = diagnostics_report(mu, eta).top_k_sums
+        assert bits({k: b for k, (b, _) in pairs.items()}) == expected(w)
+        assert bits({k: a for k, (_, a) in pairs.items()}) == expected(eta.weights)
+
+    m = int(np.count_nonzero(w))
+    for k in {1, 6, m - 1, drawn} - {0}:
+        if k >= m:
+            continue
+        bound = top_k_sum(w, k) * data.draw(st.floats(0.2, 1.0)) if data else 0.5
+        try:
+            result = solve_exponent(mu, CalibrationTarget("top_k_sum", bound, k=k))
+        except InfeasibleError:
+            continue
+        eta = power_rebalance(mu, result.p_star)
+        assert bits(result.achieved) == bits(reference_top_k(eta.weights, k))
 
 
 @st.composite

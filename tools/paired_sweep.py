@@ -12,7 +12,9 @@ paper's loop: cap-weight, solve p for a top-6 bound of half the input's
 own statistic, then the power, linpower and cap rules, each followed by
 a diagnostics report. Every round runs each universe on both copies,
 and the copy that goes first alternates from universe to universe and
-from round to round.
+from round to round. The garbage collector stays on while it times, as
+in ``perfbench``'s timed loop, so that the time of each side includes
+the collections that its allocations cause.
 
 It prints each side's median and quartiles over the universes (each
 universe's time is its median over the rounds), the paired ratio
@@ -141,18 +143,14 @@ def main(argv: list[str] | None = None) -> int:
 
     times = np.empty((2, args.universes, args.rounds))
     gc.collect()
-    gc.disable()
-    try:
-        for r in range(args.rounds):
-            for u, bound in enumerate(bounds):
-                sides = (0, 1) if (r + u) % 2 == 0 else (1, 0)
-                for s in sides:
-                    pi, universe = copies[s], rows[s][u]
-                    start = perf_counter()
-                    operation(pi, universe, bound)
-                    times[s, u, r] = perf_counter() - start
-    finally:
-        gc.enable()
+    for r in range(args.rounds):
+        for u, bound in enumerate(bounds):
+            sides = (0, 1) if (r + u) % 2 == 0 else (1, 0)
+            for s in sides:
+                pi, universe = copies[s], rows[s][u]
+                start = perf_counter()
+                operation(pi, universe, bound)
+                times[s, u, r] = perf_counter() - start
 
     per_universe = np.median(times, axis=2) * 1e6  # µs
     for label, side, src in zip(("parent", "change"), per_universe, (args.parent, args.change)):
